@@ -5,6 +5,14 @@ row-major order) scaled to 1, so set membership and equality are exact.
 Groups are stored as their full element sets, produced by breadth-first
 closure from generators; every group in this package has at most a few
 hundred elements, which keeps intersection and orbit computations trivial.
+
+The breadth-first closure is its own exact certificate.  It forms m*g for
+every kept element m and every generator g and keeps the product, so the
+final set holds the identity and is closed under right multiplication by
+each generator: it contains every word in the generators.  Each kept
+element is itself such a word, and in a finite group inverses are positive
+powers, so the set is exactly the generated group; no sampled product or
+inverse check is needed.
 """
 
 from __future__ import annotations
@@ -209,9 +217,11 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     """Breadth-first closure of a generator list under composition.
 
     The element order is insertion order: identity, then products explored
-    first-in-first-out with generators applied in the given order.  Raises
-    when more than `cap` elements appear (the group is too large, or not
-    finite as given).
+    first-in-first-out with generators applied in the given order.  Every
+    product m @ g of a kept element and a generator is formed and kept, so
+    the result is exactly the generated group (see the module docstring).
+    Raises when more than `cap` elements appear (the group is too large, or
+    not finite as given).
     """
     generators = tuple(generators)
     if not generators:
@@ -240,22 +250,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
                     )
                 seen.add(prod)
                 elements.append(prod)
-    group = AutGroup(generators, tuple(elements), label)
-    _spot_check_closure(group)
-    return group
-
-
-def _spot_check_closure(group: AutGroup, samples: int = 40):
-    """Sample products and inverses to confirm the closure invariants."""
-    els = group.elements
-    step = max(1, len(els) // samples)
-    picks = els[::step]
-    for a in picks:
-        if a.inverse() not in group.element_set:
-            raise AssertionError("closure is not inverse-closed")
-        for b in picks:
-            if (a @ b) not in group.element_set:
-                raise AssertionError("closure is not product-closed")
+    return AutGroup(generators, tuple(elements), label)
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,29 @@ def _emit(doc: dict, output: Optional[str]):
         Path(output).write_text(text)
 
 
+def _read_document(path: str) -> dict:
+    """The JSON object in `path`; a missing or unreadable file and malformed
+    JSON are bad input."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise PreconditionError("bad_input", f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise PreconditionError("bad_input", f"{path} does not hold a JSON object")
+    return doc
+
+
 def _load_instance(config: RunConfig):
     if config.family == "custom":
         if not config.input:
             raise PreconditionError("usage", "family 'custom' requires --input")
-        doc = json.loads(Path(config.input).read_text())
-        return serialize.instance_from_dict(doc)
+        doc = _read_document(config.input)
+        try:
+            return serialize.instance_from_dict(doc)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise PreconditionError(
+                "bad_input", f"malformed instance document: {type(exc).__name__}: {exc}"
+            ) from None
     return builtin_instance(config.family, config.q, config.m)
 
 
@@ -102,7 +119,7 @@ def _dispatch(config: RunConfig) -> int:
     if config.command == "export":
         if not config.input:
             raise PreconditionError("usage", "export requires --input")
-        doc = json.loads(Path(config.input).read_text())
+        doc = _read_document(config.input)
         if doc.get("schema") not in (
             "orbitcodes.code.v1",
             "orbitcodes.instance.v1",

@@ -198,9 +198,13 @@ def permutation_of(gamma: ProjMap, points: Sequence[ProjPoint]) -> CoordPermutat
 def preserves_code(perm: CoordPermutation, code: EvalCode) -> bool:
     """True iff permuting coordinates maps the code onto itself, checked by
     reducing every permuted generator row against the row space."""
+    _, rref, pivots = rank_and_rref(code.matrix)
+    return _preserves_reduced(perm, code, rref, pivots)
+
+
+def _preserves_reduced(perm: CoordPermutation, code: EvalCode, rref, pivots) -> bool:
     if len(perm.perm) != code.n:
         raise ValueError("permutation length must match the code length")
-    _, rref, pivots = rank_and_rref(code.matrix)
     return all(
         in_row_space(perm.apply_to(row), rref, pivots) for row in code.matrix
     )
@@ -213,11 +217,63 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
     Passes iff every induced permutation preserves the code and only the
     identity element induces the identity permutation; on success the image
     of the permutation representation has order exactly |group|.
+
+    The certificate works on the generators.  Only their permutations are
+    tested against the code: a permutation group preserves a code iff its
+    generators do.  Then the set of permutations induced by
+    `group.elements` must equal the closure of the generator permutations
+    and have |group| members, which makes the action faithful.  This is
+    exact for any AutGroup, also one whose elements are not the closure of
+    its generators.  When the certificate does not pass, the elements are
+    scanned in order for the first witness, so a failed report names the
+    same element and reason as an element-by-element check.
     """
+    if _certified_on_generators(group, points, code):
+        return CheckReport(
+            "faithful_embedding",
+            True,
+            {"group_order": group.order, "image_order": group.order},
+        )
+    return _scan_elements(group, points, code)
+
+
+def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
+    try:
+        generators = [permutation_of(g, points) for g in group.generators]
+        if not all(preserves_code(sigma, code) for sigma in generators):
+            return False
+        images = {permutation_of(m, points).perm for m in group.elements}
+    except ValueError:  # a map leaves the evaluation set; the scan reports it
+        return False
+    if len(images) != group.order:
+        return False
+    return _permutation_closure([s.perm for s in generators], len(points), len(images)) == images
+
+
+def _permutation_closure(generators, n: int, limit: int):
+    """Breadth-first closure of permutations of range(n), given as tuples,
+    under composition; None once it would hold more than `limit`."""
+    ident = tuple(range(n))
+    elements = [ident]
+    seen = {ident}
+    for p in elements:
+        for g in generators:
+            prod = tuple(p[i] for i in g)
+            if prod not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(prod)
+                elements.append(prod)
+    return seen
+
+
+def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:
+    """Element-by-element check in element order, one row reduction."""
+    _, rref, pivots = rank_and_rref(code.matrix)
     images = set()
     for gamma in group.elements:
         sigma = permutation_of(gamma, points)
-        if not preserves_code(sigma, code):
+        if not _preserves_reduced(sigma, code, rref, pivots):
             return CheckReport(
                 "faithful_embedding",
                 False,

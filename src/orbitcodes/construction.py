@@ -21,7 +21,7 @@ support of D taken once), the code is L((m*e) * D0) with bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
 from .errors import CheckFailure, CheckReport, PreconditionError
@@ -118,6 +118,7 @@ class Instance:
     Custom instances may carry an explicit function list; built-in families
     synthesize monomial bases.  The quotient-rationality hypothesis on each
     group (its curve quotient being a line) is declared, not computed.
+    The joint group is closed on first use and kept on the instance.
     """
 
     curve: PlaneCurve
@@ -131,6 +132,7 @@ class Instance:
     condition_a_declared: bool = True
     family: str = "custom"
     q: Optional[int] = None
+    _joint: Optional[AutGroup] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) < 2:
@@ -151,8 +153,18 @@ class Instance:
             raise ValueError("Q' must lie on the curve")
 
     def joint_group(self) -> AutGroup:
-        gens = tuple(g for grp in self.groups for g in grp.generators)
-        return close(gens, label="joint")
+        """The group generated by every group's generators, closed once."""
+        if self._joint is None:
+            gens = tuple(g for grp in self.groups for g in grp.generators)
+            object.__setattr__(self, "_joint", close(gens, label="joint"))
+        return self._joint
+
+    def with_qprime(self, Qprime: ProjPoint) -> Instance:
+        """This instance with another evaluation seed.  The joint group does
+        not depend on Q', so a group already closed carries over."""
+        out = replace(self, Qprime=Qprime)
+        object.__setattr__(out, "_joint", self._joint)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +398,7 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
 
 def build_code(inst: Instance) -> EvalCode:
     """Run all checks, then evaluate the basis at S and assemble the code."""
-    rep_b = check_condition_b(inst)
-    if not rep_b.passed:
-        raise CheckFailure(rep_b)
-    D = build_divisor(inst)
-    S, rep_d = check_condition_d(inst, D)
-    if not rep_d.passed:
-        raise CheckFailure(rep_d)
-    basis = build_basis(inst, D)
-    return _assemble_code(inst, D, S, basis)
+    return run_construction(inst).code
 
 
 def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
@@ -551,12 +555,11 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         g1, g2 = builtin_generators("fermat", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
         Q = curve.line_section_points(field)[0]
-        Qprime = _first_valid_qprime(
+        return _with_first_valid_qprime(
             curve, field, (G1, G2), Q, m,
             shape=lambda pt: all(pt.coords),
-            family=family,
+            family=family, q=q,
         )
-        return Instance(curve, (G1, G2), Q, Qprime, field, field, m, family=family, q=q)
 
     if family == "projline":
         if q % 2 == 0 or q < 5:
@@ -569,10 +572,9 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         g1, g2 = builtin_generators("projline", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
         Q = _first_common_fiber_point(curve, field, (G1, G2))
-        Qprime = _first_valid_qprime(
-            curve, field, (G1, G2), Q, m, shape=lambda pt: True, family=family
+        return _with_first_valid_qprime(
+            curve, field, (G1, G2), Q, m, shape=lambda pt: True, family=family, q=q
         )
-        return Instance(curve, (G1, G2), Q, Qprime, field, field, m, family=family, q=q)
 
     if family == "bf":
         p, s = prime_power(q)
@@ -581,12 +583,11 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         g1, g2 = builtin_generators("bf", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
         Q = curve.line_section_points(field)[0]
-        Qprime = _first_valid_qprime(
+        return _with_first_valid_qprime(
             curve, field, (G1, G2), Q, m,
             shape=lambda pt: bool(pt.coords[-1]) and not pt.coords[1],
-            family=family,
+            family=family, q=q,
         )
-        return Instance(curve, (G1, G2), Q, Qprime, field, field, m, family=family, q=q)
 
     raise PreconditionError("invalid_family_parameters", f"unknown family {family!r}")
 
@@ -601,14 +602,13 @@ def _first_common_fiber_point(curve: PlaneCurve, field: FieldSpec, groups) -> Pr
     raise PreconditionError("no_valid_q", "no point has coincident orbit multisets")
 
 
-def _first_valid_qprime(curve, field, groups, Q, m, shape, family) -> ProjPoint:
-    """First curve point matching the family's shape rule that passes the
-    eligibility clauses for the evaluation seed."""
+def _with_first_valid_qprime(curve, field, groups, Q, m, shape, family, q) -> Instance:
+    """The instance whose evaluation seed is the first curve point matching
+    the family's shape rule that passes the eligibility clauses.  It keeps
+    the joint group closed for the search."""
     candidates = [pt for pt in curve.rational_points(field) if shape(pt)]
     if candidates:
-        probe = Instance(
-            curve, groups, Q, candidates[0], field, field, m, family=family, q=None
-        )
+        probe = Instance(curve, groups, Q, candidates[0], field, field, m, family=family, q=q)
         D = build_divisor(probe)
         supp = set(D.points())
         joint = probe.joint_group()
@@ -618,7 +618,7 @@ def _first_valid_qprime(curve, field, groups, Q, m, shape, family) -> ProjPoint:
                 continue
             S = joint.orbit(pt)
             if m * g1 < len(S):
-                return pt
+                return probe.with_qprime(pt)
     raise PreconditionError(
         "no_valid_qprime",
         f"no valid evaluation seed exists for family {family!r} "

@@ -13,7 +13,7 @@ point lies on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .gf import FieldElement, FieldSpec, embedding, frobenius
 
@@ -186,11 +186,14 @@ class PlaneCurve:
 
     `terms` is a canonically ordered tuple of (exponent tuple, coefficient)
     pairs with nonzero coefficients, all of one total degree.
+    `rational_points` keeps its enumeration per field on the curve object,
+    so a curve built for one job enumerates each field once.
     """
 
     n_coords: int
     field: FieldSpec
     terms: tuple[tuple[tuple[int, ...], FieldElement], ...]
+    _points: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_coords not in (2, 3):
@@ -240,11 +243,15 @@ class PlaneCurve:
         """All points over `field`, canonical order, no duplicates.
 
         Brute force over the (at most a few thousand) points of the ambient
-        projective space.
+        projective space, once per field; later calls return the same tuple.
         """
-        if field != self.field:
-            embedding(self.field, field)  # raises PreconditionError if incompatible
-        return tuple(p for p in projective_reps(field, self.n_coords) if self.contains(p))
+        if field not in self._points:
+            if field != self.field:
+                embedding(self.field, field)  # raises PreconditionError if incompatible
+            self._points[field] = tuple(
+                p for p in projective_reps(field, self.n_coords) if self.contains(p)
+            )
+        return self._points[field]
 
     def line_section_points(self, field: FieldSpec) -> tuple[ProjPoint, ...]:
         """Rational points with last coordinate zero, canonical order."""

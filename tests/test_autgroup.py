@@ -138,6 +138,27 @@ def test_closure_closed_under_product_and_inverse(fermat3):
             assert (a @ b) in grp
 
 
+def brute_force_closure(generators):
+    """The generated group found by multiplying every pair of elements found
+    so far until no new element appears."""
+    found = {identity_map(generators[0].field, generators[0].n), *generators}
+    while True:
+        products = {a @ b for a in found for b in found}
+        if products <= found:
+            return found
+        found |= products
+
+
+def test_close_matches_brute_force_closure(built, fermat3):
+    _, g1, g2 = fermat3
+    groups = [close(g1 + g2)]
+    for res in built.values():
+        groups += res.instance.groups
+    for grp in groups:
+        assert len(set(grp.elements)) == grp.order
+        assert set(grp.elements) == brute_force_closure(grp.generators)
+
+
 def test_lagrange_divisibility(fermat3):
     _, g1, g2 = fermat3
     joint = close(g1 + g2)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from orbitcodes import cli
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION
 
@@ -108,25 +110,26 @@ def test_unknown_family_is_usage_error(capsys):
     assert code == EXIT_PRECONDITION
 
 
+# the affine order-2 scaling pair over GF(3) on the line, written by hand
+AFFINE_F3_INSTANCE = {
+    "schema": "orbitcodes.instance.v1",
+    "ground_field": {"p": 3, "k": 1, "modulus": [0, 1]},
+    "working_field": {"p": 3, "k": 1, "modulus": [0, 1]},
+    "curve": {"coords": 2, "terms": []},
+    "groups": [
+        {"label": "G1", "generators": [[2, 0, 0, 1]]},
+        {"label": "G2", "generators": [[2, 2, 0, 1]]},
+    ],
+    "Q": [1, 0],
+    "Qprime": [0, 1],
+    "m": 1,
+    "condition_a_holds": True,
+}
+
+
 def test_custom_instance_roundtrip(tmp_path, capsys):
-    # build the custom instance document by hand: the affine order-2 scaling
-    # pair over GF(3) on the line
-    doc = {
-        "schema": "orbitcodes.instance.v1",
-        "ground_field": {"p": 3, "k": 1, "modulus": [0, 1]},
-        "working_field": {"p": 3, "k": 1, "modulus": [0, 1]},
-        "curve": {"coords": 2, "terms": []},
-        "groups": [
-            {"label": "G1", "generators": [[2, 0, 0, 1]]},
-            {"label": "G2", "generators": [[2, 2, 0, 1]]},
-        ],
-        "Q": [1, 0],
-        "Qprime": [0, 1],
-        "m": 1,
-        "condition_a_holds": True,
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(AFFINE_F3_INSTANCE))
     out = tmp_path / "code.json"
     code, _, _ = run_cli(
         capsys, "construct", "--family", "custom", "--input", str(path), "--output", str(out)
@@ -135,6 +138,55 @@ def test_custom_instance_roundtrip(tmp_path, capsys):
     built = json.loads(out.read_text())
     assert (built["n"], built["k"]) == (3, 3)
     assert built["joint_group_order"] == 6
+
+
+def _assert_bad_input(capsys, *argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    doc = json.loads(stdout)
+    assert doc["schema"] == "orbitcodes.error.v1"
+    assert doc["error"] == "bad_input"
+    assert "Traceback" not in stderr
+
+
+INPUT_COMMANDS = [("construct", "--family", "custom"), ("export",)]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_missing_input_file_is_bad_input(tmp_path, capsys, command):
+    _assert_bad_input(capsys, *command, "--input", str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+@pytest.mark.parametrize("text", ['{"schema": "orbitcodes.instance.v1", ', "[1, 2]"])
+def test_malformed_json_is_bad_input(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _assert_bad_input(capsys, *command, "--input", str(path))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("ground_field", None), ("groups", 5), ("Q", ["x", 1]), ("working_field", {"p": 3})],
+)
+def test_missing_or_mistyped_instance_key_is_bad_input(tmp_path, capsys, key, value):
+    doc = dict(AFFINE_F3_INSTANCE)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    _assert_bad_input(capsys, "construct", "--family", "custom", "--input", str(path))
+
+
+def test_loader_precondition_keeps_its_kind(tmp_path, capsys):
+    doc = dict(AFFINE_F3_INSTANCE, ground_field={"p": 4, "k": 1, "modulus": [0, 1]})
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "construct", "--family", "custom", "--input", str(path))
+    assert code == EXIT_PRECONDITION
+    assert json.loads(stdout)["error"] == "not_prime"
 
 
 def test_custom_requires_input(capsys):

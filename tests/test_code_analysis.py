@@ -12,7 +12,9 @@ import itertools
 import pytest
 
 from orbitcodes import (
+    AutGroup,
     CheckFailure,
+    CheckReport,
     CoordPermutation,
     EvalCode,
     PreconditionError,
@@ -247,6 +249,87 @@ def test_random_transposition_usually_breaks_code(built):
 # faithfulness
 
 
+def oracle_verify_faithful(group, points, code):
+    """The element-by-element certificate: every element's permutation is
+    checked against the code, with its own row reduction, in element order."""
+    images = set()
+    for gamma in group.elements:
+        sigma = permutation_of(gamma, points)
+        if not preserves_code(sigma, code):
+            return CheckReport(
+                "faithful_embedding",
+                False,
+                {"reason": "induced permutation does not preserve the code"},
+                witness={"element": list(gamma.key)},
+            )
+        if sigma.is_identity() and not gamma.is_identity():
+            return CheckReport(
+                "faithful_embedding",
+                False,
+                {"reason": "non-identity element acts trivially on the evaluation set"},
+                witness={"element": list(gamma.key)},
+            )
+        images.add(sigma.perm)
+    passed = len(images) == group.order
+    return CheckReport(
+        "faithful_embedding",
+        passed,
+        {"group_order": group.order, "image_order": len(images)},
+    )
+
+
+def assert_matches_oracle(group, points, code):
+    rep = verify_faithful(group, points, code)
+    assert rep == oracle_verify_faithful(group, points, code)
+    return rep
+
+
+def test_faithful_matches_oracle_on_every_builtin_group(built):
+    for res in built.values():
+        for grp in res.instance.groups + (res.instance.joint_group(),):
+            assert_matches_oracle(grp, res.points, res.code)
+
+
+def _fermat3_shifted_y_code(res):
+    """The one-row code spanned by y + 1 on the fermat q=3 evaluation set:
+    the X scaling preserves it, the Y scaling does not."""
+    one_row, _, y_row = res.code.matrix
+    row = tuple(a + b for a, b in zip(y_row, one_row))
+    return EvalCode(res.code.field, res.code.points, (row,), rank=1, distance_bound=0)
+
+
+def test_generator_that_breaks_the_code_gives_the_oracle_witness(built):
+    res = built[("fermat", 3)]
+    code = _fermat3_shifted_y_code(res)
+    joint = res.instance.joint_group()
+    rep = assert_matches_oracle(joint, res.points, code)
+    assert not rep.passed
+    assert rep.witness == {"element": list(joint.generators[1].key)}
+
+
+def test_hand_built_groups_match_the_oracle(built):
+    res = built[("fermat", 3)]
+    joint = res.instance.joint_group()
+    ident, x_scaling, y_scaling = joint.elements[:3]
+    assert (x_scaling, y_scaling) == joint.generators
+    broken = _fermat3_shifted_y_code(res)
+    cases = [
+        # element lists that are not the closure of their generators
+        (AutGroup(joint.generators, joint.elements[:k]), res.code)
+        for k in (3, 7, 15)
+    ] + [
+        (AutGroup((), (ident, x_scaling)), res.code),
+        (AutGroup((x_scaling,), (ident, x_scaling, x_scaling)), res.code),
+        # the only generator preserves the code, a listed element does not
+        (AutGroup((x_scaling,), (ident, x_scaling, y_scaling)), broken),
+        (AutGroup((x_scaling,), joint.elements), broken),
+    ]
+    outcomes = []
+    for grp, code in cases:
+        outcomes.append(assert_matches_oracle(grp, res.points, code).passed)
+    assert outcomes == [True, True, True, True, False, False, False]
+
+
 def test_faithful_fermat_q3(built):
     res = built[("fermat", 3)]
     rep = verify_faithful(res.instance.joint_group(), res.points, res.code)
@@ -304,6 +387,6 @@ def test_unfaithful_action_reports_witness():
     pts = group.orbit(seed)
     assert pts == (seed,)
     code = EvalCode(F9, pts, ((one,),), rank=1, distance_bound=1)
-    rep = verify_faithful(group, pts, code)
+    rep = assert_matches_oracle(group, pts, code)
     assert not rep.passed
     assert rep.witness is not None

@@ -26,6 +26,7 @@ from orbitcodes import (
     root_of_unity,
     run_construction,
 )
+from orbitcodes import construction
 from orbitcodes.construction import Divisor
 
 
@@ -338,6 +339,28 @@ def test_ground_coercion_failure_signals_nonrational_data():
     with pytest.raises(CheckFailure) as exc:
         build_code(inst)
     assert exc.value.report.name in ("condition_d", "ground_coercion")
+
+
+def test_joint_group_is_closed_once_per_instance():
+    inst = _affine_f3_line_instance(make_field(3, 1))
+    assert inst.joint_group() is inst.joint_group()
+    assert inst.joint_group().order == 6
+
+
+@pytest.mark.parametrize("family,q", [("fermat", 3), ("projline", 7), ("bf", 2)])
+def test_builtin_job_closes_each_group_once(monkeypatch, family, q):
+    labels = []
+
+    def counting_close(generators, **kwargs):
+        labels.append(kwargs.get("label"))
+        return close(generators, **kwargs)
+
+    monkeypatch.setattr(construction, "close", counting_close)
+    inst = builtin_instance(family, q)
+    res = run_construction(inst)
+    assert inst.joint_group() is inst.joint_group()
+    assert res.joint_order == inst.joint_group().order
+    assert labels == ["G1", "G2", "joint"]
 
 
 def test_instance_rejects_points_off_curve():

@@ -154,6 +154,19 @@ def test_enumeration_requires_compatible_field():
         curve.rational_points(make_field(2, 4))
 
 
+def test_enumeration_is_kept_per_field():
+    F4, F16 = make_field(2, 2), make_field(2, 4)
+    curve = fermat_curve(2, F4)
+    small = curve.rational_points(F4)
+    assert curve.rational_points(F4) is small
+    large = curve.rational_points(F16)
+    assert curve.rational_points(F16) is large
+    assert len(small) == 9 and large != small
+    assert large == tuple(p for p in projective_reps(F16, 3) if curve.contains(p))
+    with pytest.raises(PreconditionError):
+        curve.rational_points(make_field(3, 2))
+
+
 # ---------------------------------------------------------------------------
 # line sections
 
