@@ -345,14 +345,5 @@ def _additive_basis(values, spec: FieldSpec):
         if v in span or not v:
             continue
         basis.append(v)
-        span |= {s + m for s in span for m in _multiples(v, spec)}
+        span |= {s + spec.from_int(c) * v for s in span for c in range(spec.p)}
     return basis
-
-
-def _multiples(v: FieldElement, spec: FieldSpec):
-    out = []
-    acc = spec.zero()
-    for _ in range(spec.p):
-        acc = acc + v
-        out.append(acc)
-    return out

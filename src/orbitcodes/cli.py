@@ -51,10 +51,14 @@ def _say(msg: str):
 
 
 def _emit(doc: dict, output: Optional[str]):
+    """Write the report to `output` first, then to stdout."""
     text = serialize.dumps(doc)
-    sys.stdout.write(text)
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise PreconditionError("bad_output", f"cannot write {output}: {exc}") from None
+    sys.stdout.write(text)
 
 
 def _read_document(path: str) -> dict:
@@ -89,30 +93,31 @@ def run(config: RunConfig) -> int:
         return _dispatch(config)
     except CheckFailure as exc:
         _say(f"check failed: {exc}")
-        _emit(
-            {
-                "schema": "orbitcodes.verify.v1",
-                "passed": False,
-                "checks": [exc.report.as_dict()],
-            },
-            config.output,
-        )
-        return EXIT_CHECK_FAILED
+        doc = {"schema": "orbitcodes.verify.v1", "passed": False, "checks": [exc.report.as_dict()]}
+        return _report(doc, config.output, EXIT_CHECK_FAILED)
     except PreconditionError as exc:
         _say(f"precondition error [{exc.kind}]: {exc}")
-        _emit(
-            {
-                "schema": "orbitcodes.error.v1",
-                "error": exc.kind,
-                "message": str(exc),
-                "details": exc.details,
-            },
-            config.output,
-        )
-        return EXIT_PRECONDITION
+        output = None if exc.kind == "bad_output" else config.output  # never retry it
+        return _report(_error_doc(exc), output, EXIT_PRECONDITION)
     except OrbitCodesError as exc:
         _say(f"error: {exc}")
         return EXIT_PRECONDITION
+
+
+def _error_doc(exc: PreconditionError) -> dict:
+    return {"schema": "orbitcodes.error.v1", "error": exc.kind, "message": str(exc),
+            "details": exc.details}
+
+
+def _report(doc: dict, output: Optional[str], status: int) -> int:
+    """Emit a failure document, or the bad_output error if `output` fails."""
+    try:
+        _emit(doc, output)
+    except PreconditionError as exc:
+        _say(f"precondition error [{exc.kind}]: {exc}")
+        _emit(_error_doc(exc), None)
+        return EXIT_PRECONDITION
+    return status
 
 
 def _dispatch(config: RunConfig) -> int:

@@ -5,14 +5,14 @@ enumeration, and certification that a matrix group acting on the
 evaluation set embeds faithfully into the code's permutation automorphism
 group.
 
-The distance scan works on integer-encoded symbols with precomputed
-addition tables, which keeps the full 9^6-message enumeration used by the
-largest supported instance in the seconds range.
+The distance scan works on integer-encoded symbols, with an addition
+table, negations and scaled rows taken from the field's operators when it
+starts, which keeps the full 9^6-message enumeration used by the largest
+supported instance in the seconds range.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,16 +97,6 @@ def in_row_space(vector: Sequence[FieldElement], rref, pivots) -> bool:
     return not any(residue)
 
 
-@functools.lru_cache(maxsize=None)
-def _tables(spec: FieldSpec):
-    """Flat addition and multiplication tables indexed by canonical encoding."""
-    q = spec.order
-    els = [spec.from_enc(i) for i in range(q)]
-    add = [[(a + b).enc for b in els] for a in els]
-    mul = [[(a * b).enc for b in els] for a in els]
-    return add, mul
-
-
 def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD) -> int:
     """Minimum Hamming weight over all nonzero codewords, by enumerating the
     full message space |F|^rank.
@@ -128,11 +118,11 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
             f"{total} messages exceed the guard {max_messages}; raise max_messages to force",
             {"messages": total, "guard": max_messages},
         )
-    add, mul = _tables(code.field)
+    els = list(code.field.elements())
+    add = [[(a + b).enc for b in els] for a in els]
+    neg = [(-a).enc for a in els]
+    scaled = [[[(s * c).enc for c in row] for s in els] for row in rref]
     n = code.n
-    rows = [[c.enc for c in row] for row in rref]
-    scaled = [[[mul[s][x] for x in row] for s in range(q)] for row in rows]
-    neg = [next(b for b in range(q) if not add[a][b]) for a in range(q)]
     bound = code.distance_bound
     best = n + 1
 

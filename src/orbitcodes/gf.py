@@ -2,16 +2,19 @@
 
 A field is described by a FieldSpec: characteristic p, extension degree k,
 and a monic irreducible modulus polynomial over GF(p) stored as k+1
-coefficients in ascending degree.  Elements are dense coefficient vectors
-in the polynomial basis, always reduced mod p.
-
-Every element has a canonical integer encoding
+coefficients in ascending degree.  An element is its canonical integer
+encoding, over its coefficients in the polynomial basis
 
     enc(a) = sum(coeffs[i] * p**i)
 
 a bijection onto range(p**k).  This encoding is the tiebreaker for every
 deterministic choice in the package (modulus selection, roots of unity,
 embeddings, point and matrix orderings) and the wire format for files.
+
+Arithmetic reads three tables per field, built on its first operation
+from polynomial products reduced by the modulus: the powers (exp) and
+logarithms (log) of the primitive element of smallest encoding, and its
+Zech logarithms.  They hold O(p**k) ints; every operator is a few reads.
 
 Subfield relations are explicit Embedding values, checked by evaluating
 the small field's modulus at the chosen image of its generator; there is
@@ -120,24 +123,14 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
-    def element(self, coeffs) -> FieldElement:
-        cs = tuple(int(c) % self.p for c in coeffs)
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(cs)}")
-        return FieldElement(self, cs)
-
     def from_int(self, c: int) -> FieldElement:
         """The prime-field constant c, as an element of this field."""
-        return self.element((c,) + (0,) * (self.k - 1))
+        return FieldElement(self, c % self.p)
 
     def from_enc(self, n: int) -> FieldElement:
         if not (0 <= n < self.order):
             raise ValueError(f"encoding {n} out of range for order {self.order}")
-        cs = []
-        for _ in range(self.k):
-            n, r = divmod(n, self.p)
-            cs.append(r)
-        return FieldElement(self, tuple(cs))
+        return FieldElement(self, n)
 
     def zero(self) -> FieldElement:
         return self.from_int(0)
@@ -156,79 +149,98 @@ class FieldSpec:
     def units(self):
         return (self.from_enc(n) for n in range(1, self.order))
 
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int], list]:
+        """exp, log and Zech tables of g, the primitive element of smallest
+        encoding: exp[i] = g^i for i < 2(q-1), log[g^i] = i, and zech[i] =
+        log(1 + g^i), None where 1 + g^i = 0."""
+        for candidate in range(1, self.order):
+            g = self.from_enc(candidate).coeffs
+            exp, power = [1], g
+            while (a := sum(c * self.p**i for i, c in enumerate(power))) != 1:
+                exp.append(a)
+                prod = [0] * (2 * self.k - 1)
+                for i, x in enumerate(power):
+                    for j, y in enumerate(g):
+                        prod[i + j] += x * y
+                power = _poly_divmod(prod, self.modulus, self.p)[1]
+            if len(exp) == self.order - 1:
+                break
+        log = [0] * self.order
+        for i, a in enumerate(exp):
+            log[a] = i
+        # 1 + a differs from a only in its lowest digit, the constant term
+        p = self.p
+        zech = [log[b] if (b := a - a % p + (a + 1) % p) else None for a in exp]
+        return exp + exp, log, zech
+
+    def _sum(self, a: int, b: int) -> int:
+        """a + b on encodings: g^i + g^j = g^(i + zech[j - i])."""
+        if not (a and b):
+            return a or b
+        exp, log, zech = self._tables
+        z = zech[(log[b] - log[a]) % (len(log) - 1)]
+        return 0 if z is None else exp[log[a] + z]
+
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of GF(p^k) in the polynomial basis of its FieldSpec."""
+    """An element of GF(p^k), held as its canonical encoding; every
+    operator reads the exp/log/Zech tables its field builds once."""
 
     spec: FieldSpec
-    coeffs: tuple[int, ...]
+    enc: int
 
     @property
-    def enc(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.spec.p + c
-        return n
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self.enc // self.spec.p**i % self.spec.p for i in range(self.spec.k))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.enc != 0
 
     def _check_same(self, other: FieldElement):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError(f"field mismatch: {self.spec} vs {other.spec}")
 
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, self.spec._sum(self.enc, other.enc))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, self.spec._sum(self.enc, (-other).enc))
 
     def __neg__(self) -> FieldElement:
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        if not self.enc or self.spec.p == 2:
+            return self
+        exp, log, _ = self.spec._tables  # -1 = g^((q-1)/2) in odd characteristic
+        return FieldElement(self.spec, exp[log[self.enc] + (len(log) - 1) // 2])
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        p, k, mod = self.spec.p, self.spec.k, self.spec.modulus
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(k + 1):
-                    prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-        return FieldElement(self.spec, tuple(prod[:k]))
+        if not (self.enc and other.enc):
+            return FieldElement(self.spec, 0)
+        exp, log, _ = self.spec._tables
+        return FieldElement(self.spec, exp[log[self.enc] + log[other.enc]])
 
     def __pow__(self, n: int) -> FieldElement:
         if n < 0:
             return self.inv() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not self.enc:
+            return self.spec.one() if n == 0 else self
+        exp, log, _ = self.spec._tables
+        return FieldElement(self.spec, exp[log[self.enc] * n % (len(log) - 1)])
 
     def inv(self) -> FieldElement:
         if not self:
             raise ZeroDivisionError("inversion of zero")
-        return self ** (self.spec.order - 2)
+        exp, log, _ = self.spec._tables
+        return FieldElement(self.spec, exp[len(log) - 1 - log[self.enc]])
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         return self * other.inv()
@@ -304,21 +316,18 @@ class Embedding:
     def apply(self, a: FieldElement) -> FieldElement:
         if a.spec != self.src:
             raise ValueError(f"element of {a.spec} fed to embedding from {self.src}")
-        acc = self.dst.zero()
-        for c in reversed(a.coeffs):
-            acc = acc * self.image_of_generator + self.dst.from_int(c)
-        return acc
+        return _eval_poly_at(a.coeffs, self.image_of_generator)
 
     @cached_property
-    def _section(self) -> dict[tuple[int, ...], FieldElement]:
-        return {self.apply(a).coeffs: a for a in self.src.elements()}
+    def _section(self) -> dict[int, FieldElement]:
+        return {self.apply(a).enc: a for a in self.src.elements()}
 
     def section(self, b: FieldElement) -> FieldElement:
         """Preimage of b under the embedding; raises if b is not in the image."""
         if b.spec != self.dst:
             raise ValueError("element does not live in the destination field")
         try:
-            return self._section[b.coeffs]
+            return self._section[b.enc]
         except KeyError:
             raise ValueError(f"{b!r} is not in the image of {self.src}") from None
 

@@ -76,7 +76,7 @@ def test_criterion_3_fermat4_parameters():
     assert (res.code.n, res.code.rank, d) == (25, 3, 20)
     assert res.code.field.order == 16
     assert d == res.code.distance_bound
-    assert elapsed < 5.0
+    assert elapsed < 1.0
     return f"exact distance in {elapsed:.3f}s"
 
 
@@ -113,7 +113,7 @@ def test_criterion_5_scaled_fermat3():
     elapsed = time.monotonic() - t0
     assert d >= res.code.distance_bound
     assert d == 8  # frozen regression value from the first exhaustive scan
-    assert elapsed < 60.0
+    assert elapsed < 10.0
     return f"exact d={d} from 9^6-1 codewords in {elapsed:.1f}s"
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_bf_family():
         # computed pair and check the designed bound
         assert d >= n - 12
         assert (n, d) == (48, 36)  # frozen regression values
-    assert elapsed < 3.0
+    assert elapsed < 1.5
     return f"(#S, d) = ({n}, {d}) in {elapsed:.1f}s"
 
 

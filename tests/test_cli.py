@@ -217,3 +217,32 @@ def test_verify_fails_on_broken_custom_instance(tmp_path, capsys):
     assert doc["passed"] is False
     failed = [c for c in doc["checks"] if not c["passed"]]
     assert failed and failed[0]["name"] == "condition_b"
+
+
+def _assert_bad_output(capsys, *argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    doc = json.loads(stdout)  # one document: the error alone
+    assert doc["schema"] == "orbitcodes.error.v1"
+    assert doc["error"] == "bad_output"
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "fermat", "--q", "3"),
+        ("verify", "--family", "projline", "--q", "4"),  # fails, then writes its error
+        ("distance", "--family", "projline", "--q", "5"),
+    ],
+)
+def test_output_in_missing_directory_is_bad_output(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    _assert_bad_output(capsys, *argv, "--output", str(target))
+    assert not target.parent.exists()
+
+
+def test_unwritable_default_output_is_bad_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fermat_q3_m1.code.json").mkdir()  # the default path is a directory
+    _assert_bad_output(capsys, "construct", "--family", "fermat", "--q", "3")

@@ -1,8 +1,10 @@
-"""Field arithmetic: deterministic moduli, exact axioms, roots of unity,
-embeddings, Frobenius.
+"""Field arithmetic: deterministic moduli, exact axioms, the table
+arithmetic, roots of unity, embeddings, Frobenius.
 
 The oracles here are independent of the library: naive polynomial division
-for irreducibility, and raw scans for roots of unity and fixed points.
+for irreducibility, naive polynomial products reduced by the modulus for
+the exp/log/Zech table arithmetic, and raw scans for roots of unity and
+fixed points.
 """
 
 import itertools
@@ -147,6 +149,80 @@ def test_enc_bijection(p, k):
         assert spec.from_enc(a.enc) == a
         seen.add(a.enc)
     assert seen == set(range(spec.order))
+
+
+# ---------------------------------------------------------------------------
+# differential: the table arithmetic against the polynomial oracle
+
+
+def oracle_poly_mod(f, modulus, p):
+    """Remainder of f modulo the monic modulus, as deg(modulus) coefficients."""
+    f = [c % p for c in f]
+    k = len(modulus) - 1
+    for i in range(len(f) - 1, k - 1, -1):
+        c = f[i]
+        if c:
+            for j, m in enumerate(modulus):
+                f[i - k + j] = (f[i - k + j] - c * m) % p
+    return tuple((f + [0] * k)[:k])
+
+
+def oracle_mul(spec, a, b):
+    return oracle_poly_mod(oracle_poly_mul(a, b, spec.p), spec.modulus, spec.p)
+
+
+def assert_ops_match_oracle(spec, a, b):
+    p, one = spec.p, spec.one().coeffs
+    ac, bc = a.coeffs, b.coeffs
+    assert (a * b).coeffs == oracle_mul(spec, ac, bc)
+    assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ac, bc))
+    assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ac, bc))
+    assert (-a).coeffs == tuple(-x % p for x in ac)
+    if a:
+        assert oracle_mul(spec, ac, a.inv().coeffs) == one
+
+
+def assert_powers_match_oracle(spec, a):
+    """a**n for n in 0..2q against repeated oracle products, and a**-n for
+    n in 1..3 as the oracle inverse of a**n."""
+    one = spec.one().coeffs
+    power = one
+    for n in range(2 * spec.order + 1):
+        assert (a**n).coeffs == power
+        if a and 1 <= n <= 3:
+            assert oracle_mul(spec, (a**-n).coeffs, power) == one
+        power = oracle_mul(spec, power, a.coeffs)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(3, 4)])
+def test_table_arithmetic_matches_oracle_exhaustive(p, k):
+    spec = make_field(p, k)
+    els = list(spec.elements())
+    for a, b in itertools.product(els, repeat=2):
+        assert_ops_match_oracle(spec, a, b)
+    for a in els:
+        assert_powers_match_oracle(spec, a)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5)])
+def test_table_arithmetic_matches_oracle_sampled(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(p**k)
+    for _ in range(5000):
+        a, b = (spec.from_enc(rng.randrange(spec.order)) for _ in range(2))
+        assert_ops_match_oracle(spec, a, b)
+    for _ in range(20):
+        assert_powers_match_oracle(spec, spec.from_enc(rng.randrange(spec.order)))
+
+
+def test_powers_of_zero():
+    for p, k in SMALL_FIELDS:
+        spec = make_field(p, k)
+        zero = spec.zero()
+        assert zero**0 == spec.one()
+        assert all(zero**n == zero for n in range(1, 2 * spec.order))
+        with pytest.raises(ZeroDivisionError):
+            zero**-1
 
 
 def test_inv_of_one_and_zero():
