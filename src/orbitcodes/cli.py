@@ -197,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("construct", "build a code and write the code JSON"),
         ("verify", "run the condition checks and report pass/fail"),
-        ("distance", "compute the exact minimum distance by full enumeration"),
+        (
+            "distance",
+            "compute the exact minimum distance by enumerating messages up to "
+            "scalars (a nonzero multiple of a codeword has the same weight)",
+        ),
         ("automorphisms", "certify the faithful group action on the code"),
         ("export", "re-serialize a JSON document in canonical form"),
     ]:

@@ -1,19 +1,25 @@
 """Linear-code analytics over small finite fields.
 
-Exact Gaussian elimination, exact minimum distance by full message-space
-enumeration, and certification that a matrix group acting on the
-evaluation set embeds faithfully into the code's permutation automorphism
-group.
+Exact Gaussian elimination, exact minimum distance by enumerating the
+message space up to nonzero scalars, and certification that a matrix group
+acting on the evaluation set embeds faithfully into the code's permutation
+automorphism group.
 
-The distance scan works on integer-encoded symbols, with an addition
-table, negations and scaled rows taken from the field's operators when it
-starts, which keeps the full 9^6-message enumeration used by the largest
-supported instance in the seconds range.
+The distance scan is exact up to scalars: a message and its nonzero
+multiples give codewords of the same weight, so it visits one message per
+scalar class, (q^k - 1)/(q - 1) in all.  It works on integer-encoded
+symbols, with an addition table, scaled rows and a per-position table of
+the scalar that zeroes each symbol of the last row, taken from the field's
+operators when it starts.  With that table one pass over the n positions
+counts the weights of all q codewords that differ only in the last
+coefficient.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import CheckFailure, CheckReport, PreconditionError
@@ -99,11 +105,20 @@ def in_row_space(vector: Sequence[FieldElement], rref, pivots) -> bool:
 
 def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD) -> int:
     """Minimum Hamming weight over all nonzero codewords, by enumerating the
-    full message space |F|^rank.
+    messages of F^rank up to nonzero scalars.
+
+    A message and its nonzero multiples give codewords of the same weight,
+    so one message per scalar class, (q^rank - 1)/(q - 1) of them, yields
+    the exact minimum.  The scan keeps the lexicographic message order of
+    the full enumeration and takes from each class the member whose leading
+    coefficient is 1, which is the class's first member in that order.
 
     Every codeword weight is checked against the designed bound on the way;
     a violation means the code was built from a broken construction and
     raises CheckFailure rather than returning a too-small distance quietly.
+    The first violating message is the one the full enumeration would meet
+    first, so the report is the same.  The guard still counts all
+    q^rank - 1 nonzero messages.
     """
     q = code.field.order
     k, rref, _ = rank_and_rref(code.matrix)
@@ -120,8 +135,17 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
         )
     els = list(code.field.elements())
     add = [[(a + b).enc for b in els] for a in els]
-    neg = [(-a).enc for a in els]
-    scaled = [[[(s * c).enc for c in row] for s in els] for row in rref]
+    scaled = [[[(s * c).enc for c in row] for s in els] for row in rref[:-1]]
+    # solve[j][a] is the scalar s with a + s*last[j] == 0 for the last row;
+    # where last[j] == 0, position j is zero for EVERY s when a == 0 and
+    # for NO s otherwise.
+    EVERY, NO = q, q + 1
+    solvers = {0: [EVERY] + [NO] * (q - 1)}
+    for c in rref[-1]:
+        if c.enc not in solvers:
+            factor = -c.inv()
+            solvers[c.enc] = [(a * factor).enc for a in els]
+    solve = [solvers[c.enc] for c in rref[-1]]
     n = code.n
     bound = code.distance_bound
     best = n + 1
@@ -129,12 +153,11 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     def scan(level: int, acc: list[int], started: bool):
         nonlocal best
         if level == k - 1:
-            # acc + c*row == 0 at position j iff row[j] == -acc[j]
-            neg_acc = [neg[a] for a in acc]
-            leaf = scaled[level]
-            for s in range(0 if started else 1, q):
-                row = leaf[s]
-                w = sum(1 for x, y in zip(neg_acc, row) if x != y)
+            # one pass counts the zeros of acc + s*last for every scalar s
+            zeros = Counter(map(getitem, solve, acc)).get
+            nonzero = n - zeros(EVERY, 0)
+            for s in range(q) if started else (1,):
+                w = nonzero - zeros(s, 0)
                 if w < bound:
                     raise CheckFailure(
                         CheckReport("distance_bound", False, {"weight": w, "bound": bound})
@@ -142,9 +165,9 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
                 if w < best:
                     best = w
             return
-        for s in range(q):
-            row = scaled[level][s]
-            scan(level + 1, [add[aj][rj] for aj, rj in zip(acc, row)], started or s != 0)
+        sums = [add[a] for a in acc]  # sums[j][x] is acc[j] + x
+        for s in range(q) if started else (0, 1):
+            scan(level + 1, list(map(getitem, sums, scaled[level][s])), started or s != 0)
 
     scan(0, [0] * n, False)
     return best

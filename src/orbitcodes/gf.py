@@ -118,6 +118,12 @@ class FieldSpec:
             raise ValueError("modulus coefficients must be reduced mod p")
         if not _is_irreducible(self.modulus, self.p):
             raise ValueError(f"modulus {self.modulus} is not monic irreducible over GF({self.p})")
+        # every FieldElement hash hashes its spec: compute the value the
+        # dataclass would, once
+        object.__setattr__(self, "_hash", hash((self.p, self.k, self.modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

@@ -4,10 +4,13 @@ embedding certificate.
 Rank values are cross-checked with an independent cofactor-expansion
 determinant oracle; distances are cross-checked against closed forms
 (maximum-distance-separable values on the line, the grid structure on the
-plane instances).
+plane instances) and, with the bound reports, against the full
+enumeration of every nonzero message, kept here as an oracle.
 """
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -31,7 +34,8 @@ from orbitcodes import (
     run_construction,
     verify_faithful,
 )
-from orbitcodes.code_analysis import in_row_space
+from orbitcodes.code_analysis import DEFAULT_MESSAGE_GUARD, in_row_space
+from orbitcodes.geometry import projective_reps
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +161,142 @@ def test_distance_scan_enforces_bound():
 
 def test_distance_guard():
     res = run_construction(builtin_instance("projline", 9))
+    total = 9**5 - 1  # every nonzero message counts, not only the scalar classes
     with pytest.raises(PreconditionError) as exc:
-        min_distance_exact(res.code, max_messages=100)
+        min_distance_exact(res.code, max_messages=total - 1)
     assert exc.value.kind == "enumeration_guard_exceeded"
-    assert min_distance_exact(res.code, max_messages=9**5) == 5
+    assert exc.value.details == {"messages": total, "guard": total - 1}
+    assert min_distance_exact(res.code, max_messages=total) == 5
+
+
+# ---------------------------------------------------------------------------
+# the scan up to scalars against the full enumeration
+
+
+def oracle_min_distance_exact(code, max_messages=DEFAULT_MESSAGE_GUARD):
+    """The full enumeration: every one of the q^rank - 1 nonzero messages,
+    in lexicographic order, with its weight checked against the bound."""
+    q = code.field.order
+    k, rref, _ = rank_and_rref(code.matrix)
+    if k != code.rank:
+        raise ValueError("stored rank disagrees with the matrix")
+    if k == 0:
+        raise ValueError("cannot measure the distance of the zero code")
+    total = q**k - 1
+    if total > max_messages:
+        raise PreconditionError(
+            "enumeration_guard_exceeded",
+            f"{total} messages exceed the guard {max_messages}; raise max_messages to force",
+            {"messages": total, "guard": max_messages},
+        )
+    els = list(code.field.elements())
+    add = [[(a + b).enc for b in els] for a in els]
+    neg = [(-a).enc for a in els]
+    scaled = [[[(s * c).enc for c in row] for s in els] for row in rref]
+    n = code.n
+    bound = code.distance_bound
+    best = n + 1
+
+    def scan(level: int, acc: list[int], started: bool):
+        nonlocal best
+        if level == k - 1:
+            # acc + c*row == 0 at position j iff row[j] == -acc[j]
+            neg_acc = [neg[a] for a in acc]
+            leaf = scaled[level]
+            for s in range(0 if started else 1, q):
+                row = leaf[s]
+                w = sum(1 for x, y in zip(neg_acc, row) if x != y)
+                if w < bound:
+                    raise CheckFailure(
+                        CheckReport("distance_bound", False, {"weight": w, "bound": bound})
+                    )
+                if w < best:
+                    best = w
+            return
+        for s in range(q):
+            row = scaled[level][s]
+            scan(level + 1, [add[aj][rj] for aj, rj in zip(acc, row)], started or s != 0)
+
+    scan(0, [0] * n, False)
+    return best
+
+
+def distance_or_report(scan, code):
+    try:
+        return scan(code)
+    except CheckFailure as exc:
+        return exc.report
+
+
+def assert_distance_matches_oracle(code):
+    got = distance_or_report(min_distance_exact, code)
+    assert got == distance_or_report(oracle_min_distance_exact, code)
+    return got
+
+
+def random_code(rng, field):
+    """A code of length <= 8 and rank 1..4 whose nominal rows include zero
+    entries, repeated rows and scalar multiples of earlier rows."""
+    els = list(field.elements())
+    while True:
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, n)):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                rows.append(rng.choice(rows))
+            elif rows and kind < 0.35:
+                c = rng.choice(els[1:])
+                rows.append(tuple(c * x for x in rng.choice(rows)))
+            else:
+                rows.append(tuple(
+                    rng.choice(els) if rng.random() < 0.7 else field.zero() for _ in range(n)
+                ))
+        rank = rank_and_rref(rows)[0]
+        if 1 <= rank <= 4:
+            # the scan reads only the matrix; the points fix the length
+            reps = list(projective_reps(field, 3))
+            pts = tuple(reps[j % len(reps)] for j in range(n))
+            return EvalCode(field, pts, tuple(rows), rank=rank, distance_bound=0)
+
+
+def test_first_violating_message_is_reported():
+    # over GF(3) the messages (0, 1) and (1, 0) meet the bound 7; the first
+    # one to break it is (1, 1), of weight 4, and then (1, 2), of weight 6
+    F3 = make_field(3, 1)
+    r0 = (1, 0, 1, 1, 1, 1, 1, 1)
+    r1 = (0, 1, 2, 2, 2, 2, 1, 1)
+    rows = tuple(tuple(F3.from_enc(e) for e in r) for r in (r0, r1))
+    pts = tuple(itertools.islice(projective_reps(F3, 3), 8))
+    code = EvalCode(F3, pts, rows, rank=2, distance_bound=7)
+    rep = assert_distance_matches_oracle(code)
+    assert rep.details == {"weight": 4, "bound": 7}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_scan_matches_full_enumeration_on_random_codes(p, k):
+    rng = random.Random(1000 * p + k)
+    field = make_field(p, k)
+    failures = 0
+    for _ in range(60):
+        code = random_code(rng, field)
+        d = assert_distance_matches_oracle(code)
+        assert isinstance(d, int)
+        bounded = dataclasses.replace(code, distance_bound=rng.randint(0, code.n + 1))
+        failures += isinstance(assert_distance_matches_oracle(bounded), CheckReport)
+    assert 0 < failures < 60  # both outcomes are exercised
+
+
+def test_scan_matches_full_enumeration_on_builtins(built):
+    for res in built.values():
+        code = res.code
+        if code.field.order**code.rank - 1 > DEFAULT_MESSAGE_GUARD:
+            continue
+        d = assert_distance_matches_oracle(code)
+        assert d >= code.distance_bound
+        for bound in (d + 1, code.n + 1):
+            rep = assert_distance_matches_oracle(dataclasses.replace(code, distance_bound=bound))
+            assert rep.name == "distance_bound" and not rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,17 @@ def test_enc_bijection(p, k):
     assert seen == set(range(spec.order))
 
 
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(2, 8)])
+def test_hash_is_the_dataclass_value(p, k):
+    # set and dict orders, and with them the outputs, depend on these values
+    spec = make_field(p, k)
+    twin = FieldSpec(p, k, spec.modulus)
+    assert twin is not spec and twin == spec
+    assert hash(spec) == hash(twin) == hash((p, k, spec.modulus))
+    a = spec.from_enc(spec.order - 1)
+    assert hash(a) == hash((spec, a.enc)) == hash(((p, k, spec.modulus), a.enc))
+
+
 # ---------------------------------------------------------------------------
 # differential: the table arithmetic against the polynomial oracle
 

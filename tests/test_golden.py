@@ -1,11 +1,15 @@
 """Golden outputs: the sha256 of the stdout of one CLI job per case.
 
-The hashes were recorded by running these jobs on the commit just before
+The hashes of the construct, automorphisms and verify jobs and of distance
+projline q=7 were recorded by running these jobs on the commit just before
 the field layer moved to encoding-valued elements with exp/log/Zech
-tables, and before any change to `gf.py`.  A refactor of the arithmetic
-or of any layer above it must leave every one of them unchanged.  The
-benchmark's own goldens (`perfbench/data/goldens.json`) cover further
-jobs; together they are the check that a change does the same work.
+tables, and before any change to `gf.py`.  The other three distance jobs
+are the benchmark's; their hashes come from `perfbench/data/goldens.json`
+and were confirmed on the commit before the distance scan moved to
+enumeration up to scalars.  A refactor of the arithmetic or of any layer
+above it must leave every one of them unchanged.  The benchmark's goldens
+cover further jobs; together they are the check that a change does the
+same work.
 """
 
 import hashlib
@@ -16,26 +20,35 @@ from orbitcodes import cli
 from orbitcodes.cli import EXIT_OK
 
 GOLDEN = {
-    ("construct", "fermat", 3): "91c78de2d60b2cfd5647ed7b3b8b05711726520f1b6c1cd057199b3675eec0ad",
-    ("construct", "fermat", 4): "d3d71661890c798e3e9c4a58fbe736f7a49f239af6983e7e8ec610574f844919",
-    ("construct", "fermat", 5): "03e1aae23a0dbd9de8c058c077039b6b458a196696971ae8f61a76b35aebf872",
-    ("construct", "projline", 5): "cd5cfaa88cc6173c18b641af49384089181aeaa1fe315aff4ff7b2d419921a33",
-    ("construct", "projline", 7): "423239c3c27bdfe79af9736280c3145c9f7483a0888070e23387b45b1ef4d9e1",
-    ("construct", "projline", 9): "723439fb1589c7556a4674e1395d1a68700f6a7d3d06e676527052fc31d0fc6a",
-    ("construct", "projline", 11): "ccb94c2ace83920c61bc26a070543f6e1bbb1a66d4634cc14741d4380bf44b4c",
-    ("construct", "projline", 13): "2680d76340d7cc0c73a31a768cd2aaf6b35a666fae3a0d83d8eb8a8975b23f00",
-    ("construct", "bf", 2): "bbd6c112592853de6fd8c4c7a32c0a981aace13efcff36dad04a60c4fb0a63c2",
-    ("distance", "projline", 7): "c117c8e01cf839c9cb6a47b1fa9f7619f79559c26c4c5ab83424dedc2d317313",
-    ("automorphisms", "fermat", 3): "b813a31f75c5b9710aca7d8bbf8454a74fdc67aac4926d372654bf344911852c",
-    ("verify", "projline", 5): "c5c911a2468a85e51c9f71fecd9a7238405c608fcc40c2602aaf7936352ab314",
+    ("construct", "fermat", 3, 1): "91c78de2d60b2cfd5647ed7b3b8b05711726520f1b6c1cd057199b3675eec0ad",
+    ("construct", "fermat", 4, 1): "d3d71661890c798e3e9c4a58fbe736f7a49f239af6983e7e8ec610574f844919",
+    ("construct", "fermat", 5, 1): "03e1aae23a0dbd9de8c058c077039b6b458a196696971ae8f61a76b35aebf872",
+    ("construct", "projline", 5, 1): "cd5cfaa88cc6173c18b641af49384089181aeaa1fe315aff4ff7b2d419921a33",
+    ("construct", "projline", 7, 1): "423239c3c27bdfe79af9736280c3145c9f7483a0888070e23387b45b1ef4d9e1",
+    ("construct", "projline", 9, 1): "723439fb1589c7556a4674e1395d1a68700f6a7d3d06e676527052fc31d0fc6a",
+    ("construct", "projline", 11, 1): "ccb94c2ace83920c61bc26a070543f6e1bbb1a66d4634cc14741d4380bf44b4c",
+    ("construct", "projline", 13, 1): "2680d76340d7cc0c73a31a768cd2aaf6b35a666fae3a0d83d8eb8a8975b23f00",
+    ("construct", "bf", 2, 1): "bbd6c112592853de6fd8c4c7a32c0a981aace13efcff36dad04a60c4fb0a63c2",
+    ("distance", "fermat", 3, 2): "e15c1394324902004ccac1d693b3f01c0c1a312a67666e394ffa274dcf21f8bf",
+    ("distance", "projline", 7, 1): "c117c8e01cf839c9cb6a47b1fa9f7619f79559c26c4c5ab83424dedc2d317313",
+    ("distance", "projline", 7, 2): "ccff2384573443873d7b4748718635f0b028e5b72fade214e92556788f4300a8",
+    ("distance", "projline", 11, 1): "eacab62db47454276972a92746174e057ea07c66076dc7230b3097d1b9a652db",
+    ("automorphisms", "fermat", 3, 1): "b813a31f75c5b9710aca7d8bbf8454a74fdc67aac4926d372654bf344911852c",
+    ("verify", "projline", 5, 1): "c5c911a2468a85e51c9f71fecd9a7238405c608fcc40c2602aaf7936352ab314",
 }
 
 
-@pytest.mark.parametrize("command,family,q", sorted(GOLDEN))
-def test_stdout_matches_golden(tmp_path, capsys, command, family, q):
+def job_id(key):
+    command, family, q, m = key
+    return f"{command}-{family}-{q}" + (f"-m{m}" if m != 1 else "")
+
+
+@pytest.mark.parametrize("command,family,q,m", sorted(GOLDEN), ids=map(job_id, sorted(GOLDEN)))
+def test_stdout_matches_golden(tmp_path, capsys, command, family, q, m):
     out = tmp_path / "out.json"
-    code = cli.main([command, "--family", family, "--q", str(q), "--output", str(out)])
+    args = [command, "--family", family, "--q", str(q), "--m", str(m), "--output", str(out)]
+    code = cli.main(args)
     stdout = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.read_text() == stdout
-    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN[(command, family, q)]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN[(command, family, q, m)]
