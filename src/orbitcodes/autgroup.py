@@ -1,10 +1,16 @@
 """Projective-linear maps modulo scalars, group closure, and orbits.
 
 Maps are invertible 2x2 or 3x3 matrices with the first nonzero entry (in
-row-major order) scaled to 1, so set membership and equality are exact.
-Groups are stored as their full element sets, produced by breadth-first
-closure from generators; every group in this package has at most a few
-hundred elements, which keeps intersection and orbit computations trivial.
+row-major order) scaled to 1, held as the row-major tuple of the canonical
+encodings of that normalized matrix (`key`) with its FieldSpec, so set
+membership and equality are exact int-tuple operations.  Composition,
+application to a point's encoding tuple, determinant and inverse read the
+field's tables and build no FieldElement; FieldElement stays at the API
+edge: ProjMap takes rows of elements and checks them, and `rows` gives
+them back.  Groups are stored as their full element sets, produced by
+breadth-first closure from generators, which runs on encoding tuples;
+every group in this package has at most a few thousand elements, which
+keeps intersection and orbit computations trivial.
 
 The breadth-first closure is its own exact certificate.  It forms m*g for
 every kept element m and every generator g and keeps the product, so the
@@ -25,6 +31,7 @@ from .geometry import (
     PlaneCurve,
     Poly,
     ProjPoint,
+    normalized,
     poly_scale,
     substitute_linear,
     trace_fermat_curve,
@@ -35,94 +42,120 @@ CLOSURE_CAP = 10000
 FAMILIES = ("fermat", "projline", "bf")
 
 
-@dataclass(frozen=True)
+def _det(f: FieldSpec, n: int, a: tuple[int, ...]) -> int:
+    """Determinant of the row-major n x n matrix of encodings `a`."""
+    mul, add, neg = f.mul, f.add, f.neg
+    if n == 2:
+        return add(mul(a[0], a[3]), neg(mul(a[1], a[2])))
+    return add(
+        add(
+            mul(a[0], add(mul(a[4], a[8]), neg(mul(a[5], a[7])))),
+            neg(mul(a[1], add(mul(a[3], a[8]), neg(mul(a[5], a[6]))))),
+        ),
+        mul(a[2], add(mul(a[3], a[7]), neg(mul(a[4], a[6])))),
+    )
+
+
+def _identity_key(n: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(n) for j in range(n))
+
+
+def _compose(f: FieldSpec, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The normalized key of the matrix product of the keys a and b."""
+    cols = [b[j::n] for j in range(n)]
+    # row i of the product is b^T times row i of a
+    product = tuple(x for i in range(0, n * n, n) for x in f.matvec(cols, a[i : i + n]))
+    return normalized(f, product)
+
+
 class ProjMap:
-    """An element of PGL(2) or PGL(3): a matrix up to scalars, normalized."""
+    """An element of PGL(2) or PGL(3): a matrix up to scalars, held as the
+    row-major encodings `key` of its normalized form over `field`."""
 
-    rows: tuple[tuple[FieldElement, ...], ...]
-    field: FieldSpec
+    __slots__ = ("field", "n", "key", "_rows")
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n not in (2, 3) or any(len(r) != n for r in self.rows):
+    def __init__(self, rows: tuple[tuple[FieldElement, ...], ...], field: FieldSpec):
+        n = len(rows)
+        if n not in (2, 3) or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square, 2x2 or 3x3")
-        if any(c.spec != self.field for r in self.rows for c in r):
+        if any(c.spec != field for r in rows for c in r):
             raise ValueError("matrix entries must live in the declared field")
-        if not self.det():
+        key = tuple(c.enc for r in rows for c in r)
+        if not _det(field, n, key):
             raise ValueError("projective map must be invertible")
-        pivot = next(c for r in self.rows for c in r if c)
-        if pivot != self.field.one():
-            inv = pivot.inv()
-            object.__setattr__(
-                self, "rows", tuple(tuple(c * inv for c in r) for r in self.rows)
-            )
+        self._set(field, n, normalized(field, key))
+
+    @classmethod
+    def from_key(cls, field: FieldSpec, n: int, key: tuple[int, ...]) -> ProjMap:
+        """The map with the normalized invertible key `key`, unchecked."""
+        m = object.__new__(cls)
+        m._set(field, n, key)
+        return m
+
+    def _set(self, field: FieldSpec, n: int, key: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_rows", tuple(key[i : i + n] for i in range(0, n * n, n)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjMap is immutable")
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(self.field, c) for c in r) for r in self._rows)
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Row-major canonical encodings of the normalized matrix."""
-        return tuple(c.enc for r in self.rows for c in r)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjMap):
+            return NotImplemented
+        return self.key == other.key and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def det(self) -> FieldElement:
-        r = self.rows
-        if len(r) == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return FieldElement(self.field, _det(self.field, self.n, self.key))
 
     def __matmul__(self, other: ProjMap) -> ProjMap:
         if self.field != other.field or self.n != other.n:
             raise ValueError("cannot compose maps over different spaces")
-        zero = self.field.zero()
-        rows = tuple(
-            tuple(
-                sum((self.rows[i][t] * other.rows[t][j] for t in range(self.n)), zero)
-                for j in range(self.n)
-            )
-            for i in range(self.n)
-        )
-        return ProjMap(rows, self.field)
+        key = _compose(self.field, self.n, self.key, other.key)
+        return ProjMap.from_key(self.field, self.n, key)
 
     def inverse(self) -> ProjMap:
-        r = self.rows
+        f, a = self.field, self.key
+        mul, add, neg = f.mul, f.add, f.neg
         if self.n == 2:
-            adj = ((r[1][1], -r[0][1]), (-r[1][0], r[0][0]))
+            adj = (a[3], neg(a[1]), neg(a[2]), a[0])
         else:
             def cof(i, j):
-                sub = [
-                    [r[a][b] for b in range(3) if b != j] for a in range(3) if a != i
-                ]
-                m = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-                return m if (i + j) % 2 == 0 else -m
+                r0, r1 = [r for r in range(3) if r != i]
+                c0, c1 = [c for c in range(3) if c != j]
+                m = add(
+                    mul(a[3 * r0 + c0], a[3 * r1 + c1]), neg(mul(a[3 * r0 + c1], a[3 * r1 + c0]))
+                )
+                return m if (i + j) % 2 == 0 else neg(m)
 
-            adj = tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-        return ProjMap(adj, self.field)
+            adj = tuple(cof(j, i) for i in range(3) for j in range(3))
+        return ProjMap.from_key(f, self.n, normalized(f, adj))
+
+    def check_point(self, pt: ProjPoint):
+        """Raise ValueError unless pt lies in the space this map acts on."""
+        if len(pt.key) != self.n:
+            raise ValueError("point/map dimension mismatch")
+        if pt.spec is not self.field and pt.spec != self.field:
+            raise ValueError("point and map must share a field")
+
+    def image(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The normalized key of the image of the point with key `key`."""
+        return normalized(self.field, self.field.matvec(self._rows, key))
 
     def apply(self, pt: ProjPoint) -> ProjPoint:
-        if len(pt.coords) != self.n:
-            raise ValueError("point/map dimension mismatch")
-        if pt.spec != self.field:
-            raise ValueError("point and map must share a field")
-        zero = self.field.zero()
-        coords = tuple(
-            sum((row[j] * pt.coords[j] for j in range(self.n)), zero)
-            for row in self.rows
-        )
-        return ProjPoint(coords)
+        self.check_point(pt)
+        return ProjPoint.from_key(self.field, self.image(pt.key))
 
     def is_identity(self) -> bool:
-        one, zero = self.field.one(), self.field.zero()
-        return all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self.key == _identity_key(self.n)
 
     def preserves_curve(self, curve: PlaneCurve) -> bool:
         """True iff composing the curve equation with this map reproduces it
@@ -193,16 +226,18 @@ class AutGroup:
 
     def orbit(self, pt: ProjPoint) -> tuple[ProjPoint, ...]:
         """The orbit of pt, duplicate-free, in canonical point order."""
-        seen = {m.apply(pt) for m in self.elements}
-        return tuple(sorted(seen, key=lambda p: p.key))
+        self.elements[0].check_point(pt)
+        seen = {m.image(pt.key) for m in self.elements}
+        return tuple(ProjPoint.from_key(pt.spec, k) for k in sorted(seen))
 
     def orbit_multiset(self, pt: ProjPoint) -> dict[ProjPoint, int]:
         """Image multiset {g(pt) for g in the group} with multiplicities."""
-        out: dict[ProjPoint, int] = {}
+        self.elements[0].check_point(pt)
+        counts: dict[tuple[int, ...], int] = {}
         for m in self.elements:
-            q = m.apply(pt)
-            out[q] = out.get(q, 0) + 1
-        return out
+            k = m.image(pt.key)
+            counts[k] = counts.get(k, 0) + 1
+        return {ProjPoint.from_key(pt.spec, k): c for k, c in counts.items()}
 
     def intersect(self, other: AutGroup) -> AutGroup:
         if self.field != other.field:
@@ -220,6 +255,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     first-in-first-out with generators applied in the given order.  Every
     product m @ g of a kept element and a generator is formed and kept, so
     the result is exactly the generated group (see the module docstring).
+    The products are formed on the maps' keys.
     Raises when more than `cap` elements appear (the group is too large, or
     not finite as given).
     """
@@ -232,15 +268,12 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
         raise ValueError("generators must share one field and dimension")
     if cap < 1:
         raise ValueError("cap must be positive")
-    ident = identity_map(f, n)
+    ident = _identity_key(n)
     elements = [ident]
     seen = {ident}
-    idx = 0
-    while idx < len(elements):
-        m = elements[idx]
-        idx += 1
+    for m in elements:
         for g in generators:
-            prod = m @ g
+            prod = _compose(f, n, m, g.key)
             if prod not in seen:
                 if len(elements) >= cap:
                     raise PreconditionError(
@@ -250,7 +283,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
                     )
                 seen.add(prod)
                 elements.append(prod)
-    return AutGroup(generators, tuple(elements), label)
+    return AutGroup(generators, tuple(ProjMap.from_key(f, n, k) for k in elements), label)
 
 
 # ---------------------------------------------------------------------------

@@ -194,16 +194,18 @@ class CoordPermutation:
 
 
 def permutation_of(gamma: ProjMap, points: Sequence[ProjPoint]) -> CoordPermutation:
-    """The coordinate permutation induced by gamma on an ordered point set.
+    """The coordinate permutation induced by gamma on an ordered point set,
+    computed on the points' keys.
 
     Raises if gamma does not stabilize the set.
     """
-    index = {p: i for i, p in enumerate(points)}
+    index = {p.key: i for i, p in enumerate(points)}
     perm = []
     for p in points:
-        q = gamma.apply(p)
+        gamma.check_point(p)
+        q = gamma.image(p.key)
         if q not in index:
-            raise ValueError(f"map sends {p.key} outside the evaluation set (to {q.key})")
+            raise ValueError(f"map sends {p.key} outside the evaluation set (to {q})")
         perm.append(index[q])
     return CoordPermutation(tuple(perm))
 

@@ -106,7 +106,9 @@ class EvalBasis:
                 raise ValueError("basis form arity mismatch")
 
     def evaluate(self, form: Poly, pt: ProjPoint) -> FieldElement:
-        return poly_eval(form, pt.dehomogenized())
+        terms = tuple((e, c.enc) for e, c in form.items())
+        chart = tuple(c.enc for c in pt.dehomogenized())
+        return FieldElement(pt.spec, poly_eval(terms, pt.spec, chart))
 
 
 @dataclass(frozen=True)
@@ -402,7 +404,7 @@ def build_code(inst: Instance) -> EvalCode:
 
 
 def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
-    if any(not p.coords[-1] for p in S):
+    if any(not p.key[-1] for p in S):
         raise PreconditionError(
             "unsupported_basis",
             "evaluation set touches the hyperplane at infinity; functions are not regular there",
@@ -557,7 +559,7 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         Q = curve.line_section_points(field)[0]
         return _with_first_valid_qprime(
             curve, field, (G1, G2), Q, m,
-            shape=lambda pt: all(pt.coords),
+            shape=lambda pt: all(pt.key),
             family=family, q=q,
         )
 
@@ -585,7 +587,7 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         Q = curve.line_section_points(field)[0]
         return _with_first_valid_qprime(
             curve, field, (G1, G2), Q, m,
-            shape=lambda pt: bool(pt.coords[-1]) and not pt.coords[1],
+            shape=lambda pt: bool(pt.key[-1]) and not pt.key[1],
             family=family, q=q,
         )
 

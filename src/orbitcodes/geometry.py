@@ -1,13 +1,17 @@
 """Projective points, homogeneous plane curves, and point enumeration.
 
-Points of P^1 and P^2 are stored normalized: the first nonzero coordinate
-is scaled to 1, so equality is plain coordinate equality and the tuple of
-canonical encodings gives a total order (the "canonical point order" used
-for evaluation sets and generator-matrix columns).
+Points of P^1 and P^2 are held as normalized encoding tuples: the first
+nonzero coordinate is scaled to 1, and the point keeps the tuple of the
+canonical encodings of its coordinates (`key`) with its FieldSpec.  So
+equality and hashing are plain int-tuple operations, and the key gives a
+total order (the "canonical point order" used for evaluation sets and
+generator-matrix columns).  FieldElement stays at the API edge: ProjPoint
+takes elements and checks them, and `coords` gives them back.
 
 Curves are homogeneous polynomials kept as {exponent tuple: coefficient}
 maps.  P^1 is represented by the degenerate curve with no terms: every
-point lies on it.
+point lies on it.  Membership evaluates the equation on encodings, with
+the coefficients pushed into the point's field once per field.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
-from .gf import FieldElement, FieldSpec, embedding, frobenius
+from .gf import FieldElement, FieldSpec, embedding
 
 Poly = dict  # {tuple[int, ...]: FieldElement}, homogeneous in use
 
@@ -68,15 +72,15 @@ def poly_scale(a: Poly, c: FieldElement) -> Poly:
     return {e: v * c for e, v in a.items()}
 
 
-def poly_eval(a: Poly, coords: tuple[FieldElement, ...]) -> FieldElement:
-    field = coords[0].spec
-    acc = field.zero()
-    for exps, c in a.items():
-        term = c
-        for x, e in zip(coords, exps):
+def poly_eval(terms, spec: FieldSpec, key: tuple[int, ...]) -> int:
+    """Value, as an encoding, of the polynomial with (exponent tuple,
+    coefficient encoding) pairs `terms` at the encoding tuple `key`."""
+    acc = 0
+    for exps, c in terms:
+        for x, e in zip(key, exps):
             if e:
-                term = term * x**e
-        acc = acc + term
+                c = spec.mul(c, spec.pow(x, e))
+        acc = spec.add(acc, c)
     return acc
 
 
@@ -114,33 +118,53 @@ def substitute_linear(a: Poly, rows: tuple[tuple[FieldElement, ...], ...], field
 # points
 
 
-@dataclass(frozen=True)
+def normalized(spec: FieldSpec, key: tuple[int, ...]) -> tuple[int, ...]:
+    """The scalar multiple of a nonzero encoding tuple whose first nonzero
+    entry is 1."""
+    pivot = next(c for c in key if c)
+    return key if pivot == 1 else spec.scale(spec.inv(pivot), key)
+
+
 class ProjPoint:
-    """A point of P^1 or P^2, normalized so the first nonzero coordinate is 1."""
+    """A point of P^1 or P^2, held as the normalized encoding tuple `key`
+    (first nonzero coordinate 1) over the FieldSpec `spec`."""
 
-    coords: tuple[FieldElement, ...]
+    __slots__ = ("spec", "key")
 
-    def __post_init__(self):
-        if len(self.coords) not in (2, 3):
+    def __init__(self, coords: tuple[FieldElement, ...]):
+        if len(coords) not in (2, 3):
             raise ValueError("only P^1 and P^2 points are supported")
-        spec = self.coords[0].spec
-        if any(c.spec != spec for c in self.coords):
+        spec = coords[0].spec
+        if any(c.spec != spec for c in coords):
             raise ValueError("point coordinates must share one field")
-        pivot = next((c for c in self.coords if c), None)
-        if pivot is None:
+        key = tuple(c.enc for c in coords)
+        if not any(key):
             raise ValueError("projective point cannot be all zeros")
-        if pivot != spec.one():
-            inv = pivot.inv()
-            object.__setattr__(self, "coords", tuple(c * inv for c in self.coords))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "key", normalized(spec, key))
+
+    @classmethod
+    def from_key(cls, spec: FieldSpec, key: tuple[int, ...]) -> ProjPoint:
+        """The point with the normalized encoding tuple `key`, unchecked."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "spec", spec)
+        object.__setattr__(pt, "key", key)
+        return pt
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjPoint is immutable")
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
+    def coords(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, c) for c in self.key)
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Canonical encoding tuple; the total order on points."""
-        return tuple(c.enc for c in self.coords)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjPoint):
+            return NotImplemented
+        return self.key == other.key and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __lt__(self, other: ProjPoint) -> bool:
         return self.key < other.key
@@ -148,17 +172,20 @@ class ProjPoint:
     def dehomogenized(self) -> tuple[FieldElement, ...]:
         """Representative scaled so the last coordinate is 1 (the affine
         chart used for evaluation); raises if the point is at infinity."""
-        last = self.coords[-1]
+        last = self.key[-1]
         if not last:
             raise ValueError(f"point {self.key} lies on the hyperplane at infinity")
-        inv = last.inv()
-        return tuple(c * inv for c in self.coords)
+        inv = self.spec.inv(last)
+        return tuple(FieldElement(self.spec, self.spec.mul(c, inv)) for c in self.key)
 
     def frobenius_image(self, sub_order: int) -> ProjPoint:
-        return ProjPoint(tuple(frobenius(c, sub_order) for c in self.coords))
+        # the Frobenius fixes 0 and 1, so the image stays normalized
+        return ProjPoint.from_key(
+            self.spec, tuple(self.spec.frobenius(c, sub_order) for c in self.key)
+        )
 
     def __repr__(self):
-        return "(" + ":".join(str(c.enc) for c in self.coords) + ")"
+        return "(" + ":".join(str(c) for c in self.key) + ")"
 
 
 def point(field: FieldSpec, *encs: int) -> ProjPoint:
@@ -168,12 +195,10 @@ def point(field: FieldSpec, *encs: int) -> ProjPoint:
 
 def projective_reps(field: FieldSpec, n_coords: int):
     """All normalized points of P^(n_coords-1) over `field`, in canonical order."""
-    one = field.one()
     for lead in range(n_coords - 1, -1, -1):
         tail = n_coords - lead - 1
         for rest in itertools.product(range(field.order), repeat=tail):
-            coords = (field.zero(),) * lead + (one,) + tuple(field.from_enc(r) for r in rest)
-            yield ProjPoint(coords)
+            yield ProjPoint.from_key(field, (0,) * lead + (1,) + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +212,15 @@ class PlaneCurve:
     `terms` is a canonically ordered tuple of (exponent tuple, coefficient)
     pairs with nonzero coefficients, all of one total degree.
     `rational_points` keeps its enumeration per field on the curve object,
-    so a curve built for one job enumerates each field once.
+    so a curve built for one job enumerates each field once; the equation
+    with its coefficients encoded in a field is kept the same way.
     """
 
     n_coords: int
     field: FieldSpec
     terms: tuple[tuple[tuple[int, ...], FieldElement], ...]
     _points: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    _encoded: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_coords not in (2, 3):
@@ -230,14 +257,21 @@ class PlaneCurve:
         emb = embedding(self.field, field)
         return {e: emb.apply(c) for e, c in self.terms}
 
+    def encoded_terms(self, field: FieldSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The (exponent tuple, coefficient encoding) pairs of the defining
+        polynomial over `field`, pushed through the embedding once per field."""
+        if field not in self._encoded:
+            poly = self.coefficients_over(field)
+            self._encoded[field] = tuple((e, c.enc) for e, c in poly.items())
+        return self._encoded[field]
+
     def contains(self, pt: ProjPoint) -> bool:
         """True iff the defining polynomial vanishes at pt (always true on P^1)."""
-        if len(pt.coords) != self.n_coords:
+        if len(pt.key) != self.n_coords:
             raise ValueError("point/curve dimension mismatch")
         if not self.terms:
             return True
-        poly = self.coefficients_over(pt.spec)
-        return not poly_eval(poly, pt.coords)
+        return not poly_eval(self.encoded_terms(pt.spec), pt.spec, pt.key)
 
     def rational_points(self, field: FieldSpec) -> tuple[ProjPoint, ...]:
         """All points over `field`, canonical order, no duplicates.
@@ -248,8 +282,10 @@ class PlaneCurve:
         if field not in self._points:
             if field != self.field:
                 embedding(self.field, field)  # raises PreconditionError if incompatible
+            terms = self.encoded_terms(field)
             self._points[field] = tuple(
-                p for p in projective_reps(field, self.n_coords) if self.contains(p)
+                p for p in projective_reps(field, self.n_coords)
+                if not poly_eval(terms, field, p.key)
             )
         return self._points[field]
 
@@ -257,7 +293,7 @@ class PlaneCurve:
         """Rational points with last coordinate zero, canonical order."""
         if self.n_coords != 3:
             raise ValueError("line sections are only defined for plane curves")
-        return tuple(p for p in self.rational_points(field) if not p.coords[-1])
+        return tuple(p for p in self.rational_points(field) if not p.key[-1])
 
 
 def plane_curve(field: FieldSpec, coeffs: Poly) -> PlaneCurve:

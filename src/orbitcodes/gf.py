@@ -15,6 +15,9 @@ Arithmetic reads three tables per field, built on its first operation
 from polynomial products reduced by the modulus: the powers (exp) and
 logarithms (log) of the primitive element of smallest encoding, and its
 Zech logarithms.  They hold O(p**k) ints; every operator is a few reads.
+The arithmetic lives on FieldSpec and works on encodings (add, neg, mul,
+inv, pow, scale, matvec, frobenius), so points, maps and curve equations
+compute on int tuples; FieldElement wraps it at the API edge.
 
 Subfield relations are explicit Embedding values, checked by evaluating
 the small field's modulus at the chosen image of its generator; there is
@@ -180,13 +183,90 @@ class FieldSpec:
         zech = [log[b] if (b := a - a % p + (a + 1) % p) else None for a in exp]
         return exp + exp, log, zech
 
-    def _sum(self, a: int, b: int) -> int:
+    # Arithmetic on encodings.  Every FieldElement operator wraps one of
+    # these, and the kernels over encoding tuples (points, maps, curve
+    # equations) call them directly, so no FieldElement is built there.
+
+    def add(self, a: int, b: int) -> int:
         """a + b on encodings: g^i + g^j = g^(i + zech[j - i])."""
         if not (a and b):
             return a or b
         exp, log, zech = self._tables
         z = zech[(log[b] - log[a]) % (len(log) - 1)]
         return 0 if z is None else exp[log[a] + z]
+
+    def neg(self, a: int) -> int:
+        if not a or self.p == 2:
+            return a
+        exp, log, _ = self._tables  # -1 = g^((q-1)/2) in odd characteristic
+        return exp[log[a] + (len(log) - 1) // 2]
+
+    def mul(self, a: int, b: int) -> int:
+        if not (a and b):
+            return 0
+        exp, log, _ = self._tables
+        return exp[log[a] + log[b]]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inversion of zero")
+        exp, log, _ = self._tables
+        return exp[len(log) - 1 - log[a]]
+
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        if not a:
+            return 1 if n == 0 else 0
+        exp, log, _ = self._tables
+        return exp[log[a] * n % (len(log) - 1)]
+
+    def scale(self, c: int, xs) -> tuple[int, ...]:
+        """The tuple c * x for x in xs, for a nonzero c."""
+        exp, log, _ = self._tables
+        lc = log[c]
+        return tuple([exp[log[x] + lc] if x else 0 for x in xs])
+
+    def matvec(self, rows, xs) -> tuple[int, ...]:
+        """The matrix with rows `rows` times the column `xs`, on encodings.
+
+        Each entry is sum(r[j] * xs[j]); the products stay logarithms, the
+        sum runs on Zech logarithms, and the logarithms of xs are read
+        once, so one call replaces len(rows) * len(xs) calls of mul and add.
+        """
+        exp, log, zech = self._tables
+        m = len(log) - 1
+        lx = [(j, log[x]) for j, x in enumerate(xs) if x]
+        out = []
+        for r in rows:
+            acc = None  # log of the running sum; None while it is zero
+            for j, lj in lx:
+                if r[j]:
+                    t = log[r[j]] + lj
+                    if acc is None:
+                        acc = t
+                    else:
+                        z = zech[(t - acc) % m]
+                        acc = None if z is None else acc + z
+            out.append(0 if acc is None else exp[acc % m])
+        return tuple(out)
+
+    def frobenius(self, a: int, sub_order: int) -> int:
+        """a ** sub_order, for sub_order = p^m with m dividing k.
+
+        This is the Frobenius of the subfield of that order; its fixed
+        points inside GF(p^k) are exactly that subfield.
+        """
+        n, m = sub_order, 0
+        while n % self.p == 0 and n > 1:
+            n //= self.p
+            m += 1
+        if n != 1 or m == 0 or self.k % m != 0:
+            raise PreconditionError(
+                "bad_sub_order",
+                f"{sub_order} is not p^m with m dividing {self.k} (p={self.p})",
+            )
+        return self.pow(a, sub_order)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
@@ -195,7 +275,7 @@ class FieldSpec:
 @dataclass(frozen=True)
 class FieldElement:
     """An element of GF(p^k), held as its canonical encoding; every
-    operator reads the exp/log/Zech tables its field builds once."""
+    operator wraps the encoding arithmetic of its FieldSpec."""
 
     spec: FieldSpec
     enc: int
@@ -215,38 +295,24 @@ class FieldElement:
 
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        return FieldElement(self.spec, self.spec._sum(self.enc, other.enc))
+        return FieldElement(self.spec, self.spec.add(self.enc, other.enc))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        return FieldElement(self.spec, self.spec._sum(self.enc, (-other).enc))
+        return FieldElement(self.spec, self.spec.add(self.enc, self.spec.neg(other.enc)))
 
     def __neg__(self) -> FieldElement:
-        if not self.enc or self.spec.p == 2:
-            return self
-        exp, log, _ = self.spec._tables  # -1 = g^((q-1)/2) in odd characteristic
-        return FieldElement(self.spec, exp[log[self.enc] + (len(log) - 1) // 2])
+        return FieldElement(self.spec, self.spec.neg(self.enc))
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check_same(other)
-        if not (self.enc and other.enc):
-            return FieldElement(self.spec, 0)
-        exp, log, _ = self.spec._tables
-        return FieldElement(self.spec, exp[log[self.enc] + log[other.enc]])
+        return FieldElement(self.spec, self.spec.mul(self.enc, other.enc))
 
     def __pow__(self, n: int) -> FieldElement:
-        if n < 0:
-            return self.inv() ** (-n)
-        if not self.enc:
-            return self.spec.one() if n == 0 else self
-        exp, log, _ = self.spec._tables
-        return FieldElement(self.spec, exp[log[self.enc] * n % (len(log) - 1)])
+        return FieldElement(self.spec, self.spec.pow(self.enc, n))
 
     def inv(self) -> FieldElement:
-        if not self:
-            raise ZeroDivisionError("inversion of zero")
-        exp, log, _ = self.spec._tables
-        return FieldElement(self.spec, exp[len(log) - 1 - log[self.enc]])
+        return FieldElement(self.spec, self.spec.inv(self.enc))
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         return self * other.inv()
@@ -358,19 +424,6 @@ def embedding(src: FieldSpec, dst: FieldSpec) -> Embedding:
 
 
 def frobenius(a: FieldElement, sub_order: int) -> FieldElement:
-    """a ** sub_order, for sub_order = p^m with m dividing k.
-
-    This is the Frobenius of the subfield of that order; its fixed points
-    inside GF(p^k) are exactly that subfield.
-    """
-    spec = a.spec
-    n, m = sub_order, 0
-    while n % spec.p == 0 and n > 1:
-        n //= spec.p
-        m += 1
-    if n != 1 or m == 0 or spec.k % m != 0:
-        raise PreconditionError(
-            "bad_sub_order",
-            f"{sub_order} is not p^m with m dividing {spec.k} (p={spec.p})",
-        )
-    return a**sub_order
+    """a ** sub_order, for sub_order = p^m with m dividing k (see
+    FieldSpec.frobenius)."""
+    return FieldElement(a.spec, a.spec.frobenius(a.enc, sub_order))

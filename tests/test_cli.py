@@ -147,6 +147,7 @@ def _assert_bad_input(capsys, *argv):
     assert doc["schema"] == "orbitcodes.error.v1"
     assert doc["error"] == "bad_input"
     assert "Traceback" not in stderr
+    return doc
 
 
 INPUT_COMMANDS = [("construct", "--family", "custom"), ("export",)]
@@ -178,6 +179,53 @@ def test_missing_or_mistyped_instance_key_is_bad_input(tmp_path, capsys, key, va
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
     _assert_bad_input(capsys, "construct", "--family", "custom", "--input", str(path))
+
+
+GF16 = {"p": 2, "k": 4, "modulus": [1, 1, 0, 0, 1]}
+X2_Y2_Z2 = [[[2, 0, 0], 1], [[0, 2, 0], 1], [[0, 0, 2], 1]]
+
+
+# instance.v1 documents with one bad map or point: (reason, changes)
+BAD_MAPS_AND_POINTS = {
+    "two_entry_map": (
+        "matrix must be square",
+        {"groups": [{"generators": [[2, 0]]}, {"generators": [[2, 2, 0, 1]]}]},
+    ),
+    "encoding_999_in_gf16": (
+        "encoding 999 out of range for order 16",
+        {
+            "ground_field": GF16,
+            "working_field": GF16,
+            "groups": [{"generators": [[999, 0, 0, 1]]}, {"generators": [[1, 1, 0, 1]]}],
+        },
+    ),
+    "all_zero_map": (
+        "projective map must be invertible",
+        {"groups": [{"generators": [[0, 0, 0, 0]]}, {"generators": [[2, 2, 0, 1]]}]},
+    ),
+    "all_zero_q": ("projective point cannot be all zeros", {"Q": [0, 0]}),
+    "two_coord_q_on_plane_curve": (
+        "point/curve dimension mismatch",
+        {
+            "curve": {"coords": 3, "terms": X2_Y2_Z2},
+            "groups": [
+                {"generators": [[2, 0, 0, 0, 1, 0, 0, 0, 1]]},
+                {"generators": [[1, 0, 0, 0, 2, 0, 0, 0, 1]]},
+            ],
+            "Q": [1, 0],
+            "Qprime": [1, 1, 1],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MAPS_AND_POINTS)
+def test_bad_map_or_point_is_bad_input(tmp_path, capsys, case):
+    reason, changes = BAD_MAPS_AND_POINTS[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(AFFINE_F3_INSTANCE, **changes)))
+    doc = _assert_bad_input(capsys, "construct", "--family", "custom", "--input", str(path))
+    assert reason in doc["message"]
 
 
 def test_loader_precondition_keeps_its_kind(tmp_path, capsys):

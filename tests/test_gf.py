@@ -226,6 +226,54 @@ def test_table_arithmetic_matches_oracle_sampled(p, k):
         assert_powers_match_oracle(spec, spec.from_enc(rng.randrange(spec.order)))
 
 
+def oracle_matvec(spec, rows, xs):
+    """Each entry sum(r[j] * xs[j]) as coefficient tuples, from oracle products."""
+    p = spec.p
+    out = []
+    for r in rows:
+        acc = (0,) * spec.k
+        for a, x in zip(r, xs):
+            prod = oracle_mul(spec, spec.from_enc(a).coeffs, spec.from_enc(x).coeffs)
+            acc = tuple((s + t) % p for s, t in zip(acc, prod))
+        out.append(acc)
+    return out
+
+
+def assert_matvec_matches_oracle(spec, rows, xs):
+    got = spec.matvec(rows, xs)
+    assert [spec.from_enc(e).coeffs for e in got] == oracle_matvec(spec, rows, xs)
+
+
+@pytest.mark.parametrize("p,k", [f for f in SMALL_FIELDS if f[0] ** f[1] <= 9])
+def test_matvec_matches_oracle_exhaustive_2x2(p, k):
+    """Every 1x2 row against every 2-vector: every cancelling sum included."""
+    spec = make_field(p, k)
+    pairs = list(itertools.product(range(spec.order), repeat=2))
+    for r in pairs:
+        for xs in pairs:
+            assert_matvec_matches_oracle(spec, [r], xs)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(3, 4), (2, 8), (3, 5)])
+def test_matvec_and_scale_match_oracle_sampled(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(1000 + p**k)
+
+    def entry():  # zero a third of the time, so partial and empty sums occur
+        return 0 if rng.random() < 1 / 3 else rng.randrange(spec.order)
+
+    for _ in range(500):
+        n = rng.choice((1, 2, 3, 4))
+        rows = [tuple(entry() for _ in range(n)) for _ in range(rng.choice((1, 2, 3)))]
+        xs = tuple(entry() for _ in range(n))
+        assert_matvec_matches_oracle(spec, rows, xs)
+        c = rng.randrange(1, spec.order)
+        assert spec.scale(c, xs) == tuple(spec.mul(c, x) for x in xs)
+        assert [spec.from_enc(e).coeffs for e in spec.scale(c, xs)] == [
+            oracle_mul(spec, spec.from_enc(c).coeffs, spec.from_enc(x).coeffs) for x in xs
+        ]
+
+
 def test_powers_of_zero():
     for p, k in SMALL_FIELDS:
         spec = make_field(p, k)
