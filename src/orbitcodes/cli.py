@@ -121,6 +121,10 @@ def _report(doc: dict, output: Optional[str], status: int) -> int:
 
 
 def _dispatch(config: RunConfig) -> int:
+    if config.m < 1:
+        raise PreconditionError("usage", "--m must be >= 1")
+    if config.max_messages < 1:
+        raise PreconditionError("usage", "--max-messages must be >= 1")
     if config.command == "export":
         if not config.input:
             raise PreconditionError("usage", "export requires --input")
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-messages",
                 type=int,
                 default=DEFAULT_MESSAGE_GUARD,
-                help="enumeration guard on |F|^k (raise to force larger scans)",
+                help="enumeration guard on |F|^k - 1, at least 1 (raise to force larger scans)",
             )
     return parser
 
@@ -241,9 +245,6 @@ def main(argv=None) -> int:
         output=ns.output,
         max_messages=getattr(ns, "max_messages", DEFAULT_MESSAGE_GUARD),
     )
-    if config.m < 1:
-        _say("error: --m must be >= 1")
-        return EXIT_PRECONDITION
     return run(config)
 
 

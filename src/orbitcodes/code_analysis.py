@@ -8,17 +8,23 @@ automorphism group.
 The distance scan is exact up to scalars: a message and its nonzero
 multiples give codewords of the same weight, so it visits one message per
 scalar class, (q^k - 1)/(q - 1) in all.  It works on integer-encoded
-symbols, with an addition table, scaled rows and a per-position table of
-the scalar that zeroes each symbol of the last row, taken from the field's
-operators when it starts.  With that table one pass over the n positions
-counts the weights of all q codewords that differ only in the last
-coefficient.
+symbols, with an addition table and scaled rows built by the field's
+encoding kernels.  It enumerates all but the last two coefficients and
+counts the rest in one pass: for each position, the cells (s2, s) of the
+q^2 codewords below a node where that position is zero form a line, all
+of the grid, or nothing, so one Counter over the n positions gives the
+weights of all q^2 codewords at once.  A node whose lightest codeword
+breaks the designed bound walks its cells in message order, which keeps
+the first violating message, and so every report, the one the full
+enumeration gives.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import getitem
 from typing import Optional, Sequence
 
@@ -113,14 +119,28 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     the full enumeration and takes from each class the member whose leading
     coefficient is 1, which is the class's first member in that order.
 
-    Every codeword weight is checked against the designed bound on the way;
-    a violation means the code was built from a broken construction and
+    The recursion stops one level early, at a parent node that has fixed
+    all but the last two coefficients (s2, s), and one Counter pass over
+    the n positions counts the zeros of all q^2 codewords acc + s2*r + s*l
+    below it, where r and l are the last two reduced rows.  Each position
+    is zero on a known set of cells s2*q + s: the q cells of the line
+    s2*r[j] + s*l[j] = -acc[j] when (r[j], l[j]) != (0, 0), every cell
+    when r[j] = l[j] = acc[j] = 0, and none when only acc[j] is nonzero.
+    The parent's minimum is then the nonzero count minus the largest cell
+    count.
+
+    Every codeword weight is checked against the designed bound; a
+    violation means the code was built from a broken construction and
     raises CheckFailure rather than returning a too-small distance quietly.
-    The first violating message is the one the full enumeration would meet
-    first, so the report is the same.  The guard still counts all
-    q^rank - 1 nonzero messages.
+    Only a parent whose minimum breaks the bound walks its cells in message
+    order, (0, 1) and then (1, s) for the parent with no nonzero
+    coefficient yet, every cell from (0, 0) for any other, so the first
+    violating message, and the report, is the one the full enumeration
+    would meet first.  The guard still counts all q^rank - 1 nonzero
+    messages.
     """
-    q = code.field.order
+    spec = code.field
+    q = spec.order
     k, rref, _ = rank_and_rref(code.matrix)
     if k != code.rank:
         raise ValueError("stored rank disagrees with the matrix")
@@ -133,37 +153,42 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
             f"{total} messages exceed the guard {max_messages}; raise max_messages to force",
             {"messages": total, "guard": max_messages},
         )
-    els = list(code.field.elements())
-    add = [[(a + b).enc for b in els] for a in els]
-    scaled = [[[(s * c).enc for c in row] for s in els] for row in rref[:-1]]
-    # solve[j][a] is the scalar s with a + s*last[j] == 0 for the last row;
-    # where last[j] == 0, position j is zero for EVERY s when a == 0 and
-    # for NO s otherwise.
-    EVERY, NO = q, q + 1
-    solvers = {0: [EVERY] + [NO] * (q - 1)}
-    for c in rref[-1]:
-        if c.enc not in solvers:
-            factor = -c.inv()
-            solvers[c.enc] = [(a * factor).enc for a in els]
-    solve = [solvers[c.enc] for c in rref[-1]]
+    rows = [[c.enc for c in row] for row in rref]
     n = code.n
     bound = code.distance_bound
+    if k == 1:
+        w = n - rows[0].count(0)
+        if w < bound:
+            raise CheckFailure(CheckReport("distance_bound", False, {"weight": w, "bound": bound}))
+        return w
+
+    add = [[spec.add(a, b) for b in range(q)] for a in range(q)]
+    # level 0 has no nonzero coefficient before it, so it takes only 0 and 1
+    scaled = [
+        [spec.scale(s, row) if s else (0,) * n for s in range(q if level else 2)]
+        for level, row in enumerate(rows[:-2])
+    ]
+    EVERY = q * q  # the sentinel of _zero_cells: zero in every cell
+    cells = _zero_cells(spec, add, rows[-2], rows[-1])
     best = n + 1
 
     def scan(level: int, acc: list[int], started: bool):
         nonlocal best
-        if level == k - 1:
-            # one pass counts the zeros of acc + s*last for every scalar s
-            zeros = Counter(map(getitem, solve, acc)).get
-            nonzero = n - zeros(EVERY, 0)
-            for s in range(q) if started else (1,):
-                w = nonzero - zeros(s, 0)
-                if w < bound:
-                    raise CheckFailure(
-                        CheckReport("distance_bound", False, {"weight": w, "bound": bound})
-                    )
-                if w < best:
-                    best = w
+        if level == k - 2:
+            zeros = Counter(chain.from_iterable(map(getitem, cells, acc)))
+            nonzero = n - zeros.pop(EVERY, 0)
+            if not started:
+                del zeros[0]  # acc is zero: cell (0, 0) is the zero message
+            w = nonzero - max(zeros.values(), default=0)
+            if w < bound:
+                for c in range(q * q) if started else (1, *range(q, 2 * q)):
+                    w = nonzero - zeros[c]
+                    if w < bound:
+                        raise CheckFailure(
+                            CheckReport("distance_bound", False, {"weight": w, "bound": bound})
+                        )
+            if w < best:
+                best = w
             return
         sums = [add[a] for a in acc]  # sums[j][x] is acc[j] + x
         for s in range(q) if started else (0, 1):
@@ -171,6 +196,57 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
 
     scan(0, [0] * n, False)
     return best
+
+
+class _Cells(dict):
+    """acc value -> the cells s2*q + s where acc + s2*r + s*l is zero, for
+    one column pair (r, l); filled on first use."""
+
+    def __init__(self, cells_of):
+        super().__init__()
+        self.cells_of = cells_of
+
+    def __missing__(self, a):
+        cells = self[a] = self.cells_of(a)
+        return cells
+
+
+def _zero_cells(spec: FieldSpec, add, r: Sequence[int], l: Sequence[int]) -> list:
+    """Per position j, the `_Cells` table of its column pair (r[j], l[j]);
+    positions with the same pair share one table.  A zero pair maps acc
+    value 0 to the sentinel q*q (zero in every cell) and any other value to
+    no cell."""
+    q = spec.order
+    ints = list(range(q * q))  # every cell tuple shares these int objects
+    offsets = ints[::q]  # s2*q for each s2
+    mul = spec.mul
+    multiples = {0: (0,) * q}  # c -> c*s2 for each s2, shared by the pairs
+
+    def table(rj: int, lj: int) -> _Cells:
+        if lj:
+            # s = u*acc + (u*rj)*s2 with u = -1/lj
+            u = spec.neg(spec.inv(lj))
+            c = mul(u, rj)
+            if c not in multiples:
+                multiples[c] = spec.scale(c, range(q))
+            steps = multiples[c]
+
+            def cells_of(a):
+                flat = map(operator.add, offsets, map(add[mul(u, a)].__getitem__, steps))
+                return tuple(map(ints.__getitem__, flat))
+        elif rj:
+            u = spec.neg(spec.inv(rj))  # s2 = -acc/rj, any s
+
+            def cells_of(a):
+                s2 = mul(u, a)
+                return tuple(ints[s2 * q:(s2 + 1) * q])
+        else:
+            every = (q * q,)
+            return _Cells(lambda a: () if a else every)
+        return _Cells(cells_of)
+
+    tables = {pair: table(*pair) for pair in set(zip(r, l))}
+    return [tables[pair] for pair in zip(r, l)]
 
 
 @dataclass(frozen=True)
@@ -273,7 +349,7 @@ def _permutation_closure(generators, n: int, limit: int):
     seen = {ident}
     for p in elements:
         for g in generators:
-            prod = tuple(p[i] for i in g)
+            prod = tuple(map(p.__getitem__, g))
             if prod not in seen:
                 if len(seen) == limit:
                     return None

@@ -78,6 +78,29 @@ def test_distance_projline9(capsys):
     assert "exact minimum distance 5" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("distance", "--max-messages", "0"),
+    ("distance", "--max-messages", "-1"),
+    ("distance", "--m", "0"),
+    ("construct", "--m", "-2"),
+])
+def test_nonpositive_guard_or_scale_is_usage_error(capsys, argv):
+    # a guard below 1 is not an enumeration that exceeds it
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    doc = json.loads(stdout)
+    assert doc["error"] == "usage"
+    assert argv[1] in doc["message"]
+
+
+def test_guard_of_one_still_counts_every_message(capsys):
+    code, stdout, _ = run_cli(capsys, "distance", "--max-messages", "1")
+    assert code == EXIT_PRECONDITION
+    doc = json.loads(stdout)
+    assert doc["error"] == "enumeration_guard_exceeded"
+    assert doc["details"] == {"messages": 9**3 - 1, "guard": 1}
+
+
 def test_automorphisms_fermat3(capsys):
     code, stdout, _ = run_cli(capsys, "automorphisms", "--family", "fermat", "--q", "3")
     assert code == EXIT_OK

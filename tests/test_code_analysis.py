@@ -234,14 +234,15 @@ def assert_distance_matches_oracle(code):
     return got
 
 
-def random_code(rng, field):
-    """A code of length <= 8 and rank 1..4 whose nominal rows include zero
-    entries, repeated rows and scalar multiples of earlier rows."""
+def random_code(rng, field, max_messages=2**16):
+    """A code of length <= 10 and rank 1..5, with at most `max_messages`
+    nonzero messages, whose nominal rows include zero entries, repeated
+    rows and scalar multiples of earlier rows."""
     els = list(field.elements())
     while True:
-        n = rng.randint(1, 8)
+        n = rng.randint(1, 10)
         rows = []
-        for _ in range(rng.randint(1, n)):
+        for _ in range(rng.randint(1, min(n, 7))):
             kind = rng.random()
             if rows and kind < 0.2:
                 rows.append(rng.choice(rows))
@@ -253,11 +254,20 @@ def random_code(rng, field):
                     rng.choice(els) if rng.random() < 0.7 else field.zero() for _ in range(n)
                 ))
         rank = rank_and_rref(rows)[0]
-        if 1 <= rank <= 4:
-            # the scan reads only the matrix; the points fix the length
-            reps = list(projective_reps(field, 3))
-            pts = tuple(reps[j % len(reps)] for j in range(n))
-            return EvalCode(field, pts, tuple(rows), rank=rank, distance_bound=0)
+        if 1 <= rank <= 5 and field.order**rank - 1 <= max_messages:
+            return code_of(field, rows, rank)
+
+
+def code_of(field, rows, rank, distance_bound=0):
+    # the scan reads only the matrix; the points fix the length
+    reps = list(projective_reps(field, 3))
+    pts = tuple(reps[j % len(reps)] for j in range(len(rows[0])))
+    return EvalCode(field, pts, tuple(rows), rank=rank, distance_bound=distance_bound)
+
+
+def encoded_code(field, encodings, rank, distance_bound):
+    rows = tuple(tuple(field.from_enc(e) for e in row) for row in encodings)
+    return code_of(field, rows, rank, distance_bound)
 
 
 def test_first_violating_message_is_reported():
@@ -266,14 +276,59 @@ def test_first_violating_message_is_reported():
     F3 = make_field(3, 1)
     r0 = (1, 0, 1, 1, 1, 1, 1, 1)
     r1 = (0, 1, 2, 2, 2, 2, 1, 1)
-    rows = tuple(tuple(F3.from_enc(e) for e in r) for r in (r0, r1))
-    pts = tuple(itertools.islice(projective_reps(F3, 3), 8))
-    code = EvalCode(F3, pts, rows, rank=2, distance_bound=7)
+    code = encoded_code(F3, (r0, r1), rank=2, distance_bound=7)
     rep = assert_distance_matches_oracle(code)
     assert rep.details == {"weight": 4, "bound": 7}
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_first_violation_at_the_start_of_a_started_parent():
+    # rank 3 over GF(3): every message (0, a, b) meets the bound 5, and the
+    # first one to break it is (1, 0, 0), of weight 3, the cell (0, 0) of
+    # the parent (1, *, *); the next is (1, 1, 0), of weight 4.  The last
+    # column is zero in every row, so it is zero in every codeword.
+    F3 = make_field(3, 1)
+    r0 = (1, 0, 0, 0, 2, 1, 0, 0, 0)
+    r1 = (0, 1, 0, 1, 1, 2, 0, 1, 0)
+    r2 = (0, 0, 1, 1, 0, 1, 1, 2, 0)
+    code = encoded_code(F3, (r0, r1, r2), rank=3, distance_bound=5)
+    assert assert_distance_matches_oracle(code).details == {"weight": 3, "bound": 5}
+    assert assert_distance_matches_oracle(dataclasses.replace(code, distance_bound=3)) == 3
+    # without the first row the code is [9, 2, 5], and the root is the
+    # parent with no nonzero coefficient: it takes the cells (0, 1), (1, s)
+    pair = encoded_code(F3, (r1, r2), rank=2, distance_bound=5)
+    assert assert_distance_matches_oracle(pair) == 5
+
+
+def test_rank_two_root_is_the_parent():
+    # over GF(5) the first message, (0, 1), has weight 2 and breaks the
+    # bound 3; the messages (1, s) all have weight at least 3
+    F5 = make_field(5, 1)
+    r0 = (1, 0, 1, 2, 3, 0)
+    r1 = (0, 1, 0, 0, 4, 0)
+    code = encoded_code(F5, (r0, r1), rank=2, distance_bound=3)
+    assert assert_distance_matches_oracle(code).details == {"weight": 2, "bound": 3}
+    assert assert_distance_matches_oracle(dataclasses.replace(code, distance_bound=2)) == 2
+    # here (0, 1), (1, 0) and (1, 1) meet the bound 4 and (1, 2) is the
+    # first to break it, with weight 3
+    r1 = (0, 1, 2, 4, 1, 1)
+    code = encoded_code(F5, (r0, r1), rank=2, distance_bound=4)
+    assert assert_distance_matches_oracle(code).details == {"weight": 3, "bound": 4}
+
+
+@pytest.mark.parametrize("bound", [0, 4, 5])
+def test_rank_one_is_the_weight_of_its_row(bound):
+    # repeated rows and multiples reduce to one row of weight 4
+    F9 = make_field(3, 2)
+    row = (0, 3, 0, 1, 8, 0, 2)
+    rows = (row, row, tuple(F9.mul(5, e) for e in row))
+    got = assert_distance_matches_oracle(encoded_code(F9, rows, rank=1, distance_bound=bound))
+    if bound <= 4:
+        assert got == 4
+    else:
+        assert got.details == {"weight": 4, "bound": 5}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_scan_matches_full_enumeration_on_random_codes(p, k):
     rng = random.Random(1000 * p + k)
     field = make_field(p, k)

@@ -6,10 +6,12 @@ the field layer moved to encoding-valued elements with exp/log/Zech
 tables, and before any change to `gf.py`.  The other three distance jobs
 are the benchmark's; their hashes come from `perfbench/data/goldens.json`
 and were confirmed on the commit before the distance scan moved to
-enumeration up to scalars.  A refactor of the arithmetic or of any layer
-above it must leave every one of them unchanged.  The benchmark's goldens
-cover further jobs; together they are the check that a change does the
-same work.
+enumeration up to scalars.  The two large-field scans, bf q=3 ([324, 3]
+over GF(81)) and fermat q=16 (over GF(256)), were recorded on the commit
+before the scan counted its last two message coordinates in one pass.  A
+refactor of the arithmetic or of any layer above it must leave every one
+of them unchanged.  The benchmark's goldens cover further jobs; together
+they are the check that a change does the same work.
 """
 
 import hashlib
@@ -29,7 +31,9 @@ GOLDEN = {
     ("construct", "projline", 11, 1): "ccb94c2ace83920c61bc26a070543f6e1bbb1a66d4634cc14741d4380bf44b4c",
     ("construct", "projline", 13, 1): "2680d76340d7cc0c73a31a768cd2aaf6b35a666fae3a0d83d8eb8a8975b23f00",
     ("construct", "bf", 2, 1): "bbd6c112592853de6fd8c4c7a32c0a981aace13efcff36dad04a60c4fb0a63c2",
+    ("distance", "bf", 3, 1): "9d01f9c05c980b8f46690109266b54c627a2d11c0e6a0faa4f08c502e9512e47",
     ("distance", "fermat", 3, 2): "e15c1394324902004ccac1d693b3f01c0c1a312a67666e394ffa274dcf21f8bf",
+    ("distance", "fermat", 16, 1): "5cfff8fa5afb1a2df5ebe5ec8cc6ed4a8ef060d727b379d9d185d01fb490e5cd",
     ("distance", "projline", 7, 1): "c117c8e01cf839c9cb6a47b1fa9f7619f79559c26c4c5ab83424dedc2d317313",
     ("distance", "projline", 7, 2): "ccff2384573443873d7b4748718635f0b028e5b72fade214e92556788f4300a8",
     ("distance", "projline", 11, 1): "eacab62db47454276972a92746174e057ea07c66076dc7230b3097d1b9a652db",
