@@ -19,11 +19,20 @@ each generator: it contains every word in the generators.  Each kept
 element is itself such a word, and in a finite group inverses are positive
 powers, so the set is exactly the generated group; no sampled product or
 inverse check is needed.
+
+A group given as a list of elements need not be that closure.
+`certify_generated` decides whether it is, without composing maps: a
+projective frame (3 distinct points of P^1, 4 points of P^2 with no three
+collinear) fixes a map, so the group's elements are the generated group
+iff their images of a frame are distinct, lie in the frame's orbit under
+the generators, and that orbit is no larger than the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .gf import FieldElement, FieldSpec, root_of_unity
@@ -60,11 +69,17 @@ def _identity_key(n: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
-def _compose(f: FieldSpec, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The normalized key of the matrix product of the keys a and b."""
-    cols = [b[j::n] for j in range(n)]
-    # row i of the product is b^T times row i of a
-    product = tuple(x for i in range(0, n * n, n) for x in f.matvec(cols, a[i : i + n]))
+def _columns(n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The columns of the row-major n x n key b."""
+    return [b[j::n] for j in range(n)]
+
+
+def _compose(f: FieldSpec, n: int, a: tuple[int, ...], cols) -> tuple[int, ...]:
+    """The normalized key of the product of the key a and the matrix with
+    columns `cols`: row i of the product is those columns times row i of a."""
+    product = ()
+    for i in range(0, n * n, n):
+        product += f.matvec(cols, a[i : i + n])
     return normalized(f, product)
 
 
@@ -119,7 +134,7 @@ class ProjMap:
     def __matmul__(self, other: ProjMap) -> ProjMap:
         if self.field != other.field or self.n != other.n:
             raise ValueError("cannot compose maps over different spaces")
-        key = _compose(self.field, self.n, self.key, other.key)
+        key = _compose(self.field, self.n, self.key, _columns(self.n, other.key))
         return ProjMap.from_key(self.field, self.n, key)
 
     def inverse(self) -> ProjMap:
@@ -271,9 +286,10 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     ident = _identity_key(n)
     elements = [ident]
     seen = {ident}
+    columns = [_columns(n, g.key) for g in generators]
     for m in elements:
-        for g in generators:
-            prod = _compose(f, n, m, g.key)
+        for cols in columns:
+            prod = _compose(f, n, m, cols)
             if prod not in seen:
                 if len(elements) >= cap:
                     raise PreconditionError(
@@ -284,6 +300,91 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
                 seen.add(prod)
                 elements.append(prod)
     return AutGroup(generators, tuple(ProjMap.from_key(f, n, k) for k in elements), label)
+
+
+def find_frame(points: Sequence[ProjPoint]) -> Optional[tuple[int, ...]]:
+    """Indices of a projective frame among `points`, or None.
+
+    A frame is 3 distinct points of P^1 or 4 points of P^2 with no three
+    collinear.  The search is greedy in point order: the first point, then
+    the first point distinct from it, then (on P^2) the first point off
+    their line, then the first point off all three lines.  A candidate is
+    taken iff, for every set T of n-1 points already taken, the n x n
+    determinant of T and the candidate is nonzero; a point refused at one
+    step is refused at every later one, so one pass finds the frame.
+    """
+    frame: list[tuple[int, ...]] = []
+    indices = []
+    for i, p in enumerate(points):
+        k, n = p.key, len(p.key)
+        # sum(t, k) is the row-major matrix with rows k and the points of t
+        if k not in frame and all(
+            _det(p.spec, n, sum(t, k)) for t in combinations(frame, n - 1)
+        ):
+            frame.append(k)
+            indices.append(i)
+            if len(frame) == n + 1:
+                return tuple(indices)
+    return None
+
+
+def standard_frame(field: FieldSpec, n: int) -> tuple[ProjPoint, ...]:
+    """The unit points and (1 : ... : 1), a frame of P^(n-1)."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return tuple(ProjPoint.from_key(field, k) for k in units + [(1,) * n])
+
+
+class _Images(dict):
+    """key -> the key of its image under one map; filled on first use."""
+
+    def __init__(self, m: ProjMap):
+        super().__init__()
+        self.image = m.image
+
+    def __missing__(self, key):
+        image = self[key] = self.image(key)
+        return image
+
+
+def certify_generated(group: AutGroup, frame: Sequence[ProjPoint]) -> bool:
+    """True iff `group.elements` lists each element of the group H
+    generated by `group.generators` exactly once, shown on the images of
+    the projective frame `frame` (see `find_frame`).
+
+    A projective map is fixed by the images of a frame (the fundamental
+    theorem of projective geometry), so h -> h(F) is injective.  The orbit
+    O of the key tuple of F under the generators is {h(F) : h in H}, and
+    |O| = |H|.  The test passes iff |O| <= |group|, every listed element m
+    has m(F) in O, and these tuples are pairwise distinct.  Then every
+    element lies in H, and |group| distinct tuples in O give |O| = |group|,
+    so the elements are all of H.  The orbit search maps keys through each
+    generator once per key it meets and gives up once O would pass
+    |group|; each element costs one `image` call per frame point.  Any
+    other outcome gives False: a map in another space, an orbit larger
+    than |group|, an image outside O or met twice.
+    """
+    spec, n = frame[0].spec, len(frame[0].key)
+    if any(m.n != n or m.field != spec for m in group.generators + group.elements):
+        return False
+    start = tuple(p.key for p in frame)
+    generators = [_Images(g) for g in group.generators]
+    orbit = {start}
+    queue = [start]
+    for t in queue:
+        for images in generators:
+            u = tuple(map(images.__getitem__, t))
+            if u not in orbit:
+                if len(orbit) == group.order:
+                    return False
+                orbit.add(u)
+                queue.append(u)
+    seen = set()
+    for m in group.elements:
+        t = tuple(map(m.image, start))
+        if t not in orbit or t in seen:
+            return False
+        seen.add(t)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@
 Exact Gaussian elimination, exact minimum distance by enumerating the
 message space up to nonzero scalars, and certification that a matrix group
 acting on the evaluation set embeds faithfully into the code's permutation
-automorphism group.
+automorphism group.  The elimination and the membership test work on rows
+of canonical encodings with the field's `scale` and `axpy` kernels;
+`EvalCode.matrix` keeps the field elements as the public view.
+
+The faithful-action certificate reads the generators' permutations and the
+images of one projective frame in the evaluation set under each element
+(see `verify_faithful`); the element-by-element scan is its fallback.
 
 The distance scan is exact up to scalars: a message and its nonzero
 multiples give codewords of the same weight, so it visits one message per
@@ -24,6 +30,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import getitem
 from typing import Optional, Sequence
@@ -31,7 +38,7 @@ from typing import Optional, Sequence
 from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import FieldElement, FieldSpec
 from .geometry import ProjPoint
-from .autgroup import AutGroup, ProjMap
+from .autgroup import AutGroup, ProjMap, certify_generated, find_frame
 
 DEFAULT_MESSAGE_GUARD = 2**24
 
@@ -68,14 +75,24 @@ class EvalCode:
     def n(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def encodings(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `matrix` as tuples of canonical encodings, the form
+        the row reduction and the distance scan work on."""
+        return tuple(tuple(c.enc for c in row) for row in self.matrix)
 
-def rank_and_rref(rows: Sequence[Sequence[FieldElement]]):
-    """Exact reduced row echelon form with deterministic pivoting.
+
+def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
+    """Exact reduced row echelon form of rows of encodings over `spec`,
+    with deterministic pivoting.
 
     Scans columns left to right and picks the first row with a nonzero
-    entry; returns (rank, rref rows, pivot column indices).
+    entry; returns (rank, rref rows as tuples of encodings, pivot column
+    indices).  Each pivot row is scaled by the pivot's inverse, and each
+    other row with a nonzero entry f in the pivot column takes -f times
+    the pivot row, one `FieldSpec.axpy` per row.
     """
-    work = [list(r) for r in rows]
+    work = [tuple(r) for r in rows]
     if not work:
         return 0, (), ()
     ncols = len(work[0])
@@ -86,26 +103,25 @@ def rank_and_rref(rows: Sequence[Sequence[FieldElement]]):
         if src is None:
             continue
         work[r], work[src] = work[src], work[r]
-        inv = work[r][col].inv()
-        work[r] = [c * inv for c in work[r]]
+        pivot = work[r] = spec.scale(spec.inv(work[r][col]), work[r])
         for i in range(len(work)):
             if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = spec.axpy(spec.neg(work[i][col]), pivot, work[i])
         pivots.append(col)
         r += 1
         if r == len(work):
             break
-    return r, tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return r, tuple(work[:r]), tuple(pivots)
 
 
-def in_row_space(vector: Sequence[FieldElement], rref, pivots) -> bool:
-    """Membership test against a precomputed reduced matrix."""
-    residue = list(vector)
+def in_row_space(spec: FieldSpec, vector: Sequence[int], rref, pivots) -> bool:
+    """Membership test of a vector of encodings against a precomputed
+    reduced matrix."""
+    residue = vector
     for row, col in zip(rref, pivots):
         c = residue[col]
         if c:
-            residue = [a - c * b for a, b in zip(residue, row)]
+            residue = spec.axpy(spec.neg(c), row, residue)
     return not any(residue)
 
 
@@ -141,7 +157,7 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     """
     spec = code.field
     q = spec.order
-    k, rref, _ = rank_and_rref(code.matrix)
+    k, rows, _ = rank_and_rref(spec, code.encodings)
     if k != code.rank:
         raise ValueError("stored rank disagrees with the matrix")
     if k == 0:
@@ -153,7 +169,6 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
             f"{total} messages exceed the guard {max_messages}; raise max_messages to force",
             {"messages": total, "guard": max_messages},
         )
-    rows = [[c.enc for c in row] for row in rref]
     n = code.n
     bound = code.distance_bound
     if k == 1:
@@ -289,7 +304,7 @@ def permutation_of(gamma: ProjMap, points: Sequence[ProjPoint]) -> CoordPermutat
 def preserves_code(perm: CoordPermutation, code: EvalCode) -> bool:
     """True iff permuting coordinates maps the code onto itself, checked by
     reducing every permuted generator row against the row space."""
-    _, rref, pivots = rank_and_rref(code.matrix)
+    _, rref, pivots = rank_and_rref(code.field, code.encodings)
     return _preserves_reduced(perm, code, rref, pivots)
 
 
@@ -297,7 +312,7 @@ def _preserves_reduced(perm: CoordPermutation, code: EvalCode, rref, pivots) -> 
     if len(perm.perm) != code.n:
         raise ValueError("permutation length must match the code length")
     return all(
-        in_row_space(perm.apply_to(row), rref, pivots) for row in code.matrix
+        in_row_space(code.field, perm.apply_to(row), rref, pivots) for row in code.encodings
     )
 
 
@@ -309,15 +324,21 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
     identity element induces the identity permutation; on success the image
     of the permutation representation has order exactly |group|.
 
-    The certificate works on the generators.  Only their permutations are
-    tested against the code: a permutation group preserves a code iff its
-    generators do.  Then the set of permutations induced by
-    `group.elements` must equal the closure of the generator permutations
-    and have |group| members, which makes the action faithful.  This is
-    exact for any AutGroup, also one whose elements are not the closure of
-    its generators.  When the certificate does not pass, the elements are
-    scanned in order for the first witness, so a failed report names the
-    same element and reason as an element-by-element check.
+    The certificate works on the generators and a projective frame in the
+    evaluation set, and builds no element's permutation.  The generators
+    must map the points onto themselves and preserve the code; a
+    permutation group preserves a code iff its generators do.  A frame (3
+    distinct points of P^1, or 4 points of P^2 with no three collinear)
+    fixes a projective map, so `certify_generated` can show from the
+    frame's images alone that `group.elements` lists each element of the
+    generated group once.  Then every element preserves the code, and
+    distinct elements move the frame differently, so they induce distinct
+    permutations: the image has order |group|.  This is exact for any
+    AutGroup.  When a step fails (no frame in the points, an element
+    outside the generated group, an element listed twice, a generator
+    that breaks the code), the elements are scanned in order for the first
+    witness, so a failed report names the same element and reason as an
+    element-by-element check.
     """
     if _certified_on_generators(group, points, code):
         return CheckReport(
@@ -333,34 +354,15 @@ def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
         generators = [permutation_of(g, points) for g in group.generators]
         if not all(preserves_code(sigma, code) for sigma in generators):
             return False
-        images = {permutation_of(m, points).perm for m in group.elements}
     except ValueError:  # a map leaves the evaluation set; the scan reports it
         return False
-    if len(images) != group.order:
-        return False
-    return _permutation_closure([s.perm for s in generators], len(points), len(images)) == images
-
-
-def _permutation_closure(generators, n: int, limit: int):
-    """Breadth-first closure of permutations of range(n), given as tuples,
-    under composition; None once it would hold more than `limit`."""
-    ident = tuple(range(n))
-    elements = [ident]
-    seen = {ident}
-    for p in elements:
-        for g in generators:
-            prod = tuple(map(p.__getitem__, g))
-            if prod not in seen:
-                if len(seen) == limit:
-                    return None
-                seen.add(prod)
-                elements.append(prod)
-    return seen
+    frame = find_frame(points)
+    return frame is not None and certify_generated(group, [points[i] for i in frame])
 
 
 def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:
     """Element-by-element check in element order, one row reduction."""
-    _, rref, pivots = rank_and_rref(code.matrix)
+    _, rref, pivots = rank_and_rref(code.field, code.encodings)
     images = set()
     for gamma in group.elements:
         sigma = permutation_of(gamma, points)

@@ -16,8 +16,8 @@ from polynomial products reduced by the modulus: the powers (exp) and
 logarithms (log) of the primitive element of smallest encoding, and its
 Zech logarithms.  They hold O(p**k) ints; every operator is a few reads.
 The arithmetic lives on FieldSpec and works on encodings (add, neg, mul,
-inv, pow, scale, matvec, frobenius), so points, maps and curve equations
-compute on int tuples; FieldElement wraps it at the API edge.
+inv, pow, scale, axpy, matvec, frobenius), so points, maps, curve equations
+and matrix rows compute on int tuples; FieldElement wraps it at the API edge.
 
 Subfield relations are explicit Embedding values, checked by evaluating
 the small field's modulus at the chosen image of its generator; there is
@@ -227,6 +227,24 @@ class FieldSpec:
         lc = log[c]
         return tuple([exp[log[x] + lc] if x else 0 for x in xs])
 
+    def axpy(self, c: int, xs, ys) -> tuple[int, ...]:
+        """The tuple y + c * x over the pairs of xs and ys, for a nonzero c:
+        y + c*x = y * (1 + c*x/y), one Zech read per pair with both nonzero."""
+        exp, log, zech = self._tables
+        m = len(log) - 1
+        lc = log[c]
+        out = []
+        for x, y in zip(xs, ys):
+            if not x:
+                out.append(y)
+            elif not y:
+                out.append(exp[log[x] + lc])
+            else:
+                ly = log[y]
+                z = zech[(log[x] + lc - ly) % m]
+                out.append(0 if z is None else exp[ly + z])
+        return tuple(out)
+
     def matvec(self, rows, xs) -> tuple[int, ...]:
         """The matrix with rows `rows` times the column `xs`, on encodings.
 
@@ -313,9 +331,6 @@ class FieldElement:
 
     def inv(self) -> FieldElement:
         return FieldElement(self.spec, self.spec.inv(self.enc))
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        return self * other.inv()
 
     def __repr__(self):
         return f"{self.spec}[{self.enc}]"

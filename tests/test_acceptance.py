@@ -61,7 +61,7 @@ def test_criterion_2_fermat3_faithful(built):
     res = built[("fermat", 3)]
     joint = res.instance.joint_group()
     assert joint.order == 16
-    rep = verify_faithful(joint, res.points, res.code)  # all 16 elements, all rows
+    rep = verify_faithful(joint, res.points, res.code)  # the generators and a frame
     assert rep.passed
     assert rep.details["image_order"] == 16
     return "image order 16 over all 16 elements"
@@ -99,8 +99,8 @@ def test_criterion_4_projline_family():
         assert rep.passed and rep.details["image_order"] == order
         seen.append(params)
     elapsed = time.monotonic() - t0
-    assert elapsed < 0.5
-    return f"{seen} in {elapsed:.2f}s"
+    assert elapsed < 0.1
+    return f"{seen} in {elapsed:.3f}s"
 
 
 @criterion(5, "fermat q=3 at divisor scale 2 gives n=16, k=6, d >= 8")
@@ -141,8 +141,8 @@ def test_criterion_6_bf_family():
         # computed pair and check the designed bound
         assert d >= n - 12
         assert (n, d) == (48, 36)  # frozen regression values
-    assert elapsed < 0.5
-    return f"(#S, d) = ({n}, {d}) in {elapsed:.2f}s"
+    assert elapsed < 0.2
+    return f"(#S, d) = ({n}, {d}) in {elapsed:.3f}s"
 
 
 @criterion(7, "fermat q=2 degeneracy is a distinct precondition error")

@@ -1,8 +1,13 @@
-"""Group closure, orbits, curve preservation, and the generator families."""
+"""Group closure, orbits, curve preservation, the generator families, and
+the frame certificate that a group lists exactly what its generators make."""
+
+import itertools
+import random
 
 import pytest
 
 from orbitcodes import (
+    AutGroup,
     PreconditionError,
     ProjMap,
     builtin_generators,
@@ -15,6 +20,8 @@ from orbitcodes import (
     root_of_unity,
     trace_fermat_curve,
 )
+from orbitcodes.autgroup import _det, certify_generated, find_frame, standard_frame
+from orbitcodes.geometry import projective_reps
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +323,138 @@ def test_bf_joint_group():
     curve = trace_fermat_curve(2, F16)
     for m in joint.elements:
         assert m.preserves_curve(curve)
+
+
+# ---------------------------------------------------------------------------
+# projective frames and the generated-group certificate
+
+
+def oracle_independent(keys, field):
+    """Linear independence of encoding vectors, by element elimination."""
+    rows = [[field.from_enc(e) for e in k] for k in keys]
+    rank = 0
+    for col in range(len(rows[0])):
+        src = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        inv = rows[rank][col].inv()
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == len(rows)
+
+
+def oracle_find_frame(points):
+    """The greedy frame, restarted from the first point at every step: the
+    first point that leaves every min(size, n) of the chosen points
+    linearly independent."""
+    field, n = points[0].spec, len(points[0].key)
+    chosen = []
+    for _ in range(n + 1):
+        for i, p in enumerate(points):
+            cand = [points[j].key for j in chosen] + [p.key]
+            if i not in chosen and all(
+                oracle_independent(sub, field)
+                for sub in itertools.combinations(cand, min(len(cand), n))
+            ):
+                chosen.append(i)
+                break
+        else:
+            return None
+    return tuple(chosen)
+
+
+def test_find_frame_on_crafted_point_lists():
+    F5 = make_field(5, 1)
+    # (1:1:0) and (1:2:0) lie on the line Z = 0 through (1:0:0) and
+    # (0:1:0); (0:0:1) is off it; (1:0:1) and (0:1:2) lie on the lines
+    # Y = 0 and X = 0 of the three points taken, and (1:1:1) is off all three
+    pts = [point(F5, *k) for k in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0),
+                                   (0, 0, 1), (1, 0, 1), (0, 1, 2), (1, 1, 1)]]
+    assert find_frame(pts) == (0, 1, 4, 7)
+    assert find_frame(pts[:7]) is None
+    assert find_frame(pts[:4]) is None  # all on one line
+    assert find_frame([pts[0], pts[0], pts[1], pts[4], pts[7]]) == (0, 2, 3, 4)
+    line = [point(F5, 1, c) for c in range(5)]
+    assert find_frame(line) == (0, 1, 2)
+    assert find_frame([line[0], line[0], line[3]]) is None
+    assert find_frame([]) is None
+    assert find_frame(standard_frame(F5, 3)) == (0, 1, 2, 3)
+    assert find_frame(standard_frame(F5, 2)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (3, 2)])
+def test_find_frame_matches_the_greedy_oracle(p, k):
+    field = make_field(p, k)
+    rng = random.Random(300 + p**k)
+    found = 0
+    for n in (2, 3):
+        reps = list(projective_reps(field, n))
+        for _ in range(150):
+            if rng.random() < 0.3:  # points on one line, or at most two lines
+                a, b = rng.sample(reps, 2) if n == 3 else (reps[0], reps[0])
+                pool = [p for p in reps if n == 2 or not _det(field, 3, a.key + b.key + p.key)]
+                if rng.random() < 0.5:
+                    pool += rng.sample(reps, 1)
+            else:
+                pool = reps
+            pts = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+            got = find_frame(pts)
+            assert got == oracle_find_frame(pts)
+            found += got is not None
+    assert 0 < found < 300
+
+
+def oracle_generated_exactly(group):
+    """Every listed element once, and the list is the closure of the
+    generators."""
+    whole = close(group.generators).elements if group.generators else (group.elements[0],)
+    return len(set(group.elements)) == group.order and set(group.elements) == set(whole)
+
+
+def generated_cases(built):
+    """Groups with their evaluation sets: the built-in ones, and hand-built
+    element lists that are a subset of the generated group, list an
+    element twice, or hold an element outside it."""
+    for res in built.values():
+        for grp in res.instance.groups + (res.instance.joint_group(),):
+            yield grp, res.points
+    res = built[("fermat", 3)]
+    joint = res.instance.joint_group()
+    ident, x, y = joint.elements[:3]
+    x2, x3 = x @ x, x @ x @ x
+    for elements in [
+        joint.elements[:7],
+        joint.elements[:12],  # the generated group has fewer than twice as many
+        joint.elements[:-1] + (joint.elements[1],),
+        (ident, x, x, x3),  # as many as <x>, but x2 missing
+        (ident, x, x2, x3, y),
+    ]:
+        yield AutGroup((x, y) if y in elements else (x,), elements), res.points
+    yield AutGroup((x,), joint.elements), res.points
+    yield AutGroup((), (ident,)), res.points
+    yield AutGroup((), (ident, x)), res.points
+
+
+def test_certify_generated_matches_the_closure_oracle(built):
+    outcomes = []
+    for grp, pts in generated_cases(built):
+        want = oracle_generated_exactly(grp)
+        frame = find_frame(pts)
+        on_points = certify_generated(grp, [pts[i] for i in frame])
+        on_standard = certify_generated(grp, standard_frame(grp.field, len(pts[0].key)))
+        assert on_points == on_standard == want, grp.order
+        outcomes.append(want)
+    assert outcomes.count(False) == 7
+
+
+def test_certify_generated_refuses_maps_of_another_space(fermat3):
+    F9, g1, _ = fermat3
+    G1 = close(g1)
+    assert certify_generated(G1, standard_frame(F9, 3))
+    assert not certify_generated(G1, standard_frame(make_field(3, 4), 3))
+    line = close([ProjMap(((root_of_unity(F9, 4), F9.zero()), (F9.zero(), F9.one())), F9)])
+    assert not certify_generated(line, standard_frame(F9, 3))
+    assert certify_generated(line, standard_frame(F9, 2))

@@ -2,10 +2,14 @@
 embedding certificate.
 
 Rank values are cross-checked with an independent cofactor-expansion
-determinant oracle; distances are cross-checked against closed forms
-(maximum-distance-separable values on the line, the grid structure on the
-plane instances) and, with the bound reports, against the full
-enumeration of every nonzero message, kept here as an oracle.
+determinant oracle, and the elimination on encodings against the
+FieldElement elimination it replaced; distances are cross-checked against
+closed forms (maximum-distance-separable values on the line, the grid
+structure on the plane instances) and, with the bound reports, against the
+full enumeration of every nonzero message, kept here as an oracle.  The
+faithful-action certificate is compared with the element-by-element
+check, kept here as `oracle_verify_faithful`, on the built-in groups and
+on hand-built groups that leave the certificate for the fallback scan.
 """
 
 import dataclasses
@@ -34,6 +38,7 @@ from orbitcodes import (
     run_construction,
     verify_faithful,
 )
+from orbitcodes import code_analysis
 from orbitcodes.code_analysis import DEFAULT_MESSAGE_GUARD, in_row_space
 from orbitcodes.geometry import projective_reps
 
@@ -71,25 +76,65 @@ def oracle_full_row_rank(rows):
 # rank / rref
 
 
+def oracle_rank_and_rref(rows):
+    """The elimination on FieldElement rows that the encoding version
+    replaced: same pivoting, element operators throughout."""
+    work = [list(r) for r in rows]
+    if not work:
+        return 0, (), ()
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        src = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        inv = work[r][col].inv()
+        work[r] = [c * inv for c in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return r, tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def oracle_in_row_space(vector, rref, pivots):
+    residue = list(vector)
+    for row, col in zip(rref, pivots):
+        c = residue[col]
+        if c:
+            residue = [a - c * b for a, b in zip(residue, row)]
+    return not any(residue)
+
+
+def encs(rows):
+    return [[c.enc for c in row] for row in rows]
+
+
 def test_rank_of_identity():
     F5 = make_field(5, 1)
     one, zero = F5.one(), F5.zero()
     rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    rank, rref, pivots = rank_and_rref(rows)
+    rank, rref, pivots = rank_and_rref(F5, encs(rows))
     assert rank == 4
     assert pivots == (0, 1, 2, 3)
 
 
 def test_rank_fermat_matrix(built):
     code = built[("fermat", 3)].code
-    rank, _, _ = rank_and_rref(code.matrix)
+    rank, _, _ = rank_and_rref(code.field, code.encodings)
     assert rank == 3
     assert oracle_full_row_rank(code.matrix)
 
 
 def test_rank_fermat_m2_matrix():
     res = run_construction(builtin_instance("fermat", 3, m=2))
-    rank, _, _ = rank_and_rref(res.code.matrix)
+    rank, _, _ = rank_and_rref(res.code.field, res.code.encodings)
     assert rank == 6
     assert oracle_full_row_rank(res.code.matrix)
 
@@ -99,7 +144,7 @@ def test_rank_detects_dependent_rows():
     two = F5.from_int(2)
     row = [F5.one(), two, F5.from_int(4)]
     rows = [row, [two * c for c in row]]
-    rank, _, _ = rank_and_rref(rows)
+    rank, _, _ = rank_and_rref(F5, encs(rows))
     assert rank == 1
 
 
@@ -107,9 +152,56 @@ def test_row_space_membership():
     F5 = make_field(5, 1)
     one, zero, two = F5.one(), F5.zero(), F5.from_int(2)
     rows = [[one, zero, two], [zero, one, one]]
-    rank, rref, pivots = rank_and_rref(rows)
-    assert in_row_space([two, one, F5.zero()], rref, pivots)
-    assert not in_row_space([zero, zero, one], rref, pivots)
+    rank, rref, pivots = rank_and_rref(F5, encs(rows))
+    assert in_row_space(F5, (2, 1, 0), rref, pivots)
+    assert not in_row_space(F5, (0, 0, 1), rref, pivots)
+
+
+def random_matrix(rng, field):
+    """Rows of elements in a tall, square or wide shape, with zero rows,
+    repeated rows, multiples and sums of earlier rows, so that most of
+    them are rank deficient."""
+    els = list(field.elements())
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([field.zero()] * ncols)
+        elif rows and kind < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.45:
+            c, a, b = rng.choice(els), rng.choice(rows), rng.choice(rows)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.choice(els) if rng.random() < 0.7 else field.zero()
+                         for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (3, 4)])
+def test_rref_and_membership_match_the_element_oracle(p, k):
+    """The encoding elimination gives the element oracle's rank, reduced
+    rows and pivots, and the same membership answers, on seeded random
+    matrices over every small field and GF(81)."""
+    field = make_field(p, k)
+    rng = random.Random(7000 + p**k)
+    els = list(field.elements())
+    deficient = 0
+    for _ in range(150):
+        rows = random_matrix(rng, field)
+        rank, rref, pivots = rank_and_rref(field, encs(rows))
+        want = oracle_rank_and_rref(rows)
+        assert (rank, rref, pivots) == (want[0], tuple(map(tuple, encs(want[1]))), want[2])
+        deficient += rank < min(len(rows), len(rows[0]))
+        ncols = len(rows[0])
+        probes = [[rng.choice(els) for _ in range(ncols)] for _ in range(3)]
+        c = rng.choice(els)
+        probes.append([x + c * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+        for v in probes:
+            got = in_row_space(field, encs([v])[0], rref, pivots)
+            assert got == oracle_in_row_space(v, want[1], want[2])
+    assert 20 < deficient < 150  # both full-rank and deficient shapes occur
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +269,7 @@ def oracle_min_distance_exact(code, max_messages=DEFAULT_MESSAGE_GUARD):
     """The full enumeration: every one of the q^rank - 1 nonzero messages,
     in lexicographic order, with its weight checked against the bound."""
     q = code.field.order
-    k, rref, _ = rank_and_rref(code.matrix)
+    k, rref, _ = oracle_rank_and_rref(code.matrix)
     if k != code.rank:
         raise ValueError("stored rank disagrees with the matrix")
     if k == 0:
@@ -253,7 +345,7 @@ def random_code(rng, field, max_messages=2**16):
                 rows.append(tuple(
                     rng.choice(els) if rng.random() < 0.7 else field.zero() for _ in range(n)
                 ))
-        rank = rank_and_rref(rows)[0]
+        rank = oracle_rank_and_rref(rows)[0]
         if 1 <= rank <= 5 and field.order**rank - 1 <= max_messages:
             return code_of(field, rows, rank)
 
@@ -520,6 +612,67 @@ def test_hand_built_groups_match_the_oracle(built):
     for grp, code in cases:
         outcomes.append(assert_matches_oracle(grp, res.points, code).passed)
     assert outcomes == [True, True, True, True, False, False, False]
+
+
+def test_builtins_pass_on_the_certificate_without_the_scan(built, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the element scan ran")
+
+    monkeypatch.setattr(code_analysis, "_scan_elements", no_scan)
+    for res in built.values():
+        for grp in res.instance.groups + (res.instance.joint_group(),):
+            rep = verify_faithful(grp, res.points, res.code)
+            assert rep.passed and rep.details["image_order"] == grp.order
+
+
+def test_certificate_cases_fall_back_to_the_oracle_report(built):
+    """Each case leaves the certificate and gets the element scan's report:
+    an element listed twice, a subset of the generated group, an element
+    outside it, with and without a code it breaks."""
+    res = built[("fermat", 3)]
+    joint = res.instance.joint_group()
+    ident, x, y = joint.elements[:3]
+    x2, x3 = x @ x, x @ x @ x
+    broken = _fermat3_shifted_y_code(res)
+    cases = [
+        (AutGroup((x,), (ident, x, x, x3)), res.code),  # twice, and as many as <x>
+        (AutGroup((x,), (ident, x, x2, x3, x)), res.code),
+        (AutGroup(joint.generators, joint.elements[:5]), res.code),  # a subset
+        (AutGroup((x,), (ident, x, x2, x3, y)), res.code),  # y is outside <x>
+        (AutGroup((x,), (ident, x, x2, x3, y)), broken),
+        (AutGroup((x,), (ident, y, x)), broken),
+    ]
+    reports = []
+    for grp, code in cases:
+        assert not code_analysis._certified_on_generators(grp, res.points, code)
+        reports.append(assert_matches_oracle(grp, res.points, code))
+    assert [r.passed for r in reports] == [False, False, True, True, False, False]
+    assert reports[0].details == {"group_order": 4, "image_order": 3}
+    assert reports[4].witness == reports[5].witness == {"element": list(y.key)}
+
+
+def test_evaluation_set_without_a_frame_falls_back_to_the_scan():
+    # the points (z^i : 0 : 1) all lie on the line Y = 0, so they hold no
+    # frame of P^2; the X scaling permutes them regularly, and the Y
+    # scaling fixes each of them
+    F9 = make_field(3, 2)
+    z = root_of_unity(F9, 4)
+    one, zero = F9.one(), F9.zero()
+    from orbitcodes import diagonal_map
+
+    x_scaling, y_scaling = diagonal_map(F9, z, one, one), diagonal_map(F9, one, z, one)
+    pts = close([x_scaling]).orbit(point(F9, 1, 0, 1))
+    assert len(pts) == 4
+    code = EvalCode(F9, pts, ((one,) * 4, tuple(p.dehomogenized()[0] for p in pts)),
+                    rank=2, distance_bound=3)
+    for gens, passed in [([x_scaling], True), ([x_scaling, y_scaling], False)]:
+        group = close(gens)
+        assert not code_analysis._certified_on_generators(group, pts, code)
+        rep = assert_matches_oracle(group, pts, code)
+        assert rep.passed == passed
+    assert rep.details == {
+        "reason": "non-identity element acts trivially on the evaluation set"
+    }
 
 
 def test_faithful_fermat_q3(built):

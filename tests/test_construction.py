@@ -5,11 +5,16 @@ element of every built-in instance; expected parameter values were derived
 by hand from the orbit structure and frozen here.
 """
 
+import dataclasses
+
 import pytest
 
 from orbitcodes import (
+    AutGroup,
     CheckFailure,
+    CheckReport,
     Instance,
+    ProjMap,
     PreconditionError,
     build_basis,
     build_code,
@@ -27,7 +32,7 @@ from orbitcodes import (
     run_construction,
 )
 from orbitcodes import construction
-from orbitcodes.construction import Divisor
+from orbitcodes.construction import Divisor, check_curve_preservation
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +376,60 @@ def test_instance_rejects_points_off_curve():
         Instance(
             curve, (close(g1), close(g2)), point(F9, 1, 0, 0), point(F9, 1, 1, 1), F9, F9
         )
+
+
+# ---------------------------------------------------------------------------
+# curve preservation
+
+
+def oracle_check_curve_preservation(inst):
+    """The element loop: every element of every group against the curve
+    equation, in order."""
+    checked = 0
+    for grp in inst.groups:
+        for mapel in grp.elements:
+            if not mapel.preserves_curve(inst.curve):
+                return CheckReport(
+                    "curve_preservation",
+                    False,
+                    {"group": grp.label},
+                    witness={"element": list(mapel.key)},
+                )
+            checked += 1
+    return CheckReport("curve_preservation", True, {"elements_checked": checked})
+
+
+def test_curve_check_matches_the_element_loop_on_builtins(built, monkeypatch):
+    monkeypatch.setattr(construction, "_scan_curve_elements", None)  # never reached
+    for res in built.values():
+        inst = res.instance
+        rep = check_curve_preservation(inst)
+        assert rep == oracle_check_curve_preservation(inst)
+        assert rep.details["elements_checked"] == sum(g.order for g in inst.groups)
+
+
+def test_curve_check_on_hand_built_groups_matches_the_element_loop(built):
+    inst = built[("fermat", 3)].instance
+    G1, G2 = inst.groups
+    F9 = inst.working
+    o, z = F9.one(), F9.zero()
+    shear = ProjMap(((o, z, o), (z, o, z), (z, z, o)), F9)  # breaks the curve
+    assert not shear.preserves_curve(inst.curve)
+    cases = [
+        (AutGroup(G1.generators, G1.elements + (shear,), "G1"), G2),  # an extra element
+        (AutGroup(G1.generators, G1.elements[:2], "G1"), G2),  # a subset
+        (AutGroup(G1.generators, G1.elements + G1.elements[1:2], "G1"), G2),  # twice
+        (G1, close([shear], label="shears")),  # a generator breaks it
+        (G1, AutGroup(G2.generators, G2.elements[:1] + (shear,) + G2.elements[1:], "G2")),
+    ]
+    reports = []
+    for groups in cases:
+        case = dataclasses.replace(inst, groups=groups)
+        assert not all(construction._curve_certified_on_generators(g, case) for g in groups)
+        rep = check_curve_preservation(case)
+        assert rep == oracle_check_curve_preservation(case)
+        reports.append(rep)
+    assert [r.passed for r in reports] == [False, True, True, False, False]
+    assert reports[0].witness == reports[4].witness == {"element": list(shear.key)}
+    assert reports[1].details == {"elements_checked": 2 + G2.order}
+    assert reports[3].details == {"group": "shears"}

@@ -274,6 +274,46 @@ def test_matvec_and_scale_match_oracle_sampled(p, k):
         ]
 
 
+def assert_axpy_matches_oracle(spec, c, xs, ys):
+    """y + c*x entry by entry, from oracle products and digit-wise sums."""
+    p, cc = spec.p, spec.from_enc(c).coeffs
+    want = [
+        tuple((s + t) % p for s, t in zip(
+            spec.from_enc(y).coeffs, oracle_mul(spec, cc, spec.from_enc(x).coeffs)
+        ))
+        for x, y in zip(xs, ys)
+    ]
+    assert [spec.from_enc(e).coeffs for e in spec.axpy(c, xs, ys)] == want
+
+
+@pytest.mark.parametrize("p,k", [f for f in SMALL_FIELDS if f[0] ** f[1] <= 9])
+def test_axpy_matches_oracle_exhaustive(p, k):
+    """Every scalar against every pair (x, y): every cancelling sum included."""
+    spec = make_field(p, k)
+    xs, ys = zip(*itertools.product(range(spec.order), repeat=2))
+    for c in range(1, spec.order):
+        assert_axpy_matches_oracle(spec, c, xs, ys)
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + [(3, 4), (2, 8), (3, 5)])
+def test_axpy_matches_oracle_sampled(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(2000 + p**k)
+
+    def entry():  # zero a third of the time
+        return 0 if rng.random() < 1 / 3 else rng.randrange(spec.order)
+
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        xs = tuple(entry() for _ in range(n))
+        c = rng.randrange(1, spec.order)
+        # y = -c*x on a random subset of entries, so some sums cancel
+        ys = tuple(
+            spec.neg(spec.mul(c, x)) if rng.random() < 0.3 else entry() for x in xs
+        )
+        assert_axpy_matches_oracle(spec, c, xs, ys)
+
+
 def test_powers_of_zero():
     for p, k in SMALL_FIELDS:
         spec = make_field(p, k)

@@ -8,7 +8,11 @@ are the benchmark's; their hashes come from `perfbench/data/goldens.json`
 and were confirmed on the commit before the distance scan moved to
 enumeration up to scalars.  The two large-field scans, bf q=3 ([324, 3]
 over GF(81)) and fermat q=16 (over GF(256)), were recorded on the commit
-before the scan counted its last two message coordinates in one pass.  A
+before the scan counted its last two message coordinates in one pass.
+The automorphisms jobs for bf q=2, projline q=19 and fermat q=5 are the
+benchmark's certify jobs; their hashes come from `perfbench/data/goldens.json`
+and were confirmed on the commit before the faithful-action certificate
+moved to the generators and a projective frame.  A
 refactor of the arithmetic or of any layer above it must leave every one
 of them unchanged.  The benchmark's goldens cover further jobs; together
 they are the check that a change does the same work.
@@ -37,7 +41,10 @@ GOLDEN = {
     ("distance", "projline", 7, 1): "c117c8e01cf839c9cb6a47b1fa9f7619f79559c26c4c5ab83424dedc2d317313",
     ("distance", "projline", 7, 2): "ccff2384573443873d7b4748718635f0b028e5b72fade214e92556788f4300a8",
     ("distance", "projline", 11, 1): "eacab62db47454276972a92746174e057ea07c66076dc7230b3097d1b9a652db",
+    ("automorphisms", "bf", 2, 1): "667d00aeb0074a1d6e6143076d9250f7ebd18a6d4e44b4eb65ab84f6e562f02b",
     ("automorphisms", "fermat", 3, 1): "b813a31f75c5b9710aca7d8bbf8454a74fdc67aac4926d372654bf344911852c",
+    ("automorphisms", "fermat", 5, 1): "4f15d40b26b362920267f562d1e72e11ca17dd76e5434319adecd26a1dbe5c7c",
+    ("automorphisms", "projline", 19, 1): "239f0ea68cc59cc36c89530368cfb9f4393c88a3ad2a3fd62d07b1e210cd6705",
     ("verify", "projline", 5, 1): "c5c911a2468a85e51c9f71fecd9a7238405c608fcc40c2602aaf7936352ab314",
 }
 
