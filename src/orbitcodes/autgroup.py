@@ -30,9 +30,9 @@ the generators, and that orbit is no larger than the list.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .gf import FieldElement, FieldSpec, root_of_unity
@@ -302,7 +302,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     return AutGroup(generators, tuple(ProjMap.from_key(f, n, k) for k in elements), label)
 
 
-def find_frame(points: Sequence[ProjPoint]) -> Optional[tuple[int, ...]]:
+def find_frame(points: Sequence[ProjPoint]) -> tuple[int, ...] | None:
     """Indices of a projective frame among `points`, or None.
 
     A frame is 3 distinct points of P^1 or 4 points of P^2 with no three

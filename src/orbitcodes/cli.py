@@ -19,53 +19,57 @@ usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Optional
 
 from .errors import CheckFailure, OrbitCodesError, PreconditionError
-from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact, verify_faithful
-from .construction import builtin_instance, run_construction
-from . import serialize
+
+# The math (construction, code_analysis, serialize) is imported in the
+# command path, after the usage checks, and json where a document is read
+# or written, so that --help, a usage error and `import orbitcodes.cli`
+# load none of the math.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PRECONDITION = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family: str = "fermat"
-    q: int = 3
-    m: int = 1
-    input: Optional[str] = None
-    output: Optional[str] = None
-    max_messages: int = DEFAULT_MESSAGE_GUARD
-
-
 def _say(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _emit(doc: dict, output: Optional[str]):
-    """Write the report to `output` first, then to stdout."""
-    text = serialize.dumps(doc)
+def _emit(doc: dict, output: str | None):
+    """Write a command's report to `output` first, then to stdout."""
+    from .serialize import dumps
+
+    _write(dumps(doc), output)
+
+
+def _write(text: str, output: str | None):
     if output:
         try:
-            Path(output).write_text(text)
+            with open(output, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise PreconditionError("bad_output", f"cannot write {output}: {exc}") from None
     sys.stdout.write(text)
 
 
+def _failure_text(doc: dict) -> str:
+    """The canonical text of `serialize.dumps`, from json alone: a command
+    can stop before any math is imported."""
+    import json
+
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
 def _read_document(path: str) -> dict:
     """The JSON object in `path`; a missing or unreadable file and malformed
     JSON are bad input."""
+    import json
+
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise PreconditionError("bad_input", f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -73,31 +77,33 @@ def _read_document(path: str) -> dict:
     return doc
 
 
-def _load_instance(config: RunConfig):
-    if config.family == "custom":
-        if not config.input:
-            raise PreconditionError("usage", "family 'custom' requires --input")
-        doc = _read_document(config.input)
-        try:
-            return serialize.instance_from_dict(doc)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise PreconditionError(
-                "bad_input", f"malformed instance document: {type(exc).__name__}: {exc}"
-            ) from None
-    return builtin_instance(config.family, config.q, config.m)
+def _load_instance(ns: argparse.Namespace):
+    from .construction import builtin_instance
 
+    if ns.family != "custom":
+        return builtin_instance(ns.family, ns.q, ns.m)
+    from .serialize import instance_from_dict
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+    doc = _read_document(ns.input)
     try:
-        return _dispatch(config)
+        return instance_from_dict(doc)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise PreconditionError(
+            "bad_input", f"malformed instance document: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def run(ns: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
+    try:
+        return _dispatch(ns)
     except CheckFailure as exc:
         _say(f"check failed: {exc}")
         doc = {"schema": "orbitcodes.verify.v1", "passed": False, "checks": [exc.report.as_dict()]}
-        return _report(doc, config.output, EXIT_CHECK_FAILED)
+        return _report(doc, ns.output, EXIT_CHECK_FAILED)
     except PreconditionError as exc:
         _say(f"precondition error [{exc.kind}]: {exc}")
-        output = None if exc.kind == "bad_output" else config.output  # never retry it
+        output = None if exc.kind == "bad_output" else ns.output  # never retry it
         return _report(_error_doc(exc), output, EXIT_PRECONDITION)
     except OrbitCodesError as exc:
         _say(f"error: {exc}")
@@ -109,60 +115,70 @@ def _error_doc(exc: PreconditionError) -> dict:
             "details": exc.details}
 
 
-def _report(doc: dict, output: Optional[str], status: int) -> int:
-    """Emit a failure document, or the bad_output error if `output` fails."""
+def _report(doc: dict, output: str | None, status: int) -> int:
+    """Write a failure document, or the bad_output error if `output` fails."""
     try:
-        _emit(doc, output)
+        _write(_failure_text(doc), output)
     except PreconditionError as exc:
         _say(f"precondition error [{exc.kind}]: {exc}")
-        _emit(_error_doc(exc), None)
+        _write(_failure_text(_error_doc(exc)), None)
         return EXIT_PRECONDITION
     return status
 
 
-def _dispatch(config: RunConfig) -> int:
-    if config.m < 1:
+def _dispatch(ns: argparse.Namespace) -> int:
+    # the checks on the arguments alone come before any math is imported
+    if getattr(ns, "m", 1) < 1:
         raise PreconditionError("usage", "--m must be >= 1")
-    if config.max_messages < 1:
+    if getattr(ns, "max_messages", None) is not None and ns.max_messages < 1:
         raise PreconditionError("usage", "--max-messages must be >= 1")
-    if config.command == "export":
-        if not config.input:
-            raise PreconditionError("usage", "export requires --input")
-        doc = _read_document(config.input)
+    if ns.command == "export" and not ns.input:
+        raise PreconditionError("usage", "export requires --input")
+    if getattr(ns, "family", None) == "custom" and not ns.input:
+        raise PreconditionError("usage", "family 'custom' requires --input")
+    if ns.command == "export":
+        doc = _read_document(ns.input)
         if doc.get("schema") not in (
             "orbitcodes.code.v1",
             "orbitcodes.instance.v1",
             "orbitcodes.verify.v1",
         ):
             raise PreconditionError("usage", "unrecognized schema in input document")
-        _emit(doc, config.output)
+        _emit(doc, ns.output)
         _say(f"re-serialized {doc['schema']} document")
         return EXIT_OK
 
-    inst = _load_instance(config)
-    strict = config.command != "verify"
+    from dataclasses import replace
+
+    from . import serialize
+    from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact, verify_faithful
+    from .construction import run_construction
+
+    inst = _load_instance(ns)
+    strict = ns.command != "verify"
     result = run_construction(inst, strict=strict)
     meta = {"family": inst.family, "q": inst.q, "m": inst.m}
 
-    if config.command == "verify":
+    if ns.command == "verify":
         for rep in result.reports:
             _say(f"  [{'pass' if rep.passed else 'FAIL'}] {rep.name}")
-        _emit(serialize.report_to_dict(result.reports, meta), config.output)
+        _emit(serialize.report_to_dict(result.reports, meta), ns.output)
         return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
-    if config.command == "construct":
+    if ns.command == "construct":
         code = result.code
         _say(
             f"constructed [{code.n}, {code.rank}, >={code.distance_bound}]_"
             f"{inst.ground.order} code; joint group order {result.joint_order}"
         )
-        output = config.output or f"{inst.family}_q{inst.q}_m{inst.m}.code.json"
+        output = ns.output or f"{inst.family}_q{inst.q}_m{inst.m}.code.json"
         _emit(serialize.result_to_dict(result), output)
         _say(f"wrote {output}")
         return EXIT_OK
 
-    if config.command == "distance":
-        d = min_distance_exact(result.code, config.max_messages)
+    if ns.command == "distance":
+        guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
+        d = min_distance_exact(result.code, guard)
         result = replace(result, code=replace(result.code, distance_exact=d))
         code = result.code
         ok = d >= code.distance_bound
@@ -170,10 +186,10 @@ def _dispatch(config: RunConfig) -> int:
             f"exact minimum distance {d}, designed bound {code.distance_bound} "
             f"({'met' if ok else 'VIOLATED'})"
         )
-        _emit(serialize.result_to_dict(result), config.output)
+        _emit(serialize.result_to_dict(result), ns.output)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
-    if config.command == "automorphisms":
+    if ns.command == "automorphisms":
         joint = inst.joint_group()
         rep = verify_faithful(joint, result.points, result.code)
         _say(
@@ -182,10 +198,10 @@ def _dispatch(config: RunConfig) -> int:
         )
         doc = serialize.report_to_dict([rep], meta)
         doc["joint_group_order"] = joint.order
-        _emit(doc, config.output)
+        _emit(doc, ns.output)
         return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
-    raise PreconditionError("usage", f"unknown command {config.command!r}")
+    raise PreconditionError("usage", f"unknown command {ns.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--max-messages",
                 type=int,
-                default=DEFAULT_MESSAGE_GUARD,
                 help="enumeration guard on |F|^k - 1, at least 1 (raise to force larger scans)",
             )
     return parser
@@ -236,16 +251,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PRECONDITION if exc.code not in (0, None) else EXIT_OK
-    config = RunConfig(
-        command=ns.command,
-        family=getattr(ns, "family", "fermat"),
-        q=getattr(ns, "q", 3),
-        m=getattr(ns, "m", 1),
-        input=ns.input,
-        output=ns.output,
-        max_messages=getattr(ns, "max_messages", DEFAULT_MESSAGE_GUARD),
-    )
-    return run(config)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import getitem
-from typing import Optional, Sequence
 
 from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import FieldElement, FieldSpec
@@ -58,7 +58,7 @@ class EvalCode:
     matrix: tuple[tuple[FieldElement, ...], ...]
     rank: int
     distance_bound: int
-    distance_exact: Optional[int] = None
+    distance_exact: int | None = None
 
     def __post_init__(self):
         n = len(self.points)
@@ -80,6 +80,13 @@ class EvalCode:
         """The rows of `matrix` as tuples of canonical encodings, the form
         the row reduction and the distance scan work on."""
         return tuple(tuple(c.enc for c in row) for row in self.matrix)
+
+    @cached_property
+    def reduced(self):
+        """`rank_and_rref` of `encodings`, computed once per code: (rank,
+        rref rows, pivot columns).  The distance scan and every
+        code-preservation test read it."""
+        return rank_and_rref(self.field, self.encodings)
 
 
 def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
@@ -157,7 +164,7 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     """
     spec = code.field
     q = spec.order
-    k, rows, _ = rank_and_rref(spec, code.encodings)
+    k, rows, _ = code.reduced
     if k != code.rank:
         raise ValueError("stored rank disagrees with the matrix")
     if k == 0:
@@ -304,11 +311,7 @@ def permutation_of(gamma: ProjMap, points: Sequence[ProjPoint]) -> CoordPermutat
 def preserves_code(perm: CoordPermutation, code: EvalCode) -> bool:
     """True iff permuting coordinates maps the code onto itself, checked by
     reducing every permuted generator row against the row space."""
-    _, rref, pivots = rank_and_rref(code.field, code.encodings)
-    return _preserves_reduced(perm, code, rref, pivots)
-
-
-def _preserves_reduced(perm: CoordPermutation, code: EvalCode, rref, pivots) -> bool:
+    _, rref, pivots = code.reduced
     if len(perm.perm) != code.n:
         raise ValueError("permutation length must match the code length")
     return all(
@@ -361,12 +364,11 @@ def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
 
 
 def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:
-    """Element-by-element check in element order, one row reduction."""
-    _, rref, pivots = rank_and_rref(code.field, code.encodings)
+    """Element-by-element check in element order."""
     images = set()
     for gamma in group.elements:
         sigma = permutation_of(gamma, points)
-        if not _preserves_reduced(sigma, code, rref, pivots):
+        if not preserves_code(sigma, code):
             return CheckReport(
                 "faithful_embedding",
                 False,

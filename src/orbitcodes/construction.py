@@ -22,10 +22,9 @@ support of D taken once), the code is L((m*e) * D0) with bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Optional
 
 from .errors import CheckFailure, CheckReport, PreconditionError
-from .gf import FieldElement, FieldSpec, embedding, frobenius, make_field, prime_power
+from .gf import FieldElement, FieldSpec, check_order, embedding, frobenius, make_field, prime_power
 from .geometry import (
     PlaneCurve,
     Poly,
@@ -137,11 +136,11 @@ class Instance:
     ground: FieldSpec
     working: FieldSpec
     m: int = 1
-    functions: Optional[tuple[Poly, ...]] = None
+    functions: tuple[Poly, ...] | None = None
     condition_a_declared: bool = True
     family: str = "custom"
-    q: Optional[int] = None
-    _joint: Optional[AutGroup] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    q: int | None = None
+    _joint: AutGroup | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.groups) < 2:
@@ -501,10 +500,10 @@ def _ground_coercion(ground: FieldSpec, working: FieldSpec):
 class ConstructionResult:
     instance: Instance
     reports: tuple[CheckReport, ...]
-    divisor: Optional[Divisor]
+    divisor: Divisor | None
     points: tuple[ProjPoint, ...]
     joint_order: int
-    code: Optional[EvalCode]
+    code: EvalCode | None
 
     @property
     def passed(self) -> bool:
@@ -587,8 +586,7 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
     Q': the first candidate in canonical point order that satisfies the
     family's shape rule and passes the applicable checks."""
     if family == "fermat":
-        p, s = prime_power(q)
-        field = make_field(p, 2 * s)
+        field = _family_field(q, 2)
         curve = fermat_curve(q, field)
         g1, g2 = builtin_generators("fermat", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
@@ -604,8 +602,7 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
             raise PreconditionError(
                 "invalid_family_parameters", f"projline family needs odd q >= 5, got q={q}"
             )
-        p, s = prime_power(q)
-        field = make_field(p, s)
+        field = _family_field(q, 1)
         curve = projective_line(field)
         g1, g2 = builtin_generators("projline", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
@@ -615,8 +612,7 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         )
 
     if family == "bf":
-        p, s = prime_power(q)
-        field = make_field(p, 4 * s)
+        field = _family_field(q, 4)
         curve = trace_fermat_curve(q, field)
         g1, g2 = builtin_generators("bf", q, field)
         G1, G2 = close(g1, label="G1"), close(g2, label="G2")
@@ -628,6 +624,14 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
         )
 
     raise PreconditionError("invalid_family_parameters", f"unknown family {family!r}")
+
+
+def _family_field(q: int, degree: int) -> FieldSpec:
+    """GF(q^degree), the working field of a family; its order is checked
+    against the table cap before q is factored or a modulus is sought."""
+    check_order(q, degree)
+    p, s = prime_power(q)
+    return make_field(p, degree * s)
 
 
 def _first_common_fiber_point(curve: PlaneCurve, field: FieldSpec, groups) -> ProjPoint:

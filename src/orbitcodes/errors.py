@@ -2,22 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
 
-
-@dataclass
 class CheckReport:
     """Outcome of a single verification step.
 
     `details` and `witness` must stay JSON-serializable so reports can be
-    emitted verbatim by the CLI.
+    emitted verbatim by the CLI.  Reports compare by value and are not
+    hashable; each report without explicit `details` gets a fresh dict.
     """
 
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    witness: Any = None
+    def __init__(self, name: str, passed: bool, details: dict | None = None, witness=None):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.witness = witness
+
+    def _fields(self) -> tuple:
+        return (self.name, self.passed, self.details, self.witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable and compared by value
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(name={self.name!r}, passed={self.passed!r}, "
+            f"details={self.details!r}, witness={self.witness!r})"
+        )
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": self.passed, "details": self.details}

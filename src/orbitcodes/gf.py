@@ -33,7 +33,24 @@ from functools import cached_property
 
 from .errors import PreconditionError
 
-MAX_ORDER = 2**63
+# The largest field order served: every field keeps tables of O(order)
+# ints, and building them takes seconds from about this size on.
+MAX_ORDER = 2**16
+
+
+def check_order(base: int, degree: int):
+    """Refuse a field of order base**degree above MAX_ORDER, before any work
+    that grows with base or degree; bases below 2 and degrees below 1 are
+    left to the checks that name them."""
+    # base**degree >= 2**degree, so a long degree is refused without the power
+    if base >= 2 and degree >= 1 and (
+        degree >= MAX_ORDER.bit_length() or base**degree > MAX_ORDER
+    ):
+        raise PreconditionError(
+            "order_overflow",
+            f"field order {base}^{degree} exceeds {MAX_ORDER}",
+            {"base": base, "degree": degree, "max_order": MAX_ORDER},
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -111,12 +128,11 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
+        check_order(self.p, self.k)
         if not is_prime(self.p):
             raise PreconditionError("not_prime", f"{self.p} is not prime")
         if self.k < 1 or len(self.modulus) != self.k + 1:
             raise ValueError("modulus length must be k+1")
-        if self.p**self.k > MAX_ORDER:
-            raise PreconditionError("order_overflow", "field order exceeds 2**63")
         if any(not (0 <= c < self.p) for c in self.modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
         if not _is_irreducible(self.modulus, self.p):
@@ -345,12 +361,11 @@ def make_field(p: int, k: int) -> FieldSpec:
     lexicographically smallest.  Found by exhaustive scan, which is the
     point: the choice is reproducible without any table.
     """
+    check_order(p, k)
     if not is_prime(p):
         raise PreconditionError("not_prime", f"{p} is not prime")
     if k < 1:
         raise PreconditionError("bad_degree", "extension degree must be >= 1")
-    if p**k > MAX_ORDER:
-        raise PreconditionError("order_overflow", "field order exceeds 2**63")
     for lower in itertools.product(*(range(p) for _ in range(k))):
         coeffs = tuple(lower) + (1,)
         if _is_irreducible(coeffs, p):

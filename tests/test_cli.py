@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, report schemas, and byte-determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,20 @@ def test_loader_precondition_keeps_its_kind(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "construct", "--family", "custom", "--input", str(path))
     assert code == EXIT_PRECONDITION
     assert json.loads(stdout)["error"] == "not_prime"
+
+
+@pytest.mark.parametrize("family,q", [("fermat", 1000003), ("projline", 2**61 - 1)])
+def test_field_above_the_table_cap_exits_2_at_once(family, q):
+    # GF(q^2) and GF(q) are refused from q alone, before q is factored or
+    # a modulus is sought; a fresh process, so that a spin meets the timeout
+    res = subprocess.run(
+        [sys.executable, "-m", "orbitcodes", "construct", "--family", family, "--q", str(q)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        timeout=10,
+    )
+    assert res.returncode == EXIT_PRECONDITION
+    assert json.loads(res.stdout)["error"] == "order_overflow"
 
 
 def test_custom_requires_input(capsys):

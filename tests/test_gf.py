@@ -13,7 +13,7 @@ import random
 import pytest
 
 from orbitcodes import PreconditionError, embedding, frobenius, make_field, root_of_unity
-from orbitcodes.gf import FieldSpec
+from orbitcodes.gf import MAX_ORDER, FieldSpec
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
 
@@ -99,6 +99,21 @@ def test_make_field_rejects_composite_characteristic():
 def test_make_field_rejects_overflow():
     with pytest.raises(PreconditionError):
         make_field(2, 64)
+
+
+@pytest.mark.parametrize("p,k", [(2, 17), (257, 2), (2**61 - 1, 1), (2, 10**9)])
+def test_field_above_the_table_cap_is_refused_first(p, k):
+    # refused by the order alone: no primality test of p, no 2**k power
+    with pytest.raises(PreconditionError) as exc:
+        make_field(p, k)
+    assert exc.value.kind == "order_overflow"
+    with pytest.raises(PreconditionError) as exc:
+        FieldSpec(p, k, (0, 1))
+    assert exc.value.kind == "order_overflow"
+
+
+def test_table_cap_admits_its_own_order():
+    assert make_field(2, 16).order == MAX_ORDER == 2**16
 
 
 def test_bad_modulus_rejected():
