@@ -31,11 +31,10 @@ the generators, and that orbit is no larger than the list.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import PreconditionError
-from .gf import FieldElement, FieldSpec, root_of_unity
+from .gf import FieldElement, FieldSpec, _Value, root_of_unity
 from .geometry import (
     PlaneCurve,
     Poly,
@@ -208,25 +207,25 @@ def diagonal_map(field: FieldSpec, *entries: FieldElement) -> ProjMap:
     )
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(_Value):
     """A finite subgroup of PGL, stored as its full element set.
 
     `elements` is in deterministic insertion order (identity first, then
     breadth-first products of generators); `element_set` backs membership.
     """
 
-    generators: tuple[ProjMap, ...]
-    elements: tuple[ProjMap, ...]
-    label: str = ""
-    element_set: frozenset = field(init=False)
+    __slots__ = ("generators", "elements", "label", "element_set")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "element_set", frozenset(self.elements))
-        if not self.elements or not self.elements[0].is_identity():
+    def __init__(
+        self, generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label: str = ""
+    ):
+        element_set = frozenset(elements)
+        if not elements or not elements[0].is_identity():
             raise ValueError("closure must start with the identity")
-        if any(g not in self.element_set for g in self.generators):
+        if any(g not in element_set for g in generators):
             raise ValueError("every generator must appear in the closure")
+        self._init(generators, elements, label, element_set)
 
     @property
     def order(self) -> int:

@@ -148,11 +148,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
         _say(f"re-serialized {doc['schema']} document")
         return EXIT_OK
 
-    from dataclasses import replace
-
     from . import serialize
-    from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact, verify_faithful
-    from .construction import run_construction
+    from .code_analysis import DEFAULT_MESSAGE_GUARD, EvalCode, min_distance_exact, verify_faithful
+    from .construction import ConstructionResult, run_construction
 
     inst = _load_instance(ns)
     strict = ns.command != "verify"
@@ -178,9 +176,12 @@ def _dispatch(ns: argparse.Namespace) -> int:
 
     if ns.command == "distance":
         guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
-        d = min_distance_exact(result.code, guard)
-        result = replace(result, code=replace(result.code, distance_exact=d))
-        code = result.code
+        c = result.code
+        d = min_distance_exact(c, guard)
+        code = EvalCode(c.field, c.points, c.matrix, c.rank, c.distance_bound, d)
+        result = ConstructionResult(
+            result.instance, result.reports, result.divisor, result.points, result.joint_order, code
+        )
         ok = d >= code.distance_bound
         _say(
             f"exact minimum distance {d}, designed bound {code.distance_bound} "

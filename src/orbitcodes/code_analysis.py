@@ -30,21 +30,19 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import getitem
 
 from .errors import CheckFailure, CheckReport, PreconditionError
-from .gf import FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, _Value
 from .geometry import ProjPoint
 from .autgroup import AutGroup, ProjMap, certify_generated, find_frame
 
 DEFAULT_MESSAGE_GUARD = 2**24
 
 
-@dataclass(frozen=True)
-class EvalCode:
+class EvalCode(_Value):
     """A linear code presented by evaluations of functions at ordered points.
 
     `matrix` holds one row per nominal function (there may be more rows than
@@ -53,23 +51,27 @@ class EvalCode:
     after an exhaustive scan.
     """
 
-    field: FieldSpec
-    points: tuple[ProjPoint, ...]
-    matrix: tuple[tuple[FieldElement, ...], ...]
-    rank: int
-    distance_bound: int
-    distance_exact: int | None = None
+    _fields = ("field", "points", "matrix", "rank", "distance_bound", "distance_exact")
 
-    def __post_init__(self):
-        n = len(self.points)
-        if any(len(row) != n for row in self.matrix):
+    def __init__(
+        self,
+        field: FieldSpec,
+        points: tuple[ProjPoint, ...],
+        matrix: tuple[tuple[FieldElement, ...], ...],
+        rank: int,
+        distance_bound: int,
+        distance_exact: int | None = None,
+    ):
+        n = len(points)
+        if any(len(row) != n for row in matrix):
             raise ValueError("matrix rows must match the number of points")
-        if any(c.spec != self.field for row in self.matrix for c in row):
+        if any(c.spec != field for row in matrix for c in row):
             raise ValueError("matrix entries must live in the code field")
-        if not (self.rank <= len(self.matrix) <= n):
+        if not (rank <= len(matrix) <= n):
             raise ValueError("need rank <= nominal rows <= length")
-        if self.distance_exact is not None and self.distance_exact < self.distance_bound:
+        if distance_exact is not None and distance_exact < distance_bound:
             raise ValueError("exact distance below the designed bound")
+        self._init(field, points, matrix, rank, distance_bound, distance_exact)
 
     @property
     def n(self) -> int:
@@ -271,15 +273,16 @@ def _zero_cells(spec: FieldSpec, add, r: Sequence[int], l: Sequence[int]) -> lis
     return [tables[pair] for pair in zip(r, l)]
 
 
-@dataclass(frozen=True)
-class CoordPermutation:
+class CoordPermutation(_Value):
     """A permutation of code coordinates; perm[j] is where position j goes."""
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __init__(self, perm: tuple[int, ...]):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
+        self._init(perm)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.perm))

@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 
 from .errors import CheckFailure, CheckReport, PreconditionError
-from .gf import FieldElement, FieldSpec, check_order, embedding, frobenius, make_field, prime_power
+from .gf import (
+    FieldElement,
+    FieldSpec,
+    _Value,
+    check_order,
+    embedding,
+    frobenius,
+    make_field,
+    prime_power,
+)
 from .geometry import (
     PlaneCurve,
     Poly,
@@ -46,8 +55,7 @@ from .autgroup import (
 from .code_analysis import EvalCode, rank_and_rref
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(_Value):
     """A finite multiset of curve points with positive multiplicities.
 
     `field_of_definition` is the smallest field in the coefficient tower
@@ -55,17 +63,21 @@ class Divisor:
     records invariance under the instance's ground-field Frobenius.
     """
 
-    support: tuple[tuple[ProjPoint, int], ...]
-    field_of_definition: FieldSpec
-    ground_rational: bool
+    __slots__ = ("support", "field_of_definition", "ground_rational")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not self.support:
+    def __init__(
+        self,
+        support: tuple[tuple[ProjPoint, int], ...],
+        field_of_definition: FieldSpec,
+        ground_rational: bool,
+    ):
+        if not support:
             raise ValueError("divisor must have nonempty support")
-        if any(m < 1 for _, m in self.support):
+        if any(m < 1 for _, m in support):
             raise ValueError("multiplicities must be positive")
-        canon = tuple(sorted(self.support, key=lambda t: t[0].key))
-        object.__setattr__(self, "support", canon)
+        support = tuple(sorted(support, key=lambda t: t[0].key))
+        self._init(support, field_of_definition, ground_rational)
 
     @property
     def degree(self) -> int:
@@ -92,24 +104,23 @@ class Divisor:
         return {p: m for p, m in self.support}
 
 
-@dataclass(frozen=True)
-class EvalBasis:
+class EvalBasis(_Value):
     """Homogeneous forms of one common degree, evaluated in the affine chart
     where the last coordinate is 1 (division by that power of the last
     coordinate is understood)."""
 
-    forms: tuple[Poly, ...]
-    degree: int
-    n_coords: int
+    __slots__ = ("forms", "degree", "n_coords")
+    _fields = __slots__
 
-    def __post_init__(self):
-        for f in self.forms:
+    def __init__(self, forms: tuple[Poly, ...], degree: int, n_coords: int):
+        for f in forms:
             if not f:
                 raise ValueError("basis forms must be nonzero")
-            if poly_degree(f) != self.degree:
+            if poly_degree(f) != degree:
                 raise ValueError("basis forms must share one total degree")
-            if any(len(e) != self.n_coords for e in f):
+            if any(len(e) != n_coords for e in f):
                 raise ValueError("basis form arity mismatch")
+        self._init(forms, degree, n_coords)
 
     def evaluate(self, form: Poly, pt: ProjPoint) -> FieldElement:
         terms = tuple((e, c.enc) for e, c in form.items())
@@ -496,14 +507,24 @@ def _ground_coercion(ground: FieldSpec, working: FieldSpec):
 # full pipeline with reports
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    instance: Instance
-    reports: tuple[CheckReport, ...]
-    divisor: Divisor | None
-    points: tuple[ProjPoint, ...]
-    joint_order: int
-    code: EvalCode | None
+class ConstructionResult(_Value):
+    """The instance, every check report in order, and what the construction
+    built before it stopped: the divisor, the evaluation set, the joint
+    group order and the code."""
+
+    __slots__ = ("instance", "reports", "divisor", "points", "joint_order", "code")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        instance: Instance,
+        reports: tuple[CheckReport, ...],
+        divisor: Divisor | None,
+        points: tuple[ProjPoint, ...],
+        joint_order: int,
+        code: EvalCode | None,
+    ):
+        self._init(instance, reports, divisor, points, joint_order, code)
 
     @property
     def passed(self) -> bool:

@@ -12,14 +12,19 @@ Curves are homogeneous polynomials kept as {exponent tuple: coefficient}
 maps.  P^1 is represented by the degenerate curve with no terms: every
 point lies on it.  Membership evaluates the equation on encodings, with
 the coefficients pushed into the point's field once per field.
+
+Rational points of a curve with no term in both X and Y, such as the
+fermat and bf curves, come from a value join of its two halves on Z = 1
+and a scan of the line Z = 0, in O(|F|) evaluations
+(`_separated_points`); a curve with a mixed XY term, and P^1, keep the
+scan of every point of the ambient space.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 
-from .gf import FieldElement, FieldSpec, embedding
+from .gf import FieldElement, FieldSpec, _Value, embedding
 
 Poly = dict  # {tuple[int, ...]: FieldElement}, homogeneous in use
 
@@ -205,8 +210,7 @@ def projective_reps(field: FieldSpec, n_coords: int):
 # curves
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(_Value):
     """A homogeneous plane curve (or the whole of P^1 when terms is empty).
 
     `terms` is a canonically ordered tuple of (exponent tuple, coefficient)
@@ -216,31 +220,34 @@ class PlaneCurve:
     with its coefficients encoded in a field is kept the same way.
     """
 
-    n_coords: int
-    field: FieldSpec
-    terms: tuple[tuple[tuple[int, ...], FieldElement], ...]
-    _points: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    _encoded: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("n_coords", "field", "terms", "_points", "_encoded")
+    _fields = ("n_coords", "field", "terms")
 
-    def __post_init__(self):
-        if self.n_coords not in (2, 3):
+    def __init__(
+        self,
+        n_coords: int,
+        field: FieldSpec,
+        terms: tuple[tuple[tuple[int, ...], FieldElement], ...],
+    ):
+        if n_coords not in (2, 3):
             raise ValueError("ambient space must be P^1 or P^2")
-        if self.n_coords == 2 and self.terms:
+        if n_coords == 2 and terms:
             raise ValueError("P^1 instances use the empty curve (every point lies on it)")
-        if self.n_coords == 3 and not self.terms:
+        if n_coords == 3 and not terms:
             raise ValueError("a plane curve needs at least one term")
-        if self.terms:
+        if terms:
             degs = set()
-            for exps, c in self.terms:
-                if len(exps) != self.n_coords:
+            for exps, c in terms:
+                if len(exps) != n_coords:
                     raise ValueError("exponent tuple arity mismatch")
-                if not c or c.spec != self.field:
+                if not c or c.spec != field:
                     raise ValueError("curve coefficients must be nonzero elements of the curve field")
                 degs.add(sum(exps))
             if len(degs) != 1:
                 raise ValueError("curve polynomial must be homogeneous")
-        canon = tuple(sorted(self.terms, key=lambda t: t[0]))
-        object.__setattr__(self, "terms", canon)
+        self._init(n_coords, field, tuple(sorted(terms, key=lambda t: t[0])))
+        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_encoded", {})
 
     @property
     def degree(self) -> int:
@@ -274,19 +281,27 @@ class PlaneCurve:
         return not poly_eval(self.encoded_terms(pt.spec), pt.spec, pt.key)
 
     def rational_points(self, field: FieldSpec) -> tuple[ProjPoint, ...]:
-        """All points over `field`, canonical order, no duplicates.
+        """All points over `field`, canonical order, no duplicates; found
+        once per field, and later calls return the same tuple.
 
-        Brute force over the (at most a few thousand) points of the ambient
-        projective space, once per field; later calls return the same tuple.
+        A plane curve with no term in both X and Y is found by a value join
+        (`_separated_points`), in O(|F|) evaluations.  A curve with such a
+        mixed term, and P^1, are scanned: the equation is evaluated at all
+        |F|^2 + |F| + 1 (or |F| + 1) points of the ambient space.
         """
         if field not in self._points:
             if field != self.field:
                 embedding(self.field, field)  # raises PreconditionError if incompatible
             terms = self.encoded_terms(field)
-            self._points[field] = tuple(
-                p for p in projective_reps(field, self.n_coords)
-                if not poly_eval(terms, field, p.key)
-            )
+            if self.n_coords == 3 and not any(e[0] and e[1] for e, _ in terms):
+                keys = _separated_points(field, terms)
+                points = tuple(ProjPoint.from_key(field, k) for k in keys)
+            else:
+                points = tuple(
+                    p for p in projective_reps(field, self.n_coords)
+                    if not poly_eval(terms, field, p.key)
+                )
+            self._points[field] = points
         return self._points[field]
 
     def line_section_points(self, field: FieldSpec) -> tuple[ProjPoint, ...]:
@@ -294,6 +309,40 @@ class PlaneCurve:
         if self.n_coords != 3:
             raise ValueError("line sections are only defined for plane curves")
         return tuple(p for p in self.rational_points(field) if not p.key[-1])
+
+
+def _separated_points(spec: FieldSpec, terms) -> list[tuple[int, ...]]:
+    """Sorted keys of the points of a plane curve whose encoded terms
+    `terms` have no monomial in both X and Y.
+
+    On the chart Z = 1 the equation reads a(x) + b(y) = 0, where a takes
+    the terms without Y (pure powers of Z included) and b the terms with Y.
+    The values of -b over the field are bucketed by value, and each x meets
+    the bucket of a(x): those (x, y, 1) are the affine points.  The line
+    Z = 0 is a copy of P^1: its |F| + 1 points, those of `projective_reps`
+    with Z = 0 appended, are scanned on the terms without Z.  Sorted key
+    order is the canonical point order.
+    """
+    def values(pairs):
+        """[sum of c * v^e over (e, c) in pairs, for each encoding v]"""
+        univariate = [((e,), c) for e, c in pairs]
+        return [poly_eval(univariate, spec, (v,)) for v in range(spec.order)]
+
+    roots: dict[int, list[int]] = {}
+    for y, value in enumerate(values([(e[1], c) for e, c in terms if e[1]])):
+        roots.setdefault(spec.neg(value), []).append(y)
+    keys = [
+        normalized(spec, (x, y, 1))
+        for x, value in enumerate(values([(e[0], c) for e, c in terms if not e[1]]))
+        for y in roots.get(value, ())
+    ]
+    at_infinity = [(e, c) for e, c in terms if not e[2]]
+    keys += [
+        k for k in (p.key + (0,) for p in projective_reps(spec, 2))
+        if not poly_eval(at_infinity, spec, k)
+    ]
+    keys.sort()
+    return keys
 
 
 def plane_curve(field: FieldSpec, coeffs: Poly) -> PlaneCurve:

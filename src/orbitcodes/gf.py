@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError
@@ -119,27 +118,66 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its compared attributes in `_fields` and sets them
+    with `_init` in its constructor.  Instances compare equal when they are
+    of the same class with equal fields, hash the tuple of the fields and
+    print as `Name(field=value, ...)`, as a frozen dataclass with those
+    fields does; assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FieldSpec(_Value):
     """GF(p^k) presented as GF(p)[x] / (modulus)."""
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    _fields = ("p", "k", "modulus")
 
-    def __post_init__(self):
-        check_order(self.p, self.k)
-        if not is_prime(self.p):
-            raise PreconditionError("not_prime", f"{self.p} is not prime")
-        if self.k < 1 or len(self.modulus) != self.k + 1:
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        check_order(p, k)
+        if not is_prime(p):
+            raise PreconditionError("not_prime", f"{p} is not prime")
+        if k < 1 or len(modulus) != k + 1:
             raise ValueError("modulus length must be k+1")
-        if any(not (0 <= c < self.p) for c in self.modulus):
+        if any(not (0 <= c < p) for c in modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
-        if not _is_irreducible(self.modulus, self.p):
-            raise ValueError(f"modulus {self.modulus} is not monic irreducible over GF({self.p})")
-        # every FieldElement hash hashes its spec: compute the value the
-        # dataclass would, once
-        object.__setattr__(self, "_hash", hash((self.p, self.k, self.modulus)))
+        if not _is_irreducible(modulus, p):
+            raise ValueError(f"modulus {modulus} is not monic irreducible over GF({p})")
+        self._init(p, k, modulus)
+        # every FieldElement hash hashes its spec: compute the value once
+        _set(self, "_hash", hash((p, k, modulus)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -306,13 +344,16 @@ class FieldSpec:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(_Value):
     """An element of GF(p^k), held as its canonical encoding; every
     operator wraps the encoding arithmetic of its FieldSpec."""
 
-    spec: FieldSpec
-    enc: int
+    __slots__ = ("spec", "enc")
+    _fields = __slots__
+
+    def __init__(self, spec: FieldSpec, enc: int):
+        _set(self, "spec", spec)
+        _set(self, "enc", enc)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -391,8 +432,7 @@ def root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
     raise AssertionError("unit group of a finite field is cyclic (unreachable)")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Value):
     """A field homomorphism GF(p^k) -> GF(p^K) with k | K.
 
     Determined by the image of the small field's generator, which must be a
@@ -400,20 +440,16 @@ class Embedding:
     over the polynomial basis.
     """
 
-    src: FieldSpec
-    dst: FieldSpec
-    image_of_generator: FieldElement
+    _fields = ("src", "dst", "image_of_generator")
 
-    def __post_init__(self):
-        if self.src.p != self.dst.p or self.dst.k % self.src.k != 0:
-            raise PreconditionError(
-                "no_embedding", f"no embedding {self.src} -> {self.dst}"
-            )
-        if self.image_of_generator.spec != self.dst:
+    def __init__(self, src: FieldSpec, dst: FieldSpec, image_of_generator: FieldElement):
+        if src.p != dst.p or dst.k % src.k != 0:
+            raise PreconditionError("no_embedding", f"no embedding {src} -> {dst}")
+        if image_of_generator.spec != dst:
             raise ValueError("image_of_generator must live in the destination field")
-        val = _eval_poly_at(self.src.modulus, self.image_of_generator)
-        if val:
+        if _eval_poly_at(src.modulus, image_of_generator):
             raise ValueError("image_of_generator is not a root of the source modulus")
+        self._init(src, dst, image_of_generator)
 
     def apply(self, a: FieldElement) -> FieldElement:
         if a.spec != self.src:

@@ -2,10 +2,13 @@
 
 The enumeration oracle below builds projective points from raw coordinate
 triples and dedupes by scalar classes, independently of the library's
-normalized-representative generator.
+normalized-representative generator.  The value join that enumerates
+curves without a mixed XY term is compared with the brute scan it
+replaced, kept here as `oracle_rational_points`.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +21,8 @@ from orbitcodes import (
     projective_line,
     trace_fermat_curve,
 )
-from orbitcodes.geometry import poly_degree, projective_reps
+from orbitcodes import geometry
+from orbitcodes.geometry import PlaneCurve, poly_degree, poly_eval, projective_reps
 
 
 def oracle_curve_points(curve, field):
@@ -165,6 +169,98 @@ def test_enumeration_is_kept_per_field():
     assert large == tuple(p for p in projective_reps(F16, 3) if curve.contains(p))
     with pytest.raises(PreconditionError):
         curve.rational_points(make_field(3, 2))
+
+
+def oracle_rational_points(curve, field):
+    """The brute scan: every point of the ambient space, in canonical order,
+    tested on the equation."""
+    terms = curve.encoded_terms(field)
+    return tuple(
+        p for p in projective_reps(field, curve.n_coords) if not poly_eval(terms, field, p.key)
+    )
+
+
+def assert_join_matches_scan(curve, field):
+    pts = PlaneCurve(curve.n_coords, curve.field, curve.terms).rational_points(field)
+    assert pts == oracle_rational_points(curve, field)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "make,q,p,k",
+    [
+        *[(fermat_curve, q, p, 2 * s) for q, p, s in [
+            (2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2),
+            (11, 11, 1), (13, 13, 1), (16, 2, 4)]],
+        (trace_fermat_curve, 2, 2, 4), (trace_fermat_curve, 3, 3, 4), (trace_fermat_curve, 4, 2, 8),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_join_matches_the_scan_on_builtin_curves(make, q, p, k):
+    field = make_field(p, k)
+    assert_join_matches_scan(make(q, field), field)
+
+
+def test_join_matches_the_scan_over_an_extension():
+    F4, F16 = make_field(2, 2), make_field(2, 4)
+    assert_join_matches_scan(fermat_curve(2, F4), F16)
+
+
+def separated_curve(field, terms):
+    return PlaneCurve(3, field, tuple((e, field.from_enc(c)) for e, c in terms))
+
+
+def test_join_matches_the_scan_on_crafted_curves():
+    F3, F9 = make_field(3, 1), make_field(3, 2)
+    cases = [
+        # X^2 + Z^2 over GF(3): x^2 = -1 has no root, so only (0 : 1 : 0)
+        (F3, [((2, 0, 0), 1), ((0, 0, 2), 1)], [(0, 1, 0)]),
+        # Z^3: no affine point, and every point of the line Z = 0
+        (F3, [((0, 0, 3), 2)], [(0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]),
+        # degree 1: the line X + 2Y + Z
+        (F3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1)],
+         [(0, 1, 1), (1, 0, 2), (1, 1, 0), (1, 2, 1)]),
+        # Y^2 - Z^2 = (Y - Z)(Y + Z): two lines through (1 : 0 : 0)
+        (F3, [((0, 2, 0), 1), ((0, 0, 2), 2)],
+         [(0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]),
+    ]
+    for field, terms, keys in cases:
+        pts = assert_join_matches_scan(separated_curve(field, terms), field)
+        assert [p.key for p in pts] == keys
+    # a pure-Z term and a Y term with a Z factor, over GF(9)
+    curve = separated_curve(F9, [((4, 0, 0), 5), ((0, 1, 3), 7), ((0, 0, 4), 2)])
+    assert_join_matches_scan(curve, F9)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_join_matches_the_scan_on_random_separated_curves(p, k):
+    rng = random.Random(100 * p + k)
+    field = make_field(p, k)
+    shapes = {"no affine point": 0, "affine": 0, "pure Z": 0}
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        monomials = [(i, 0, d - i) for i in range(d + 1)] + [(0, j, d - j) for j in range(1, d + 1)]
+        chosen = rng.sample(monomials, rng.randint(1, min(4, len(monomials))))
+        terms = [(e, rng.randrange(1, field.order)) for e in chosen]
+        pts = assert_join_matches_scan(separated_curve(field, terms), field)
+        shapes["affine" if any(pt.key[-1] for pt in pts) else "no affine point"] += 1
+        shapes["pure Z"] += (0, 0, d) in chosen
+    assert all(shapes.values()), shapes
+
+
+def test_a_mixed_term_takes_the_scan(monkeypatch):
+    F9 = make_field(3, 2)
+    one = F9.one()
+    mixed = PlaneCurve(3, F9, (((4, 0, 0), one), ((1, 1, 2), one), ((0, 0, 4), one)))
+    separated = fermat_curve(3, F9)
+
+    def refuse(*args):
+        raise AssertionError("the join ran on a curve with a mixed term")
+
+    monkeypatch.setattr(geometry, "_separated_points", refuse)
+    assert mixed.rational_points(F9) == oracle_rational_points(mixed, F9)
+    with pytest.raises(AssertionError):
+        separated.rational_points(F9)
 
 
 # ---------------------------------------------------------------------------

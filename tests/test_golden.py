@@ -12,7 +12,10 @@ before the scan counted its last two message coordinates in one pass.
 The automorphisms jobs for bf q=2, projline q=19 and fermat q=5 are the
 benchmark's certify jobs; their hashes come from `perfbench/data/goldens.json`
 and were confirmed on the commit before the faithful-action certificate
-moved to the generators and a projective frame.  A
+moved to the generators and a projective frame.  The construct jobs for
+fermat q=9, 16 and 25 were recorded on the commit before curve points
+were found by a value join instead of a scan of the plane (fermat q=9 is
+also a benchmark construct job).  A
 refactor of the arithmetic or of any layer above it must leave every one
 of them unchanged.  The benchmark's goldens cover further jobs; together
 they are the check that a change does the same work.
@@ -34,6 +37,9 @@ GOLDEN = {
     ("construct", "projline", 9, 1): "723439fb1589c7556a4674e1395d1a68700f6a7d3d06e676527052fc31d0fc6a",
     ("construct", "projline", 11, 1): "ccb94c2ace83920c61bc26a070543f6e1bbb1a66d4634cc14741d4380bf44b4c",
     ("construct", "projline", 13, 1): "2680d76340d7cc0c73a31a768cd2aaf6b35a666fae3a0d83d8eb8a8975b23f00",
+    ("construct", "fermat", 9, 1): "bdb1e8a3a1f189bd4098f712c53dbd50a195049d5890bbdebd3e3551c0b07a83",
+    ("construct", "fermat", 16, 1): "30afbe09e97443b13f0cafa40a5a558a35257bb5b677101a8d31b8ca51900712",
+    ("construct", "fermat", 25, 1): "167931d4ccf45b3678fe9c96d8026b5e422b736282dbc5d0ab945684b1558f13",
     ("construct", "bf", 2, 1): "bbd6c112592853de6fd8c4c7a32c0a981aace13efcff36dad04a60c4fb0a63c2",
     ("distance", "bf", 3, 1): "9d01f9c05c980b8f46690109266b54c627a2d11c0e6a0faa4f08c502e9512e47",
     ("distance", "fermat", 3, 2): "e15c1394324902004ccac1d693b3f01c0c1a312a67666e394ffa274dcf21f8bf",
