@@ -34,20 +34,20 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import PreconditionError
-from .gf import FieldElement, FieldSpec, _Value, root_of_unity
+from .gf import FieldElement, FieldSpec, _Memo, _Value, root_of_unity
 from .geometry import (
     PlaneCurve,
     Poly,
     ProjPoint,
+    fermat_curve,
     normalized,
     poly_scale,
+    projective_line,
     substitute_linear,
     trace_fermat_curve,
 )
 
 CLOSURE_CAP = 10000
-
-FAMILIES = ("fermat", "projline", "bf")
 
 
 def _det(f: FieldSpec, n: int, a: tuple[int, ...]) -> int:
@@ -333,18 +333,6 @@ def standard_frame(field: FieldSpec, n: int) -> tuple[ProjPoint, ...]:
     return tuple(ProjPoint.from_key(field, k) for k in units + [(1,) * n])
 
 
-class _Images(dict):
-    """key -> the key of its image under one map; filled on first use."""
-
-    def __init__(self, m: ProjMap):
-        super().__init__()
-        self.image = m.image
-
-    def __missing__(self, key):
-        image = self[key] = self.image(key)
-        return image
-
-
 def certify_generated(group: AutGroup, frame: Sequence[ProjPoint]) -> bool:
     """True iff `group.elements` lists each element of the group H
     generated by `group.generators` exactly once, shown on the images of
@@ -366,7 +354,7 @@ def certify_generated(group: AutGroup, frame: Sequence[ProjPoint]) -> bool:
     if any(m.n != n or m.field != spec for m in group.generators + group.elements):
         return False
     start = tuple(p.key for p in frame)
-    generators = [_Images(g) for g in group.generators]
+    generators = [_Memo(g.image) for g in group.generators]
     orbit = {start}
     queue = [start]
     for t in queue:
@@ -391,82 +379,71 @@ def certify_generated(group: AutGroup, frame: Sequence[ProjPoint]) -> bool:
 
 
 def builtin_generators(family: str, q: int, spec: FieldSpec):
-    """Generator lists (G1, G2) for the named family over `spec`.
+    """Generator lists (G1, G2) for the named family over `spec`, which
+    must be GF(q^degree) for the family's degree in `FAMILIES`.
 
-    fermat  : coordinate scalings by a primitive (q+1)-th root of unity on
-              X and on Y; requires spec = GF(q^2).
+    fermat  : X -> zeta*X and Y -> zeta*Y for a primitive (q+1)-th root of
+              unity zeta; spec = GF(q^2).
     projline: s -> zeta*s and s -> zeta*s + (1-zeta)*t for a primitive
-              ((q-1)/2)-th root of unity; requires odd q >= 5 and spec = GF(q).
-    bf      : affine maps x -> lambda*x + mu (and symmetrically in y) with
-              lambda^(q+1) = 1 and mu^(q^2) + mu = 0; requires spec = GF(q^4).
-              Every returned generator is certified against the curve; the
-              constructor refuses if certification fails.
+              ((q-1)/2)-th root of unity; odd q >= 5 and spec = GF(q).
+    bf      : the fermat scalings over GF(q^4), each followed by the
+              translations x -> x + mu (y -> y + mu in G2) for mu in an
+              additive basis of {mu : mu^(q^2) + mu = 0}.
+    No generator is tested against the curve here: every construction job
+    certifies its generators against its curve equation in
+    `construction.check_curve_preservation`.
     """
-    if family == "fermat":
-        if q < 2 or spec.order != q * q:
-            raise PreconditionError(
-                "invalid_family_parameters", f"fermat family needs GF(q^2), got {spec} for q={q}"
-            )
-        zeta = root_of_unity(spec, q + 1)
-        one = spec.one()
-        g1 = [diagonal_map(spec, zeta, one, one)]
-        g2 = [diagonal_map(spec, one, zeta, one)]
-        return g1, g2
-
-    if family == "projline":
-        if q % 2 == 0 or q < 5:
-            raise PreconditionError(
-                "invalid_family_parameters", f"projline family needs odd q >= 5, got q={q}"
-            )
-        if spec.order != q:
-            raise PreconditionError(
-                "invalid_family_parameters", f"projline family needs GF(q), got {spec} for q={q}"
-            )
-        m = (q - 1) // 2
-        zeta = root_of_unity(spec, m)
-        one, zero = spec.one(), spec.zero()
-        g1 = [ProjMap(((zeta, zero), (zero, one)), spec)]
-        g2 = [ProjMap(((zeta, one - zeta), (zero, one)), spec)]
-        return g1, g2
-
-    if family == "bf":
-        if q < 2 or spec.order != q**4:
-            raise PreconditionError(
-                "invalid_family_parameters", f"bf family needs GF(q^4), got {spec} for q={q}"
-            )
-        curve = trace_fermat_curve(q, spec)
-        zeta = root_of_unity(spec, q + 1)
-        shifts = _additive_basis(
-            [a for a in spec.elements() if not (a ** (q * q) + a)], spec
+    fam = family_entry(family, q)
+    if q < 2 or spec.order != q**fam.degree:
+        raise PreconditionError(
+            "invalid_family_parameters",
+            f"{family} family needs GF(q^{fam.degree}), got {spec} for q={q}",
         )
-        one, zero = spec.one(), spec.zero()
+    return fam.generators(q, spec)
 
-        def x_maps():
-            out = [ProjMap(((zeta, zero, zero), (zero, one, zero), (zero, zero, one)), spec)]
-            out += [
-                ProjMap(((one, zero, c), (zero, one, zero), (zero, zero, one)), spec)
-                for c in shifts
-            ]
-            return out
 
-        def y_maps():
-            out = [ProjMap(((one, zero, zero), (zero, zeta, zero), (zero, zero, one)), spec)]
-            out += [
-                ProjMap(((one, zero, zero), (zero, one, c), (zero, zero, one)), spec)
-                for c in shifts
-            ]
-            return out
+def family_entry(family: str, q: int) -> Family:
+    """The `FAMILIES` entry of `family`.  Refuses an unknown name, and a q
+    that projline cannot take, before q is factored."""
+    if family not in FAMILIES:
+        raise PreconditionError("invalid_family_parameters", f"unknown family {family!r}")
+    if family == "projline" and (q % 2 == 0 or q < 5):
+        raise PreconditionError(
+            "invalid_family_parameters", f"projline family needs odd q >= 5, got q={q}"
+        )
+    return FAMILIES[family]
 
-        g1, g2 = x_maps(), y_maps()
-        for gen in g1 + g2:
-            if not gen.preserves_curve(curve):
-                raise PreconditionError(
-                    "invalid_family_parameters",
-                    f"derived bf generator {gen.key} does not preserve the curve",
-                )
-        return g1, g2
 
-    raise PreconditionError("invalid_family_parameters", f"unknown family {family!r}")
+def _scalings_and_shifts(q: int, spec: FieldSpec, shifts=()) -> tuple[list, list]:
+    """G1: X -> zeta*X for a primitive (q+1)-th root of unity zeta, then
+    X -> X + c*Z for each c in `shifts`; G2 the same in Y."""
+    zeta = root_of_unity(spec, q + 1)
+    one, zero = spec.one(), spec.zero()
+
+    def maps(i: int) -> list[ProjMap]:
+        scale = [one, one, one]
+        scale[i] = zeta
+        out = [diagonal_map(spec, *scale)]
+        for c in shifts:
+            rows = [[one if r == j else zero for j in range(3)] for r in range(3)]
+            rows[i][2] = c
+            out.append(ProjMap(tuple(map(tuple, rows)), spec))
+        return out
+
+    return maps(0), maps(1)
+
+
+def _bf_generators(q: int, spec: FieldSpec):
+    shifts = _additive_basis([a for a in spec.elements() if not (a ** (q * q) + a)], spec)
+    return _scalings_and_shifts(q, spec, shifts)
+
+
+def _projline_generators(q: int, spec: FieldSpec):
+    zeta = root_of_unity(spec, (q - 1) // 2)
+    one, zero = spec.one(), spec.zero()
+    g1 = [ProjMap(((zeta, zero), (zero, one)), spec)]
+    g2 = [ProjMap(((zeta, one - zeta), (zero, one)), spec)]
+    return g1, g2
 
 
 def _additive_basis(values, spec: FieldSpec):
@@ -480,3 +457,25 @@ def _additive_basis(values, spec: FieldSpec):
         basis.append(v)
         span |= {s + spec.from_int(c) * v for s in span for c in range(spec.p)}
     return basis
+
+
+class Family(_Value):
+    """A built-in family: its working field is GF(q^degree); `curve(q, field)`
+    and `generators(q, field)` give its curve and generator lists (G1, G2)
+    over that field, and `qprime_shape(point)` says which curve points may
+    seed the evaluation set."""
+
+    __slots__ = ("degree", "curve", "generators", "qprime_shape")
+    _fields = __slots__
+
+    def __init__(self, degree: int, curve, generators, qprime_shape):
+        self._init(degree, curve, generators, qprime_shape)
+
+
+FAMILIES = {
+    "fermat": Family(2, fermat_curve, _scalings_and_shifts, lambda pt: all(pt.key)),
+    "projline": Family(1, lambda q, field: projective_line(field), _projline_generators,
+                       lambda pt: True),
+    "bf": Family(4, trace_fermat_curve, _bf_generators,
+                 lambda pt: bool(pt.key[-1]) and not pt.key[1]),
+}

@@ -35,7 +35,7 @@ from itertools import chain
 from operator import getitem
 
 from .errors import CheckFailure, CheckReport, PreconditionError
-from .gf import FieldElement, FieldSpec, _Value
+from .gf import FieldElement, FieldSpec, _Memo, _Value
 from .geometry import ProjPoint
 from .autgroup import AutGroup, ProjMap, certify_generated, find_frame
 
@@ -222,31 +222,19 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     return best
 
 
-class _Cells(dict):
-    """acc value -> the cells s2*q + s where acc + s2*r + s*l is zero, for
-    one column pair (r, l); filled on first use."""
-
-    def __init__(self, cells_of):
-        super().__init__()
-        self.cells_of = cells_of
-
-    def __missing__(self, a):
-        cells = self[a] = self.cells_of(a)
-        return cells
-
-
 def _zero_cells(spec: FieldSpec, add, r: Sequence[int], l: Sequence[int]) -> list:
-    """Per position j, the `_Cells` table of its column pair (r[j], l[j]);
-    positions with the same pair share one table.  A zero pair maps acc
-    value 0 to the sentinel q*q (zero in every cell) and any other value to
-    no cell."""
+    """Per position j, the table of its column pair (r[j], l[j]): a `_Memo`
+    from acc value to the cells s2*q + s where acc + s2*r[j] + s*l[j] is
+    zero.  Positions with the same pair share one table.  A zero pair maps
+    acc value 0 to the sentinel q*q (zero in every cell) and any other value
+    to no cell."""
     q = spec.order
     ints = list(range(q * q))  # every cell tuple shares these int objects
     offsets = ints[::q]  # s2*q for each s2
     mul = spec.mul
     multiples = {0: (0,) * q}  # c -> c*s2 for each s2, shared by the pairs
 
-    def table(rj: int, lj: int) -> _Cells:
+    def table(rj: int, lj: int) -> _Memo:
         if lj:
             # s = u*acc + (u*rj)*s2 with u = -1/lj
             u = spec.neg(spec.inv(lj))
@@ -266,8 +254,8 @@ def _zero_cells(spec: FieldSpec, add, r: Sequence[int], l: Sequence[int]) -> lis
                 return tuple(ints[s2 * q:(s2 + 1) * q])
         else:
             every = (q * q,)
-            return _Cells(lambda a: () if a else every)
-        return _Cells(cells_of)
+            return _Memo(lambda a: () if a else every)
+        return _Memo(cells_of)
 
     tables = {pair: table(*pair) for pair in set(zip(r, l))}
     return [tables[pair] for pair in zip(r, l)]

@@ -38,11 +38,8 @@ from .geometry import (
     PlaneCurve,
     Poly,
     ProjPoint,
-    fermat_curve,
     poly_degree,
     poly_eval,
-    projective_line,
-    trace_fermat_curve,
 )
 from .autgroup import (
     FAMILIES,
@@ -50,6 +47,7 @@ from .autgroup import (
     builtin_generators,
     certify_generated,
     close,
+    family_entry,
     standard_frame,
 )
 from .code_analysis import EvalCode, rank_and_rref
@@ -603,48 +601,25 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
 
 
 def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
-    """Assemble a built-in instance with the deterministic choices of Q and
-    Q': the first candidate in canonical point order that satisfies the
-    family's shape rule and passes the applicable checks."""
-    if family == "fermat":
-        field = _family_field(q, 2)
-        curve = fermat_curve(q, field)
-        g1, g2 = builtin_generators("fermat", q, field)
-        G1, G2 = close(g1, label="G1"), close(g2, label="G2")
+    """Assemble a built-in instance from its `FAMILIES` entry, with the
+    deterministic choices of Q and Q'.
+
+    Q is the first line-section point on a plane curve, and the first point
+    with coincident orbit multisets on P^1.  Q' is the first curve point in
+    canonical order that meets the family's shape rule and passes
+    `check_condition_d`.  The generators are not checked against the curve
+    here: `run_construction` certifies them in `check_curve_preservation`.
+    """
+    fam = family_entry(family, q)
+    field = _family_field(q, fam.degree)
+    curve = fam.curve(q, field)
+    g1, g2 = builtin_generators(family, q, field)
+    groups = (close(g1, label="G1"), close(g2, label="G2"))
+    if curve.n_coords == 3:
         Q = curve.line_section_points(field)[0]
-        return _with_first_valid_qprime(
-            curve, field, (G1, G2), Q, m,
-            shape=lambda pt: all(pt.key),
-            family=family, q=q,
-        )
-
-    if family == "projline":
-        if q % 2 == 0 or q < 5:
-            raise PreconditionError(
-                "invalid_family_parameters", f"projline family needs odd q >= 5, got q={q}"
-            )
-        field = _family_field(q, 1)
-        curve = projective_line(field)
-        g1, g2 = builtin_generators("projline", q, field)
-        G1, G2 = close(g1, label="G1"), close(g2, label="G2")
-        Q = _first_common_fiber_point(curve, field, (G1, G2))
-        return _with_first_valid_qprime(
-            curve, field, (G1, G2), Q, m, shape=lambda pt: True, family=family, q=q
-        )
-
-    if family == "bf":
-        field = _family_field(q, 4)
-        curve = trace_fermat_curve(q, field)
-        g1, g2 = builtin_generators("bf", q, field)
-        G1, G2 = close(g1, label="G1"), close(g2, label="G2")
-        Q = curve.line_section_points(field)[0]
-        return _with_first_valid_qprime(
-            curve, field, (G1, G2), Q, m,
-            shape=lambda pt: bool(pt.key[-1]) and not pt.key[1],
-            family=family, q=q,
-        )
-
-    raise PreconditionError("invalid_family_parameters", f"unknown family {family!r}")
+    else:
+        Q = _first_common_fiber_point(curve, field, groups)
+    return _with_first_valid_qprime(curve, field, groups, Q, m, fam.qprime_shape, family, q)
 
 
 def _family_field(q: int, degree: int) -> FieldSpec:
@@ -667,21 +642,17 @@ def _first_common_fiber_point(curve: PlaneCurve, field: FieldSpec, groups) -> Pr
 
 def _with_first_valid_qprime(curve, field, groups, Q, m, shape, family, q) -> Instance:
     """The instance whose evaluation seed is the first curve point matching
-    the family's shape rule that passes the eligibility clauses.  It keeps
-    the joint group closed for the search."""
+    the family's shape rule that passes `check_condition_d`.  Each
+    candidate is derived from the one before, so the joint group is closed
+    once for the search."""
     candidates = [pt for pt in curve.rational_points(field) if shape(pt)]
     if candidates:
-        probe = Instance(curve, groups, Q, candidates[0], field, field, m, family=family, q=q)
-        D = build_divisor(probe)
-        supp = set(D.points())
-        joint = probe.joint_group()
-        g1 = groups[0].order
+        inst = Instance(curve, groups, Q, candidates[0], field, field, m, family=family, q=q)
+        D = build_divisor(inst)
         for pt in candidates:
-            if pt in supp:
-                continue
-            S = joint.orbit(pt)
-            if m * g1 < len(S):
-                return probe.with_qprime(pt)
+            inst = inst.with_qprime(pt)
+            if check_condition_d(inst, D)[1].passed:
+                return inst
     raise PreconditionError(
         "no_valid_qprime",
         f"no valid evaluation seed exists for family {family!r} "

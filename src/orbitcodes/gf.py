@@ -160,6 +160,20 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+class _Memo(dict):
+    """key -> fn(key), computed on first use and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class FieldSpec(_Value):
     """GF(p^k) presented as GF(p)[x] / (modulus)."""
 

@@ -120,8 +120,8 @@ def test_criterion_5_scaled_fermat3():
 @criterion(6, "bf q=2: certified generators, k=3, weight witness, bound met")
 def test_criterion_6_bf_family():
     t0 = time.monotonic()
-    inst = builtin_instance("bf", 2)  # generator certification happens here
-    res = run_construction(inst)
+    inst = builtin_instance("bf", 2)
+    res = run_construction(inst)  # certifies the generators against the curve
     code = res.code
     assert code.rank == 3
     # weight witness: the function y vanishes exactly at the (x : 0 : 1)

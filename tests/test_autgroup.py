@@ -22,6 +22,7 @@ from orbitcodes import (
 )
 from orbitcodes.autgroup import _det, certify_generated, find_frame, standard_frame
 from orbitcodes.geometry import projective_reps
+from orbitcodes.gf import prime_power
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,15 @@ def test_singular_map_rejected():
     with pytest.raises(ValueError):
         ProjMap(((o, o), (o, o)), F5)
     _ = ProjMap(((o, o), (z, o)), F5)  # invertible shear is fine
+
+
+def test_map_refuses_assignment():
+    F5 = make_field(5, 1)
+    m = diagonal_map(F5, F5.from_int(2), F5.one())
+    for name, value in [("key", (1, 0, 0, 1)), ("field", make_field(7, 1)), ("n", 3)]:
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert m.key == (1, 0, 0, 3) and m.n == 2 and m.field == F5
 
 
 def test_inverse_and_composition():
@@ -302,15 +312,17 @@ def test_wrong_field_rejected():
         builtin_generators("fermat", 3, make_field(3, 1))  # needs GF(9)
 
 
-def test_bf_generators_certified_against_curve():
-    F16 = make_field(2, 4)
-    g1, g2 = builtin_generators("bf", 2, F16)
-    curve = trace_fermat_curve(2, F16)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_bf_generators_certified_against_curve(q):
+    p, s = prime_power(q)
+    field = make_field(p, 4 * s)
+    g1, g2 = builtin_generators("bf", q, field)
+    curve = trace_fermat_curve(q, field)
     for g in g1 + g2:
         assert g.preserves_curve(curve)
     # x-translations act trivially on y and vice versa
-    assert close(g1).order == 12 == 2**3 + 2**2
-    assert close(g2).order == 12
+    assert close(g1).order == q**3 + q**2
+    assert close(g2).order == q**3 + q**2
 
 
 def test_bf_joint_group():

@@ -145,6 +145,29 @@ def test_fermat_q2_has_no_valid_seed():
     assert exc.value.details["points_scanned"] == 9
 
 
+@pytest.mark.parametrize(
+    "family,q,kind",
+    [
+        ("fermat", 1, "not_prime_power"),
+        ("fermat", 6, "not_prime_power"),
+        ("projline", 1, "invalid_family_parameters"),
+        ("projline", 3, "invalid_family_parameters"),
+        ("projline", 4, "invalid_family_parameters"),
+        ("projline", 6, "invalid_family_parameters"),  # the q rule runs before q is factored
+        ("projline", 15, "not_prime_power"),
+        ("bf", 1, "not_prime_power"),
+        ("bf", 6, "not_prime_power"),
+        ("klein", 3, "invalid_family_parameters"),
+        ("fermat", 1000003, "order_overflow"),
+        ("projline", 1000003, "order_overflow"),
+    ],
+)
+def test_builtin_instance_error_kinds(family, q, kind):
+    with pytest.raises(PreconditionError) as exc:
+        builtin_instance(family, q)
+    assert exc.value.kind == kind
+
+
 def test_condition_d_rejects_seed_in_support():
     F9 = make_field(3, 2)
     g1, g2 = builtin_generators("fermat", 3, F9)

@@ -70,6 +70,14 @@ def test_zero_point_rejected():
         ProjPoint((F5.zero(), F5.zero()))
 
 
+def test_point_refuses_assignment():
+    p = point(make_field(5, 1), 1, 2)
+    for name, value in [("key", (1, 3)), ("spec", make_field(7, 1)), ("other", 0)]:
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p.key == (1, 2) and p.spec == make_field(5, 1)
+
+
 def test_projective_reps_count_and_order():
     F5 = make_field(5, 1)
     pts = list(projective_reps(F5, 3))
