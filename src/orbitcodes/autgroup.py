@@ -68,18 +68,45 @@ def _identity_key(n: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
-def _columns(n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The columns of the row-major n x n key b."""
-    return [b[j::n] for j in range(n)]
+def _row_logs(f: FieldSpec, n: int, a: tuple[int, ...]) -> list:
+    """Per row of the row-major n x n key a, the (column, logarithm) pairs
+    of its nonzero entries."""
+    log = f._tables[1]
+    return [[(t, log[x]) for t, x in enumerate(a[i : i + n]) if x] for i in range(0, n * n, n)]
 
 
-def _compose(f: FieldSpec, n: int, a: tuple[int, ...], cols) -> tuple[int, ...]:
-    """The normalized key of the product of the key a and the matrix with
-    columns `cols`: row i of the product is those columns times row i of a."""
-    product = ()
-    for i in range(0, n * n, n):
-        product += f.matvec(cols, a[i : i + n])
-    return normalized(f, product)
+def _column_logs(f: FieldSpec, n: int, b: tuple[int, ...]) -> list:
+    """The logarithms of the columns of the row-major n x n key b, None for
+    a zero entry."""
+    log = f._tables[1]
+    return [[log[x] if x else None for x in b[j::n]] for j in range(n)]
+
+
+def _compose(f: FieldSpec, rows, cols) -> tuple[int, ...]:
+    """The normalized key of the product of the matrix whose `_row_logs` are
+    `rows` and the matrix whose `_column_logs` are `cols`.
+
+    Each entry sums its products as Zech logarithms, as `FieldSpec.matvec`
+    does, and the product is normalized in the log domain: every entry's
+    logarithm drops by that of the first nonzero entry.
+    """
+    exp, _, zech = f._tables
+    m = len(exp) // 2
+    logs = []
+    for row in rows:
+        for col in cols:
+            acc = None  # log of the running sum; None while it is zero
+            for t, la in row:
+                lb = col[t]
+                if lb is not None:
+                    if acc is None:
+                        acc = la + lb
+                    else:
+                        z = zech[(la + lb - acc) % m]
+                        acc = None if z is None else acc + z
+            logs.append(acc)
+    lead = next(x for x in logs if x is not None)
+    return tuple([0 if x is None else exp[(x - lead) % m] for x in logs])
 
 
 class ProjMap:
@@ -133,8 +160,9 @@ class ProjMap:
     def __matmul__(self, other: ProjMap) -> ProjMap:
         if self.field != other.field or self.n != other.n:
             raise ValueError("cannot compose maps over different spaces")
-        key = _compose(self.field, self.n, self.key, _columns(self.n, other.key))
-        return ProjMap.from_key(self.field, self.n, key)
+        f, n = self.field, self.n
+        key = _compose(f, _row_logs(f, n, self.key), _column_logs(f, n, other.key))
+        return ProjMap.from_key(f, n, key)
 
     def inverse(self) -> ProjMap:
         f, a = self.field, self.key
@@ -285,10 +313,11 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     ident = _identity_key(n)
     elements = [ident]
     seen = {ident}
-    columns = [_columns(n, g.key) for g in generators]
+    columns = [_column_logs(f, n, g.key) for g in generators]
     for m in elements:
+        rows = _row_logs(f, n, m)  # read once, used for every generator
         for cols in columns:
-            prod = _compose(f, n, m, cols)
+            prod = _compose(f, rows, cols)
             if prod not in seen:
                 if len(elements) >= cap:
                     raise PreconditionError(

@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--max-messages",
                 type=int,
-                help="enumeration guard on |F|^k - 1, at least 1 (raise to force larger scans)",
+                help=(
+                    "guard on the codewords up to scalars the chosen method forms: "
+                    "(|F|^k - 1)/(|F| - 1) for the scan, the estimate and then the "
+                    "count for Brouwer-Zimmermann; at least 1 (raise to force)"
+                ),
             )
     return parser
 

@@ -109,12 +109,12 @@ def test_criterion_5_scaled_fermat3():
     res = run_construction(builtin_instance("fermat", 3, m=2))
     assert (res.code.n, res.code.rank) == (16, 6)
     assert res.code.distance_bound == 16 - 2 * 4
-    d = min_distance_exact(res.code)  # 9^6 - 1 codewords in (9^6 - 1)/8 scalar classes
+    d = min_distance_exact(res.code)  # BZ: 2812 codewords, not (9^6 - 1)/8 scalar classes
     elapsed = time.monotonic() - t0
     assert d >= res.code.distance_bound
     assert d == 8  # frozen regression value from the first exhaustive scan
     assert elapsed < 0.25
-    return f"exact d={d} from the (9^6-1)/8 scalar classes in {elapsed:.2f}s"
+    return f"exact d={d} in {elapsed:.2f}s"
 
 
 @criterion(6, "bf q=2: certified generators, k=3, weight witness, bound met")
@@ -227,3 +227,20 @@ def test_criterion_8_property_suites(built):
 
     assert counterexamples == 0
     return "fields, closures, orbits, divisor/orbit stability, bound guard"
+
+
+@criterion(9, "high-rate codes get their exact distance at the default guard")
+def test_criterion_9_high_rate_distance(capsys):
+    # fermat q=3 m=3 has 4.4*10^8 scalar classes and bf q=2 m=3 7*10^10:
+    # Brouwer-Zimmermann forms about 8,000 and 3,400 codewords
+    seen = []
+    for family, q, m, d in [("fermat", 3, 3, 4), ("bf", 2, 3, 12)]:
+        t0 = time.monotonic()
+        code = cli.main(["distance", "--family", family, "--q", str(q), "--m", str(m)])
+        elapsed = time.monotonic() - t0
+        out = capsys.readouterr()
+        assert code == 0
+        assert f"exact minimum distance {d}, designed bound {d} (met)" in out.err
+        assert elapsed < 1.0
+        seen.append(f"{family} q={q} m={m}: d={d} in {elapsed:.3f}s")
+    return "; ".join(seen)

@@ -176,6 +176,57 @@ def test_close_matches_brute_force_closure(built, fermat3):
         assert set(grp.elements) == brute_force_closure(grp.generators)
 
 
+def oracle_product_key(a, b):
+    """The normalized key of a @ b, from FieldElement arithmetic."""
+    ra, rb, n = a.rows, b.rows, a.n
+    prod = [sum((ra[i][t] * rb[t][j] for t in range(1, n)), ra[i][0] * rb[0][j])
+            for i in range(n) for j in range(n)]
+    inv = next(x for x in prod if x).inv()
+    return tuple((x * inv).enc for x in prod)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (3, 4)])
+def test_products_match_the_element_oracle(p, k):
+    """Random invertible maps, with zero entries and cancelling sums."""
+    field = make_field(p, k)
+    els = list(field.elements())
+    rng = random.Random(900 + p**k)
+    maps = []
+    while len(maps) < 24:
+        n = rng.choice((2, 3))
+        rows = [[rng.choice(els) if rng.random() < 0.6 else field.zero() for _ in range(n)]
+                for _ in range(n)]
+        try:
+            maps.append(ProjMap(tuple(map(tuple, rows)), field))
+        except ValueError:
+            pass
+    for a, b in itertools.product(maps, repeat=2):
+        if a.n == b.n:
+            assert (a @ b).key == oracle_product_key(a, b)
+
+
+def test_close_keeps_the_breadth_first_order(built, fermat3):
+    """The elements, in order, of a breadth-first search that multiplies
+    each kept element by the generators in turn with the element oracle."""
+    _, g1, g2 = fermat3
+    groups = [close(g1 + g2)]
+    for res in built.values():
+        groups += res.instance.groups
+    for grp in groups:
+        gens = grp.generators
+        field, n = gens[0].field, gens[0].n
+        keys = [identity_map(field, n).key]
+        seen = set(keys)
+        for key in keys:
+            a = ProjMap.from_key(field, n, key)
+            for g in gens:
+                product = oracle_product_key(a, g)
+                if product not in seen:
+                    seen.add(product)
+                    keys.append(product)
+        assert [e.key for e in grp.elements] == keys
+
+
 def test_lagrange_divisibility(fermat3):
     _, g1, g2 = fermat3
     joint = close(g1 + g2)

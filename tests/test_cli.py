@@ -97,12 +97,13 @@ def test_nonpositive_guard_or_scale_is_usage_error(capsys, argv):
     assert argv[1] in doc["message"]
 
 
-def test_guard_of_one_still_counts_every_message(capsys):
+def test_guard_of_one_counts_the_scalar_classes(capsys):
+    # fermat q=3 is [16, 3]_9, which takes the scan: (9^3 - 1)/8 classes
     code, stdout, _ = run_cli(capsys, "distance", "--max-messages", "1")
     assert code == EXIT_PRECONDITION
     doc = json.loads(stdout)
     assert doc["error"] == "enumeration_guard_exceeded"
-    assert doc["details"] == {"messages": 9**3 - 1, "guard": 1}
+    assert doc["details"] == {"messages": (9**3 - 1) // 8, "guard": 1}
 
 
 def test_automorphisms_fermat3(capsys):

@@ -250,14 +250,34 @@ def test_distance_scan_enforces_bound():
     assert exc.value.report.name == "distance_bound"
 
 
-def test_distance_guard():
-    res = run_construction(builtin_instance("projline", 9))
-    total = 9**5 - 1  # every nonzero message counts, not only the scalar classes
-    with pytest.raises(PreconditionError) as exc:
-        min_distance_exact(res.code, max_messages=total - 1)
-    assert exc.value.kind == "enumeration_guard_exceeded"
-    assert exc.value.details == {"messages": total, "guard": total - 1}
-    assert min_distance_exact(res.code, max_messages=total) == 5
+def test_distance_guard(built):
+    """The guard caps the codewords up to scalars that the chosen method
+    forms: the scan's scalar classes, and BZ's codewords, estimated before
+    the run from the designed bound."""
+    # fermat q=3 is [16, 3]_9: the scan forms its (9^3 - 1)/8 = 91 classes.
+    # projline q=9 is [9, 5, 5]_9 on information sets of ranks 5 and 4:
+    # BZ proves (w + 1) + w >= 5 at w = 2, after 5 + C(5, 2)*8 = 85
+    # codewords on each set.
+    for key, formed, d in [(("fermat", 3), 91, 12), (("projline", 9), 2 * 85, 5)]:
+        code = built[key].code
+        with pytest.raises(PreconditionError) as exc:
+            min_distance_exact(code, max_messages=formed - 1)
+        assert exc.value.kind == "enumeration_guard_exceeded"
+        assert exc.value.details == {"messages": formed, "guard": formed - 1}
+        assert min_distance_exact(code, max_messages=formed) == d
+
+
+def test_distance_guard_counts_bz_during_the_run(built):
+    # with the designed bound 1 the estimate is the 5 rows of the first set,
+    # but d = 5 takes BZ to w = 4 on that set: 5 + 80 + 640 + 2560 codewords
+    loose = with_bound(built[("projline", 9)].code, 1)
+    sets, estimate = code_analysis._information_sets(loose, 7381)
+    assert ([r for _, r in sets], estimate) == ([5], 5)
+    for guard, formed in [(169, 725), (3284, 3285)]:
+        with pytest.raises(PreconditionError) as exc:
+            min_distance_exact(loose, max_messages=guard)
+        assert exc.value.details == {"messages": formed, "guard": guard}
+    assert min_distance_exact(loose, max_messages=3285) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +468,209 @@ def test_scan_matches_full_enumeration_on_builtins(built):
         for bound in (d + 1, code.n + 1):
             rep = assert_distance_matches_oracle(with_bound(code, bound))
             assert rep.name == "distance_bound" and not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Brouwer-Zimmermann and the choice of method, against the scan and the
+# full enumeration
+
+
+def bz_on_every_set(code, budget=DEFAULT_MESSAGE_GUARD):
+    """BZ on all the greedy information sets, whatever their cost."""
+    return code_analysis._bz_distance(code, list(code_analysis._greedy_sets(code)), budget)
+
+
+def assert_bz_matches_oracle(code):
+    """BZ gives the exact distance, or a weight of the code below the bound
+    (its own report, not necessarily the scan's first violation)."""
+    want = distance_or_report(oracle_min_distance_exact, code)
+    got = distance_or_report(bz_on_every_set, code)
+    if isinstance(want, int):
+        assert got == want
+    else:
+        d = oracle_min_distance_exact(with_bound(code, 0))
+        assert got.name == "distance_bound" and not got.passed
+        assert d <= got.details["weight"] < got.details["bound"] == code.distance_bound
+    return want
+
+
+def methods_taken(code, monkeypatch, **kwargs):
+    """The distance and the methods `min_distance_exact` ran, in order."""
+    taken = []
+    for name in ("_scan_distance", "_bz_distance"):
+        fn = getattr(code_analysis, name)
+
+        def spy(*args, fn=fn, name=name):
+            taken.append(name.strip("_").split("_")[0])
+            return fn(*args)
+
+        monkeypatch.setattr(code_analysis, name, spy)
+    return distance_or_report(lambda c: min_distance_exact(c, **kwargs), code), taken
+
+
+@pytest.mark.parametrize("family,q,m,method,d", [
+    # rank 3: the scan, at most two parent nodes, whatever the field
+    ("fermat", 3, 1, "scan", 12), ("fermat", 9, 1, "scan", 90), ("fermat", 16, 1, "scan", 272),
+    ("bf", 2, 1, "scan", 36), ("bf", 3, 1, "scan", 288), ("projline", 5, 1, "scan", 3),
+    # [7, 4]_7: 400 classes against BZ's 184 codewords and one set
+    ("projline", 7, 1, "scan", 4),
+    ("projline", 7, 2, "bz", 1), ("projline", 9, 1, "bz", 5), ("projline", 11, 1, "bz", 6),
+    ("projline", 13, 1, "bz", 7), ("fermat", 3, 2, "bz", 8), ("fermat", 3, 3, "bz", 4),
+    ("fermat", 4, 2, "bz", 15), ("bf", 2, 3, "bz", 12),
+])
+def test_method_taken_by_each_builtin(family, q, m, method, d, monkeypatch):
+    code = run_construction(builtin_instance(family, q, m=m)).code
+    assert methods_taken(code, monkeypatch) == (d, [method])
+
+
+def test_greedy_sets_are_disjoint_and_systematic():
+    F4 = make_field(2, 2)
+    for code in [random_code(random.Random(seed), F4) for seed in range(40)]:
+        k, n, used = code.rank, code.n, set()
+        for rows, r in code_analysis._greedy_sets(code):
+            # the rows span the code and are systematic: each row i has a
+            # column e_i, and the first unused one is its new pivot if any
+            assert rank_and_rref(F4, rows)[0] == k
+            assert all(in_row_space(F4, row, *code.reduced[1:]) for row in rows)
+            units = [[j for j in range(n) if all(row[j] == (i == t) for t, row in enumerate(rows))]
+                     for i in range(k)]
+            assert all(units)
+            new = {min(set(cols) - used) for cols in units if set(cols) - used}
+            assert len(new) == r >= 1
+            used |= new
+        # every nonzero column ends up in some set
+        assert used == {j for j in range(n) if any(row[j] for row in code.encodings)}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_bz_matches_full_enumeration_on_random_codes(p, k):
+    rng = random.Random(3000 * p + k)
+    field = make_field(p, k)
+    partial = failures = 0
+    for _ in range(60):
+        code = random_code(rng, field)
+        assert isinstance(assert_bz_matches_oracle(code), int)
+        partial += any(r < code.rank for _, r in code_analysis._greedy_sets(code))
+        bounded = with_bound(code, rng.randint(0, code.n + 1))
+        failures += isinstance(assert_bz_matches_oracle(bounded), CheckReport)
+    assert partial and 0 < failures < 60
+
+
+def high_rate_code(rng, field):
+    """A code of rank 4 to 6 and length at most 3k, systematic on its first
+    k columns, with zero and repeated columns, and at most 2^15 messages."""
+    els = list(field.elements())
+    while True:
+        k = rng.randint(4, 6)
+        if field.order**k <= 2**17:
+            break
+    n = rng.randint(k + 1, 3 * k)
+    cols = [tuple(els[1] if i == j else els[0] for i in range(k)) for j in range(k)]
+    for _ in range(n - k):
+        kind = rng.random()
+        if kind < 0.1:
+            cols.append((els[0],) * k)
+        elif kind < 0.2:
+            cols.append(rng.choice(cols))
+        else:
+            cols.append(tuple(rng.choice(els) for _ in range(k)))
+    return code_of(field, tuple(zip(*cols)), k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_choice_matches_scan_and_full_enumeration(p, k, monkeypatch):
+    """The chosen method gives the scan's distance or report, which is the
+    full enumeration's, with bounds at and above d; both methods are taken."""
+    rng = random.Random(5000 * p + k)
+    field = make_field(p, k)
+    seen = set()
+    for _ in range(20):
+        code = high_rate_code(rng, field)
+        d = oracle_min_distance_exact(code)
+        for bound in (0, d, d + 1, d + 3):
+            bounded = with_bound(code, bound)
+            want = d if bound <= d else distance_or_report(oracle_min_distance_exact, bounded)
+            assert distance_or_report(code_analysis._scan_distance, bounded) == want
+            got, taken = methods_taken(bounded, monkeypatch)
+            assert got == want
+            seen.add(taken[0])
+            assert taken in (["scan"], ["bz"], ["bz", "scan"])
+            assert (taken == ["bz", "scan"]) == (taken[0] == "bz" and bound > d)
+    assert seen == {"scan", "bz"}
+
+
+def test_bz_catches_up_the_lower_weights_of_a_partial_set():
+    # information sets of ranks 5, 3 and 1 over GF(4), d = 3: the set of
+    # rank 3 adds to the bound from w = 2 on, and a weight-3 codeword is
+    # found only on its messages of weight 1
+    F4 = make_field(2, 2)
+    rows = [
+        (1, 2, 0, 2, 1, 0, 0, 1, 1),
+        (0, 1, 0, 0, 3, 3, 1, 3, 2),
+        (2, 0, 1, 0, 0, 0, 3, 1, 0),
+        (0, 0, 0, 1, 2, 2, 0, 2, 0),
+        (2, 0, 0, 1, 0, 1, 0, 1, 0),
+    ]
+    code = encoded_code(F4, rows, rank=5, distance_bound=0)
+    assert [r for _, r in code_analysis._greedy_sets(code)] == [5, 3, 1]
+    assert assert_bz_matches_oracle(code) == 3
+
+
+@pytest.mark.parametrize("rows,rank,ranks,d", [
+    # GF(2), three sets of ranks 3, 2 and 1
+    ([(0, 1, 0, 1, 1, 1), (1, 1, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0)], 3, [3, 2, 1], 2),
+    # two all-zero columns and a zero row
+    ([(0, 0, 0, 1, 0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 0, 0, 1, 1, 0, 0),
+      (0, 0, 0, 1, 1, 0, 0, 0, 0, 1), (0, 0, 1, 1, 0, 1, 1, 1, 0, 0),
+      (0,) * 10], 4, [4, 3, 1], 2),
+])
+def test_bz_on_partial_sets_and_zero_columns(rows, rank, ranks, d):
+    F2 = make_field(2, 1)
+    code = encoded_code(F2, rows, rank=rank, distance_bound=0)
+    assert [r for _, r in code_analysis._greedy_sets(code)] == ranks
+    assert assert_bz_matches_oracle(code) == d
+    for bound in (d, d + 1):
+        assert_bz_matches_oracle(with_bound(code, bound))
+        assert_distance_matches_oracle(with_bound(code, bound))
+
+
+def test_sub_bound_weight_met_by_bz_gets_the_scan_report(monkeypatch):
+    # over GF(5) the first row has weight 1 and the last weight 2; BZ meets
+    # the first one, the scan's first violating message is (0, 0, 0, 0, 1)
+    F5 = make_field(5, 1)
+    rows = [
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 1, 1, 1, 1, 1),
+        (0, 0, 1, 0, 0, 1, 2, 3, 4, 1),
+        (0, 0, 0, 1, 0, 1, 3, 4, 2, 2),
+        (0, 0, 0, 0, 1, 1, 0, 0, 0, 0),
+    ]
+    code = encoded_code(F5, rows, rank=5, distance_bound=3)
+    rep, taken = methods_taken(code, monkeypatch)
+    assert taken == ["bz", "scan"]
+    assert rep == distance_or_report(oracle_min_distance_exact, code)
+    assert rep.details == {"weight": 2, "bound": 3}
+    # outside the guard the scan does not run, and BZ's weight is reported
+    classes = (5**5 - 1) // 4
+    rep, taken = methods_taken(code, monkeypatch, max_messages=classes - 1)
+    assert taken == ["bz"]
+    assert rep.details == {"weight": 1, "bound": 3}
+
+
+def test_bz_past_the_scan_count_hands_over_to_the_scan(monkeypatch):
+    # the [12, 4, 9] Reed-Solomon code over GF(13) with the designed bound 5:
+    # BZ plans two sets and w = 2, but d = 9 takes it to w = 4, where it
+    # would form 2*652 + 12^3 = 3032 codewords, past the 2380 classes
+    F13 = make_field(13, 1)
+    xs = range(1, 13)
+    rows = [tuple(F13.pow(x, e) for x in xs) for e in range(4)]
+    code = encoded_code(F13, rows, rank=4, distance_bound=5)
+    assert methods_taken(code, monkeypatch) == (9, ["bz", "scan"])
+    assert methods_taken(code, monkeypatch, max_messages=2380) == (9, ["bz", "scan"])
+    # below the scan's count, BZ's own count is what passes the guard
+    with pytest.raises(PreconditionError) as exc:
+        min_distance_exact(code, max_messages=2379)
+    assert exc.value.details == {"messages": 3032, "guard": 2379}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,14 @@ and were confirmed on the commit before the faithful-action certificate
 moved to the generators and a projective frame.  The construct jobs for
 fermat q=9, 16 and 25 were recorded on the commit before curve points
 were found by a value join instead of a scan of the plane (fermat q=9 is
-also a benchmark construct job).  A
+also a benchmark construct job).  The distance jobs projline q=13, fermat
+q=4 at m=2 and fermat q=3 at m=3 were recorded on the commit before the
+distance moved to the cheaper of the scan and Brouwer-Zimmermann, with the
+guard raised there (fermat q=3 m=3, [16, 10] over GF(9), took 82 s); the
+default guard admits them now.  That commit cannot run distance bf q=2 at
+m=3 ([48, 10] over GF(16), 7*10^10 scalar classes), so its hash was
+recorded from the change itself; `test_bf2_m3_distance_is_its_designed_bound`
+checks its distance with a witness instead.  A
 refactor of the arithmetic or of any layer above it must leave every one
 of them unchanged.  The benchmark's goldens cover further jobs; together
 they are the check that a change does the same work.
@@ -25,7 +32,7 @@ import hashlib
 
 import pytest
 
-from orbitcodes import cli
+from orbitcodes import builtin_instance, cli, min_distance_exact, run_construction
 from orbitcodes.cli import EXIT_OK
 
 GOLDEN = {
@@ -44,6 +51,10 @@ GOLDEN = {
     ("distance", "bf", 3, 1): "9d01f9c05c980b8f46690109266b54c627a2d11c0e6a0faa4f08c502e9512e47",
     ("distance", "fermat", 3, 2): "e15c1394324902004ccac1d693b3f01c0c1a312a67666e394ffa274dcf21f8bf",
     ("distance", "fermat", 16, 1): "5cfff8fa5afb1a2df5ebe5ec8cc6ed4a8ef060d727b379d9d185d01fb490e5cd",
+    ("distance", "fermat", 4, 2): "de17199888789eea079286edd595ea654bbf228fda0f4ab7bc504c9e6c349717",
+    ("distance", "fermat", 3, 3): "c723c77dacde559073f62419b6cdad2644e2809681eb13f0e93d3a0672aa2f1e",
+    ("distance", "projline", 13, 1): "73456aa72b75cae541119b90e1655aa6e2f959fa08291d711cfb910e3e953e70",
+    ("distance", "bf", 2, 3): "2669e6550546d1e7f94a4abc83e897cfb06685a34bd95f99323830e23d196bae",
     ("distance", "projline", 7, 1): "c117c8e01cf839c9cb6a47b1fa9f7619f79559c26c4c5ab83424dedc2d317313",
     ("distance", "projline", 7, 2): "ccff2384573443873d7b4748718635f0b028e5b72fade214e92556788f4300a8",
     ("distance", "projline", 11, 1): "eacab62db47454276972a92746174e057ea07c66076dc7230b3097d1b9a652db",
@@ -69,3 +80,12 @@ def test_stdout_matches_golden(tmp_path, capsys, command, family, q, m):
     assert code == EXIT_OK
     assert out.read_text() == stdout
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN[(command, family, q, m)]
+
+
+def test_bf2_m3_distance_is_its_designed_bound():
+    """bf q=2 at m=3 is [48, 10] over GF(16) with designed bound 12, and the
+    sum of its first and last basis rows has weight 12: so d = 12."""
+    code = run_construction(builtin_instance("bf", 2, m=3)).code
+    word = [a + b for a, b in zip(code.matrix[0], code.matrix[-1])]
+    assert sum(map(bool, word)) == 12 == code.distance_bound
+    assert min_distance_exact(code) == 12
