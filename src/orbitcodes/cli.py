@@ -19,14 +19,16 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import CheckFailure, OrbitCodesError, PreconditionError
 
-# The math (construction, code_analysis, serialize) is imported in the
-# command path, after the usage checks, and json where a document is read
-# or written, so that --help, a usage error and `import orbitcodes.cli`
-# load none of the math.
+# The math (construction, serialize) is imported in the command path, after
+# the usage checks, and json where a document is read or written, so that
+# --help, a usage error and `import orbitcodes.cli` load none of the math.
+# code_analysis is imported only by the commands that run it, distance and
+# automorphisms.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -149,8 +151,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     from . import serialize
-    from .code_analysis import DEFAULT_MESSAGE_GUARD, EvalCode, min_distance_exact, verify_faithful
-    from .construction import ConstructionResult, run_construction
+    from .construction import ConstructionResult, EvalCode, run_construction
 
     inst = _load_instance(ns)
     strict = ns.command != "verify"
@@ -175,6 +176,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     if ns.command == "distance":
+        from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
+
         guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
         c = result.code
         d = min_distance_exact(c, guard)
@@ -191,6 +194,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if ns.command == "automorphisms":
+        from .code_analysis import verify_faithful
+
         joint = inst.joint_group()
         rep = verify_faithful(joint, result.points, result.code)
         _say(
@@ -259,5 +264,18 @@ def main(argv=None) -> int:
     return run(ns)
 
 
+def process_main():
+    """The process entry point of `python -m orbitcodes` and the `orbitcodes`
+    script: run `main`, then exit with its status."""
+    status = main()
+    # The process is about to exit, so the full collections of interpreter
+    # shutdown would only walk the objects left from the import and the job
+    # for cycles the exit frees anyway.  Freezing moves every tracked object
+    # out of the collector's generations, so shutdown skips them.  `main`
+    # itself has no gc side effect, since tests call it in-process.
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -1,11 +1,14 @@
 """Linear-code analytics over small finite fields.
 
-Exact Gaussian elimination, exact minimum distance by the cheaper of two
-exact methods, and certification that a matrix group acting on the
-evaluation set embeds faithfully into the code's permutation automorphism
-group.  The elimination and the membership test work on rows of canonical
-encodings with the field's `scale` and `axpy` kernels; `EvalCode.matrix`
-keeps the field elements as the public view.
+Exact minimum distance by the cheaper of two exact methods, and
+certification that a matrix group acting on the evaluation set embeds
+faithfully into the code's permutation automorphism group.  The code,
+`EvalCode`, and its row reduction, `rank_and_rref`, live in `construction`,
+which builds the code and needs its rank, so that `construct` and `verify`
+never load this module; both names are re-exported here.  The membership
+test works, like the reduction, on rows of canonical encodings with the
+field's `axpy` kernel; `EvalCode.matrix` keeps the field elements as the
+public view.
 
 The faithful-action certificate reads the generators' permutations and the
 images of one projective frame in the evaluation set under each element
@@ -39,98 +42,17 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import chain, repeat
 from math import comb, inf
 from operator import getitem
 
 from .errors import CheckFailure, CheckReport, PreconditionError
-from .gf import FieldElement, FieldSpec, _Memo, _Value
+from .gf import FieldSpec, _Memo, _Value
 from .geometry import ProjPoint
 from .autgroup import AutGroup, ProjMap, certify_generated, find_frame
+from .construction import EvalCode, rank_and_rref
 
 DEFAULT_MESSAGE_GUARD = 2**24
-
-
-class EvalCode(_Value):
-    """A linear code presented by evaluations of functions at ordered points.
-
-    `matrix` holds one row per nominal function (there may be more rows than
-    the rank); `rank` is the code dimension; `distance_bound` is the designed
-    lower bound on the minimum distance; `distance_exact` is filled in only
-    after an exhaustive scan.
-    """
-
-    _fields = ("field", "points", "matrix", "rank", "distance_bound", "distance_exact")
-
-    def __init__(
-        self,
-        field: FieldSpec,
-        points: tuple[ProjPoint, ...],
-        matrix: tuple[tuple[FieldElement, ...], ...],
-        rank: int,
-        distance_bound: int,
-        distance_exact: int | None = None,
-    ):
-        n = len(points)
-        if any(len(row) != n for row in matrix):
-            raise ValueError("matrix rows must match the number of points")
-        if any(c.spec != field for row in matrix for c in row):
-            raise ValueError("matrix entries must live in the code field")
-        if not (rank <= len(matrix) <= n):
-            raise ValueError("need rank <= nominal rows <= length")
-        if distance_exact is not None and distance_exact < distance_bound:
-            raise ValueError("exact distance below the designed bound")
-        self._init(field, points, matrix, rank, distance_bound, distance_exact)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def encodings(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of `matrix` as tuples of canonical encodings, the form
-        the row reduction and the distance scan work on."""
-        return tuple(tuple(c.enc for c in row) for row in self.matrix)
-
-    @cached_property
-    def reduced(self):
-        """`rank_and_rref` of `encodings`, computed once per code: (rank,
-        rref rows, pivot columns).  The distance scan and every
-        code-preservation test read it."""
-        return rank_and_rref(self.field, self.encodings)
-
-
-def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
-    """Exact reduced row echelon form of rows of encodings over `spec`,
-    with deterministic pivoting.
-
-    Scans columns left to right and picks the first row with a nonzero
-    entry; returns (rank, rref rows as tuples of encodings, pivot column
-    indices).  Each pivot row is scaled by the pivot's inverse, and each
-    other row with a nonzero entry f in the pivot column takes -f times
-    the pivot row, one `FieldSpec.axpy` per row.
-    """
-    work = [tuple(r) for r in rows]
-    if not work:
-        return 0, (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        src = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if src is None:
-            continue
-        work[r], work[src] = work[src], work[r]
-        pivot = work[r] = spec.scale(spec.inv(work[r][col]), work[r])
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                work[i] = spec.axpy(spec.neg(work[i][col]), pivot, work[i])
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return r, tuple(work[:r]), tuple(pivots)
 
 
 def in_row_space(spec: FieldSpec, vector: Sequence[int], rref, pivots) -> bool:

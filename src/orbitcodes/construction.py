@@ -17,11 +17,18 @@ The code evaluates the functions of L(m*D) at S; its designed minimum
 distance bound is #S - m*|G1|.  With the scale written against D0 (the
 support of D taken once), the code is L((m*e) * D0) with bound
 #S - (m*e)*|G1|/e, and the size condition on S reads m*e < e*#S/|G1|.
+
+The code value, `EvalCode`, and the exact row reduction that gives its
+rank, `rank_and_rref`, are defined here rather than in `code_analysis`,
+so that `construct` and `verify` do not load the distance and
+faithful-action module; `code_analysis` re-exports both.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 
 from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import (
@@ -50,7 +57,6 @@ from .autgroup import (
     family_entry,
     standard_frame,
 )
-from .code_analysis import EvalCode, rank_and_rref
 
 
 class Divisor(_Value):
@@ -118,12 +124,102 @@ class EvalBasis(_Value):
                 raise ValueError("basis forms must share one total degree")
             if any(len(e) != n_coords for e in f):
                 raise ValueError("basis form arity mismatch")
+            if any(x < 0 for e in f for x in e):
+                raise ValueError("basis form exponents must be nonnegative")
         self._init(forms, degree, n_coords)
+
+    @classmethod
+    def explicit(cls, forms: tuple[Poly, ...], n_coords: int) -> EvalBasis:
+        """The basis of explicit forms, at the degree of the first nonzero
+        one; forms the constructor refuses (a zero or non-homogeneous form,
+        mixed degrees, a wrong arity, a negative exponent) raise ValueError."""
+        return cls(forms, next((poly_degree(f) for f in forms if f), 0), n_coords)
 
     def evaluate(self, form: Poly, pt: ProjPoint) -> FieldElement:
         terms = tuple((e, c.enc) for e, c in form.items())
         chart = tuple(c.enc for c in pt.dehomogenized())
         return FieldElement(pt.spec, poly_eval(terms, pt.spec, chart))
+
+
+class EvalCode(_Value):
+    """A linear code presented by evaluations of functions at ordered points.
+
+    `matrix` holds one row per nominal function (there may be more rows than
+    the rank); `rank` is the code dimension; `distance_bound` is the designed
+    lower bound on the minimum distance; `distance_exact` is filled in only
+    after an exhaustive scan.
+    """
+
+    _fields = ("field", "points", "matrix", "rank", "distance_bound", "distance_exact")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        points: tuple[ProjPoint, ...],
+        matrix: tuple[tuple[FieldElement, ...], ...],
+        rank: int,
+        distance_bound: int,
+        distance_exact: int | None = None,
+    ):
+        n = len(points)
+        if any(len(row) != n for row in matrix):
+            raise ValueError("matrix rows must match the number of points")
+        if any(c.spec != field for row in matrix for c in row):
+            raise ValueError("matrix entries must live in the code field")
+        if not (rank <= len(matrix) <= n):
+            raise ValueError("need rank <= nominal rows <= length")
+        if distance_exact is not None and distance_exact < distance_bound:
+            raise ValueError("exact distance below the designed bound")
+        self._init(field, points, matrix, rank, distance_bound, distance_exact)
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    @cached_property
+    def encodings(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `matrix` as tuples of canonical encodings, the form
+        the row reduction and the distance scan work on."""
+        return tuple(tuple(c.enc for c in row) for row in self.matrix)
+
+    @cached_property
+    def reduced(self):
+        """`rank_and_rref` of `encodings`, computed once per code: (rank,
+        rref rows, pivot columns).  The distance scan and every
+        code-preservation test read it."""
+        return rank_and_rref(self.field, self.encodings)
+
+
+def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
+    """Exact reduced row echelon form of rows of encodings over `spec`,
+    with deterministic pivoting.
+
+    Scans columns left to right and picks the first row with a nonzero
+    entry; returns (rank, rref rows as tuples of encodings, pivot column
+    indices).  Each pivot row is scaled by the pivot's inverse, and each
+    other row with a nonzero entry f in the pivot column takes -f times
+    the pivot row, one `FieldSpec.axpy` per row.
+    """
+    work = [tuple(r) for r in rows]
+    if not work:
+        return 0, (), ()
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        src = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        pivot = work[r] = spec.scale(spec.inv(work[r][col]), work[r])
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                work[i] = spec.axpy(spec.neg(work[i][col]), pivot, work[i])
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return r, tuple(work[:r]), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -132,10 +228,11 @@ class Instance:
     evaluation seed Q', the ground (code alphabet) and working fields, and
     the divisor scale m.
 
-    Custom instances may carry an explicit function list; built-in families
-    synthesize monomial bases.  The quotient-rationality hypothesis on each
-    group (its curve quotient being a line) is declared, not computed.
-    The joint group is closed on first use and kept on the instance.
+    Custom instances may carry an explicit function list, refused here
+    unless it makes an `EvalBasis`; built-in families synthesize monomial
+    bases.  The quotient-rationality hypothesis on each group (its curve
+    quotient being a line) is declared, not computed.  The joint group is
+    closed on first use and kept on the instance.
     """
 
     curve: PlaneCurve
@@ -168,6 +265,8 @@ class Instance:
             raise ValueError("Q must lie on the curve")
         if not self.curve.contains(self.Qprime):
             raise ValueError("Q' must lie on the curve")
+        if self.functions is not None:
+            EvalBasis.explicit(self.functions, self.curve.n_coords)
 
     def joint_group(self) -> AutGroup:
         """The group generated by every group's generators, closed once."""
@@ -412,7 +511,7 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
     rank, never the nominal count.
     """
     if inst.functions is not None:
-        return EvalBasis(inst.functions, poly_degree(inst.functions[0]), inst.curve.n_coords)
+        return EvalBasis.explicit(inst.functions, inst.curve.n_coords)
     one = inst.working.one()
     if inst.curve.n_coords == 3:
         section = set(inst.curve.line_section_points(inst.working))

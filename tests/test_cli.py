@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, report schemas, and byte-determinism."""
 
+import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -8,14 +10,26 @@ from pathlib import Path
 
 import pytest
 
-from orbitcodes import cli
+from orbitcodes import cli, construction, serialize
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_entry_point(*argv, timeout=60):
+    """`python -m orbitcodes ARGV` in a fresh process on the source tree."""
+    return subprocess.run(
+        [sys.executable, "-m", "orbitcodes", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=timeout,
+    )
 
 
 def test_construct_fermat_writes_code_file(tmp_path, capsys):
@@ -256,6 +270,41 @@ def test_bad_map_or_point_is_bad_input(tmp_path, capsys, case):
     assert reason in doc["message"]
 
 
+@pytest.mark.parametrize("command", ["construct", "verify", "distance", "automorphisms"])
+@pytest.mark.parametrize(
+    "functions,reason",
+    [
+        ([[]], "basis forms must be nonzero"),
+        ([[[[1, 0], 1], [[2, 0], 1]]], "polynomial is not homogeneous"),
+        ([[[[1, 0], 1]], [[[2, 0], 1]]], "basis forms must share one total degree"),
+        ([[[[1, 0, 0], 1]]], "basis form arity mismatch"),
+        ([[[[-1, 2], 1]]], "basis form exponents must be nonnegative"),
+    ],
+    ids=["zero", "non_homogeneous", "mixed_degrees", "arity", "negative_exponent"],
+)
+def test_bad_explicit_functions_are_bad_input(tmp_path, capsys, command, functions, reason):
+    # refused while the instance is built, not in the basis step of a command
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(AFFINE_F3_INSTANCE, functions=functions)))
+    doc = _assert_bad_input(capsys, command, "--family", "custom", "--input", str(path))
+    assert reason in doc["message"]
+
+
+def test_explicit_functions_of_the_automatic_basis_give_the_same_code(tmp_path, capsys):
+    inst = serialize.instance_from_dict(AFFINE_F3_INSTANCE)
+    basis = construction.build_basis(inst, construction.build_divisor(inst))
+    functions = [serialize.poly_to_list(f) for f in basis.forms]
+    stdouts = []
+    for doc in (AFFINE_F3_INSTANCE, dict(AFFINE_F3_INSTANCE, functions=functions)):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, _ = run_cli(capsys, "construct", "--family", "custom", "--input", str(path),
+                                  "--output", str(tmp_path / "code.json"))
+        assert code == EXIT_OK
+        stdouts.append(stdout)
+    assert stdouts[0] == stdouts[1]
+
+
 def test_loader_precondition_keeps_its_kind(tmp_path, capsys):
     doc = dict(AFFINE_F3_INSTANCE, ground_field={"p": 4, "k": 1, "modulus": [0, 1]})
     path = tmp_path / "inst.json"
@@ -269,12 +318,7 @@ def test_loader_precondition_keeps_its_kind(tmp_path, capsys):
 def test_field_above_the_table_cap_exits_2_at_once(family, q):
     # GF(q^2) and GF(q) are refused from q alone, before q is factored or
     # a modulus is sought; a fresh process, so that a spin meets the timeout
-    res = subprocess.run(
-        [sys.executable, "-m", "orbitcodes", "construct", "--family", family, "--q", str(q)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-        timeout=10,
-    )
+    res = run_entry_point("construct", "--family", family, "--q", str(q), timeout=10)
     assert res.returncode == EXIT_PRECONDITION
     assert json.loads(res.stdout)["error"] == "order_overflow"
 
@@ -284,23 +328,25 @@ def test_custom_requires_input(capsys):
     assert code == EXIT_PRECONDITION
 
 
+# groups equal: the trivial-intersection check must fail with exit 1
+BROKEN_INSTANCE = {
+    "schema": "orbitcodes.instance.v1",
+    "ground_field": {"p": 3, "k": 1, "modulus": [0, 1]},
+    "working_field": {"p": 3, "k": 1, "modulus": [0, 1]},
+    "curve": {"coords": 2, "terms": []},
+    "groups": [
+        {"label": "G1", "generators": [[2, 0, 0, 1]]},
+        {"label": "G2", "generators": [[2, 0, 0, 1]]},
+    ],
+    "Q": [1, 0],
+    "Qprime": [0, 1],
+    "condition_a_holds": True,
+}
+
+
 def test_verify_fails_on_broken_custom_instance(tmp_path, capsys):
-    # groups equal: the trivial-intersection check must fail with exit 1
-    doc = {
-        "schema": "orbitcodes.instance.v1",
-        "ground_field": {"p": 3, "k": 1, "modulus": [0, 1]},
-        "working_field": {"p": 3, "k": 1, "modulus": [0, 1]},
-        "curve": {"coords": 2, "terms": []},
-        "groups": [
-            {"label": "G1", "generators": [[2, 0, 0, 1]]},
-            {"label": "G2", "generators": [[2, 0, 0, 1]]},
-        ],
-        "Q": [1, 0],
-        "Qprime": [0, 1],
-        "condition_a_holds": True,
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BROKEN_INSTANCE))
     code, stdout, _ = run_cli(capsys, "verify", "--family", "custom", "--input", str(path))
     assert code == EXIT_CHECK_FAILED
     doc = json.loads(stdout)
@@ -336,3 +382,66 @@ def test_unwritable_default_output_is_bad_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fermat_q3_m1.code.json").mkdir()  # the default path is a directory
     _assert_bad_output(capsys, "construct", "--family", "fermat", "--q", "3")
+
+
+# ---------------------------------------------------------------------------
+# the process entry point of `python -m orbitcodes` and the `orbitcodes` script
+
+# the sha256 that tests/test_golden.py pins for construct fermat q=3
+FERMAT3_CONSTRUCT_SHA256 = "91c78de2d60b2cfd5647ed7b3b8b05711726520f1b6c1cd057199b3675eec0ad"
+
+
+def test_entry_point_writes_the_golden_bytes(tmp_path):
+    out = tmp_path / "f3.code.json"
+    res = run_entry_point("construct", "--family", "fermat", "--q", "3", "--output", str(out))
+    assert res.returncode == EXIT_OK
+    assert res.stdout == out.read_bytes()
+    assert hashlib.sha256(res.stdout).hexdigest() == FERMAT3_CONSTRUCT_SHA256
+
+
+def test_entry_point_exits_1_when_a_check_fails(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(BROKEN_INSTANCE))
+    res = run_entry_point("verify", "--family", "custom", "--input", str(path))
+    assert res.returncode == EXIT_CHECK_FAILED
+    assert json.loads(res.stdout)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [(("--m", "0"), "usage"), (("--output", "{tmp}/missing/x.json"), "bad_output")],
+    ids=["m-0", "bad-output"],
+)
+def test_entry_point_exits_2_on_a_precondition(tmp_path, argv, error):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    res = run_entry_point("construct", "--family", "fermat", "--q", "3", *argv)
+    assert res.returncode == EXIT_PRECONDITION
+    assert json.loads(res.stdout)["error"] == error
+    assert b"Traceback" not in res.stderr
+
+
+def test_entry_point_freezes_the_heap_before_exit():
+    # an atexit hook runs before the shutdown collections and reports the
+    # objects the entry point froze
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+        "runpy.run_module('orbitcodes', run_name='__main__', alter_sys=True)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, "construct", "--m", "0"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert res.returncode == EXIT_PRECONDITION
+    assert int(res.stderr.decode().split()[-1]) > 0
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    out = tmp_path / "f3.code.json"
+    argv = ("construct", "--family", "fermat", "--q", "3", "--output", str(out))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert run_cli(capsys, "construct", "--m", "0")[0] == EXIT_PRECONDITION
+    assert gc.get_freeze_count() == before

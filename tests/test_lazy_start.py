@@ -1,6 +1,6 @@
-"""Start-up: what `--help`, a usage error and `import orbitcodes` load, the
-package names that resolve on first use, and the plain-class CheckReport
-that keeps `dataclasses` off that path."""
+"""Start-up: what `--help`, a usage error, `import orbitcodes` and each
+command load, the package names that resolve on first use, and the
+plain-class CheckReport that keeps `dataclasses` off that path."""
 
 import hashlib
 import importlib
@@ -95,6 +95,19 @@ def test_start_up_loads_no_math(argv, status):
     assert not loaded & HEAVY
     if argv in HELP_SHA256:
         assert hashlib.sha256(res.stdout).hexdigest() == HELP_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "command,analysis",
+    [("construct", False), ("verify", False), ("distance", True), ("automorphisms", True)],
+)
+def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command, analysis):
+    res = run_fresh("-m", "orbitcodes", command, "--family", "fermat", "--q", "3",
+                    "--output", str(tmp_path / "out.json"))
+    assert res.returncode == 0
+    loaded = loaded_modules(res.stderr)
+    assert "orbitcodes.construction" in loaded  # the listing works
+    assert ("orbitcodes.code_analysis" in loaded) == analysis
 
 
 def test_import_package_loads_no_submodule():
