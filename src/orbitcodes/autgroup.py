@@ -3,14 +3,16 @@
 Maps are invertible 2x2 or 3x3 matrices with the first nonzero entry (in
 row-major order) scaled to 1, held as the row-major tuple of the canonical
 encodings of that normalized matrix (`key`) with its FieldSpec, so set
-membership and equality are exact int-tuple operations.  Composition,
-application to a point's encoding tuple, determinant and inverse read the
-field's tables and build no FieldElement; FieldElement stays at the API
-edge: ProjMap takes rows of elements and checks them, and `rows` gives
-them back.  Groups are stored as their full element sets, produced by
-breadth-first closure from generators, which runs on encoding tuples;
-every group in this package has at most a few thousand elements, which
-keeps intersection and orbit computations trivial.
+membership and equality are exact int-tuple operations.  Each map also
+keeps the logarithms of its rows.  Composition and point images run one
+kernel, `_compose`: a point is a one-column matrix, so a map times a point,
+normalized, is the point's image.  That kernel, the determinant and the
+inverse read the field's tables and build no FieldElement; FieldElement
+stays at the API edge: ProjMap takes rows of elements and checks them, and
+`rows` gives them back.  Groups are stored as their full element sets,
+produced by breadth-first closure from generators, which runs on encoding
+tuples; every group in this package has at most a few thousand elements,
+which keeps intersection and orbit computations trivial.
 
 The breadth-first closure is its own exact certificate.  It forms m*g for
 every kept element m and every generator g and keeps the product, so the
@@ -30,6 +32,7 @@ the generators, and that orbit is no larger than the list.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from itertools import combinations
 
@@ -76,20 +79,18 @@ def _row_logs(f: FieldSpec, n: int, a: tuple[int, ...]) -> list:
 
 
 def _column_logs(f: FieldSpec, n: int, b: tuple[int, ...]) -> list:
-    """The logarithms of the columns of the row-major n x n key b, None for
-    a zero entry."""
+    """The logarithms of the columns of the row-major matrix b with n
+    columns, None for a zero entry: n x n for a map's key, and n = 1 for a
+    point's key, a one-column matrix."""
     log = f._tables[1]
     return [[log[x] if x else None for x in b[j::n]] for j in range(n)]
 
 
-def _compose(f: FieldSpec, rows, cols) -> tuple[int, ...]:
-    """The normalized key of the product of the matrix whose `_row_logs` are
-    `rows` and the matrix whose `_column_logs` are `cols`.
-
-    Each entry sums its products as Zech logarithms, as `FieldSpec.matvec`
-    does, and the product is normalized in the log domain: every entry's
-    logarithm drops by that of the first nonzero entry.
-    """
+def _product_logs(f: FieldSpec, rows, cols) -> list:
+    """The logarithms of the entries of the product of the matrix whose
+    `_row_logs` are `rows` and the matrix whose `_column_logs` are `cols`,
+    row-major, None for a zero entry.  Each entry sums its products as Zech
+    logarithms: g^a + g^b = g^(a + zech[b - a])."""
     exp, _, zech = f._tables
     m = len(exp) // 2
     logs = []
@@ -105,15 +106,27 @@ def _compose(f: FieldSpec, rows, cols) -> tuple[int, ...]:
                         z = zech[(la + lb - acc) % m]
                         acc = None if z is None else acc + z
             logs.append(acc)
+    return logs
+
+
+def _compose(f: FieldSpec, rows, cols) -> tuple[int, ...]:
+    """The normalized key of the product of `_product_logs`, a nonzero
+    matrix: every entry's logarithm drops by that of the first nonzero
+    entry.  With the `_column_logs(f, 1, key)` of a point, this is the
+    normalized key of the point's image."""
+    exp = f._tables[0]
+    m = len(exp) // 2
+    logs = _product_logs(f, rows, cols)
     lead = next(x for x in logs if x is not None)
     return tuple([0 if x is None else exp[(x - lead) % m] for x in logs])
 
 
 class ProjMap:
     """An element of PGL(2) or PGL(3): a matrix up to scalars, held as the
-    row-major encodings `key` of its normalized form over `field`."""
+    row-major encodings `key` of its normalized form over `field`, with
+    the `_row_logs` of that key, filled once, for `_compose`."""
 
-    __slots__ = ("field", "n", "key", "_rows")
+    __slots__ = ("field", "n", "key", "_logs")
 
     def __init__(self, rows: tuple[tuple[FieldElement, ...], ...], field: FieldSpec):
         n = len(rows)
@@ -134,17 +147,16 @@ class ProjMap:
         return m
 
     def _set(self, field: FieldSpec, n: int, key: tuple[int, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_rows", tuple(key[i : i + n] for i in range(0, n * n, n)))
+        for name, value in zip(self.__slots__, (field, n, key, _row_logs(field, n, key))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjMap is immutable")
 
     @property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
-        return tuple(tuple(FieldElement(self.field, c) for c in r) for r in self._rows)
+        f, n, key = self.field, self.n, self.key
+        return tuple(tuple(FieldElement(f, c) for c in key[i : i + n]) for i in range(0, n * n, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjMap):
@@ -161,8 +173,7 @@ class ProjMap:
         if self.field != other.field or self.n != other.n:
             raise ValueError("cannot compose maps over different spaces")
         f, n = self.field, self.n
-        key = _compose(f, _row_logs(f, n, self.key), _column_logs(f, n, other.key))
-        return ProjMap.from_key(f, n, key)
+        return ProjMap.from_key(f, n, _compose(f, self._logs, _column_logs(f, n, other.key)))
 
     def inverse(self) -> ProjMap:
         f, a = self.field, self.key
@@ -190,7 +201,7 @@ class ProjMap:
 
     def image(self, key: tuple[int, ...]) -> tuple[int, ...]:
         """The normalized key of the image of the point with key `key`."""
-        return normalized(self.field, self.field.matvec(self._rows, key))
+        return _compose(self.field, self._logs, _column_logs(self.field, 1, key))
 
     def apply(self, pt: ProjPoint) -> ProjPoint:
         self.check_point(pt)
@@ -266,19 +277,21 @@ class AutGroup(_Value):
     def __contains__(self, m: ProjMap) -> bool:
         return m in self.element_set
 
+    def _images(self, pt: ProjPoint) -> list[tuple[int, ...]]:
+        """The key of m(pt) for every element m, in element order; the
+        point's logarithms are read once."""
+        self.elements[0].check_point(pt)
+        f = self.field
+        col = _column_logs(f, 1, pt.key)
+        return [_compose(f, m._logs, col) for m in self.elements]
+
     def orbit(self, pt: ProjPoint) -> tuple[ProjPoint, ...]:
         """The orbit of pt, duplicate-free, in canonical point order."""
-        self.elements[0].check_point(pt)
-        seen = {m.image(pt.key) for m in self.elements}
-        return tuple(ProjPoint.from_key(pt.spec, k) for k in sorted(seen))
+        return tuple(ProjPoint.from_key(pt.spec, k) for k in sorted(set(self._images(pt))))
 
     def orbit_multiset(self, pt: ProjPoint) -> dict[ProjPoint, int]:
         """Image multiset {g(pt) for g in the group} with multiplicities."""
-        self.elements[0].check_point(pt)
-        counts: dict[tuple[int, ...], int] = {}
-        for m in self.elements:
-            k = m.image(pt.key)
-            counts[k] = counts.get(k, 0) + 1
+        counts = Counter(self._images(pt))
         return {ProjPoint.from_key(pt.spec, k): c for k, c in counts.items()}
 
     def intersect(self, other: AutGroup) -> AutGroup:
@@ -297,7 +310,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     first-in-first-out with generators applied in the given order.  Every
     product m @ g of a kept element and a generator is formed and kept, so
     the result is exactly the generated group (see the module docstring).
-    The products are formed on the maps' keys.
+    Each product reads the kept map's row logarithms, filled once per map.
     Raises when more than `cap` elements appear (the group is too large, or
     not finite as given).
     """
@@ -310,14 +323,12 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
         raise ValueError("generators must share one field and dimension")
     if cap < 1:
         raise ValueError("cap must be positive")
-    ident = _identity_key(n)
-    elements = [ident]
-    seen = {ident}
+    elements = [ProjMap.from_key(f, n, _identity_key(n))]
+    seen = {elements[0].key}
     columns = [_column_logs(f, n, g.key) for g in generators]
     for m in elements:
-        rows = _row_logs(f, n, m)  # read once, used for every generator
         for cols in columns:
-            prod = _compose(f, rows, cols)
+            prod = _compose(f, m._logs, cols)
             if prod not in seen:
                 if len(elements) >= cap:
                     raise PreconditionError(
@@ -326,8 +337,8 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
                         {"cap": cap},
                     )
                 seen.add(prod)
-                elements.append(prod)
-    return AutGroup(generators, tuple(ProjMap.from_key(f, n, k) for k in elements), label)
+                elements.append(ProjMap.from_key(f, n, prod))
+    return AutGroup(generators, tuple(elements), label)
 
 
 def find_frame(points: Sequence[ProjPoint]) -> tuple[int, ...] | None:

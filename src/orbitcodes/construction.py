@@ -147,7 +147,9 @@ class EvalCode(_Value):
     `matrix` holds one row per nominal function (there may be more rows than
     the rank); `rank` is the code dimension; `distance_bound` is the designed
     lower bound on the minimum distance; `distance_exact` is filled in only
-    after an exhaustive scan.
+    once `min_distance_exact` has proved the minimum distance, by the
+    cheaper of the message scan and Brouwer-Zimmermann (see the README
+    paragraph on how `distance` proves the exact minimum).
     """
 
     _fields = ("field", "points", "matrix", "rank", "distance_bound", "distance_exact")

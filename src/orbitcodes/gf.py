@@ -16,8 +16,9 @@ from polynomial products reduced by the modulus: the powers (exp) and
 logarithms (log) of the primitive element of smallest encoding, and its
 Zech logarithms.  They hold O(p**k) ints; every operator is a few reads.
 The arithmetic lives on FieldSpec and works on encodings (add, neg, mul,
-inv, pow, scale, axpy, matvec, frobenius), so points, maps, curve equations
-and matrix rows compute on int tuples; FieldElement wraps it at the API edge.
+inv, pow, scale, axpy, frobenius), so points, maps, curve equations and
+matrix rows compute on int tuples; map products and point images read the
+tables in `autgroup._compose`.  FieldElement wraps it at the API edge.
 
 Subfield relations are explicit Embedding values, checked by evaluating
 the small field's modulus at the chosen image of its generator; there is
@@ -311,30 +312,6 @@ class FieldSpec(_Value):
                 ly = log[y]
                 z = zech[(log[x] + lc - ly) % m]
                 out.append(0 if z is None else exp[ly + z])
-        return tuple(out)
-
-    def matvec(self, rows, xs) -> tuple[int, ...]:
-        """The matrix with rows `rows` times the column `xs`, on encodings.
-
-        Each entry is sum(r[j] * xs[j]); the products stay logarithms, the
-        sum runs on Zech logarithms, and the logarithms of xs are read
-        once, so one call replaces len(rows) * len(xs) calls of mul and add.
-        """
-        exp, log, zech = self._tables
-        m = len(log) - 1
-        lx = [(j, log[x]) for j, x in enumerate(xs) if x]
-        out = []
-        for r in rows:
-            acc = None  # log of the running sum; None while it is zero
-            for j, lj in lx:
-                if r[j]:
-                    t = log[r[j]] + lj
-                    if acc is None:
-                        acc = t
-                    else:
-                        z = zech[(t - acc) % m]
-                        acc = None if z is None else acc + z
-            out.append(0 if acc is None else exp[acc % m])
         return tuple(out)
 
     def frobenius(self, a: int, sub_order: int) -> int:

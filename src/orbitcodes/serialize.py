@@ -120,16 +120,25 @@ def report_to_dict(reports, meta: dict) -> dict:
 # from JSON
 
 
+def _typed(value, kind: type):
+    """`value`, if it is a JSON value of `kind` (int or bool); a bool is not
+    an int here, and no float or string is coerced."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def field_from_dict(d: dict) -> FieldSpec:
-    return FieldSpec(int(d["p"]), int(d["k"]), tuple(int(c) for c in d["modulus"]))
+    return FieldSpec(_typed(d["p"], int), _typed(d["k"], int),
+                     tuple(_typed(c, int) for c in d["modulus"]))
 
 
 def poly_from_list(items, field: FieldSpec) -> Poly:
-    return {tuple(int(x) for x in e): field.from_enc(int(c)) for e, c in items}
+    return {tuple(_typed(x, int) for x in e): field.from_enc(_typed(c, int)) for e, c in items}
 
 
 def curve_from_dict(d: dict, field: FieldSpec) -> PlaneCurve:
-    n = int(d["coords"])
+    n = _typed(d["coords"], int)
     if n == 2:
         return projective_line(field)
     terms = poly_from_list(d["terms"], field)
@@ -137,13 +146,13 @@ def curve_from_dict(d: dict, field: FieldSpec) -> PlaneCurve:
 
 
 def map_from_list(flat, field: FieldSpec, n: int) -> ProjMap:
-    vals = [field.from_enc(int(x)) for x in flat]
+    vals = [field.from_enc(_typed(x, int)) for x in flat]
     rows = tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n))
     return ProjMap(rows, field)
 
 
 def point_from_list(flat, field: FieldSpec) -> ProjPoint:
-    return ProjPoint(tuple(field.from_enc(int(x)) for x in flat))
+    return ProjPoint(tuple(field.from_enc(_typed(x, int)) for x in flat))
 
 
 def instance_from_dict(d: dict) -> Instance:
@@ -169,9 +178,9 @@ def instance_from_dict(d: dict) -> Instance:
         Qprime=point_from_list(d["Qprime"], working),
         ground=ground,
         working=working,
-        m=int(d.get("m", 1)),
+        m=_typed(d.get("m", 1), int),
         functions=functions,
-        condition_a_declared=bool(d.get("condition_a_holds", False)),
+        condition_a_declared=_typed(d.get("condition_a_holds", False), bool),
         family="custom",
         q=d.get("q"),
     )

@@ -290,6 +290,26 @@ def test_bad_explicit_functions_are_bad_input(tmp_path, capsys, command, functio
     assert reason in doc["message"]
 
 
+# one number or flag of the wrong JSON type: (changes, the value refused)
+MISTYPED_VALUES = {
+    "float_exponent": ({"functions": [[[[1.5, 0], 1]]]}, "1.5"),
+    "float_m": ({"m": 1.9}, "1.9"),
+    "float_qprime": ({"Qprime": [0.0, 1.2]}, "0.0"),
+    "string_condition_a": ({"condition_a_holds": "false"}, "'false'"),
+}
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "distance"])
+@pytest.mark.parametrize("case", MISTYPED_VALUES)
+def test_mistyped_number_or_flag_is_bad_input(tmp_path, capsys, command, case):
+    # int() or bool() would turn each into a value that builds and runs
+    changes, value = MISTYPED_VALUES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(AFFINE_F3_INSTANCE, **changes)))
+    doc = _assert_bad_input(capsys, command, "--family", "custom", "--input", str(path))
+    assert f"got {value}" in doc["message"]
+
+
 def test_explicit_functions_of_the_automatic_basis_give_the_same_code(tmp_path, capsys):
     inst = serialize.instance_from_dict(AFFINE_F3_INSTANCE)
     basis = construction.build_basis(inst, construction.build_divisor(inst))

@@ -8,7 +8,9 @@ products, the determinant, the curve equation evaluated with FieldElement
 powers, and the breadth-first closure over those products.  Every element
 of G1, G2 and the joint group of each built-in instance below is checked
 against them, on every rational point of the instance's curve; seeded
-random matrices, singular ones among them, cover the constructor.
+random matrices, singular ones among them, cover the constructor.  Point
+images are also checked for maps that the constructor, `inverse` and `@`
+built, on every point of P^1 and P^2.
 """
 
 import random
@@ -199,3 +201,29 @@ def test_random_matrices_match_oracle(p, k):
             pt = ProjPoint(coords)
             assert m.apply(pt).key == tuple(c.enc for c in oracle_apply(normal, pt.coords))
     assert singular > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 4)])
+def test_image_of_maps_from_every_constructor_matches_oracle(p, k, n):
+    """Seeded random invertible matrices whose first entry is a unit other
+    than 1, so the constructor normalizes them; their inverses; and the
+    products of neighbours.  Every point of P^(n-1) is mapped."""
+    field = make_field(p, k)
+    rng = random.Random(10 * n + p**k)
+    matrices = []
+    while len(matrices) < 6:
+        encs = [rng.randrange(2, field.order)]
+        encs += [rng.randrange(field.order) for _ in range(n * n - 1)]
+        rows = tuple(tuple(field.from_enc(e) for e in encs[i : i + n]) for i in range(0, n * n, n))
+        if oracle_det(rows):
+            matrices.append((rows, ProjMap(rows, field)))
+    for (rows, m), (next_rows, nxt) in zip(matrices, matrices[1:] + matrices[:1]):
+        inv, prod = m.inverse(), m @ nxt
+        for pt in projective_reps(field, n):
+            image = tuple(c.enc for c in oracle_apply(rows, pt.coords))
+            assert m.image(pt.key) == m.apply(pt).key == image
+            assert inv.image(image) == pt.key
+            assert inv.image(pt.key) == tuple(c.enc for c in oracle_apply(inv.rows, pt.coords))
+            twice = oracle_apply(rows, oracle_apply(next_rows, pt.coords))
+            assert prod.image(pt.key) == tuple(c.enc for c in twice)

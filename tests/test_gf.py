@@ -13,6 +13,7 @@ import random
 import pytest
 
 from orbitcodes import PreconditionError, embedding, frobenius, make_field, root_of_unity
+from orbitcodes.autgroup import _column_logs, _product_logs
 from orbitcodes.gf import MAX_ORDER, FieldSpec
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
@@ -255,7 +256,13 @@ def oracle_matvec(spec, rows, xs):
 
 
 def assert_matvec_matches_oracle(spec, rows, xs):
-    got = spec.matvec(rows, xs)
+    """The matrix-vector product of the log-domain kernel that map products
+    and point images share, before it normalizes: `xs` is a one-column
+    matrix."""
+    exp, log, _ = spec._tables
+    row_logs = [[(t, log[a]) for t, a in enumerate(r) if a] for r in rows]
+    logs = _product_logs(spec, row_logs, _column_logs(spec, 1, xs))
+    got = [0 if x is None else exp[x % (spec.order - 1)] for x in logs]
     assert [spec.from_enc(e).coeffs for e in got] == oracle_matvec(spec, rows, xs)
 
 

@@ -22,10 +22,13 @@ guard raised there (fermat q=3 m=3, [16, 10] over GF(9), took 82 s); the
 default guard admits them now.  That commit cannot run distance bf q=2 at
 m=3 ([48, 10] over GF(16), 7*10^10 scalar classes), so its hash was
 recorded from the change itself; `test_bf2_m3_distance_is_its_designed_bound`
-checks its distance with a witness instead.  A
-refactor of the arithmetic or of any layer above it must leave every one
-of them unchanged.  The benchmark's goldens cover further jobs; together
-they are the check that a change does the same work.
+checks its distance with a witness instead.  The verify jobs for bf q=2,
+bf q=3, fermat q=9 and projline q=19 and automorphisms bf q=3 (also a CI
+hash) were recorded on the commit before map products and point images
+moved to one log-domain kernel.  A refactor of the arithmetic or of any
+layer above it must leave every one of them unchanged.  The benchmark's
+goldens cover further jobs; together they are the check that a change
+does the same work.
 """
 
 import hashlib
@@ -59,10 +62,15 @@ GOLDEN = {
     ("distance", "projline", 7, 2): "ccff2384573443873d7b4748718635f0b028e5b72fade214e92556788f4300a8",
     ("distance", "projline", 11, 1): "eacab62db47454276972a92746174e057ea07c66076dc7230b3097d1b9a652db",
     ("automorphisms", "bf", 2, 1): "667d00aeb0074a1d6e6143076d9250f7ebd18a6d4e44b4eb65ab84f6e562f02b",
+    ("automorphisms", "bf", 3, 1): "c94270f18b008e299e5da4feaf50a83355c74e65821067d8953de0ead4f6b237",
     ("automorphisms", "fermat", 3, 1): "b813a31f75c5b9710aca7d8bbf8454a74fdc67aac4926d372654bf344911852c",
     ("automorphisms", "fermat", 5, 1): "4f15d40b26b362920267f562d1e72e11ca17dd76e5434319adecd26a1dbe5c7c",
     ("automorphisms", "projline", 19, 1): "239f0ea68cc59cc36c89530368cfb9f4393c88a3ad2a3fd62d07b1e210cd6705",
     ("verify", "projline", 5, 1): "c5c911a2468a85e51c9f71fecd9a7238405c608fcc40c2602aaf7936352ab314",
+    ("verify", "bf", 2, 1): "a68eb437dc0586f5eba872422d4f9c56d3991e01fb5c437e49b51dfcdb811bd2",
+    ("verify", "bf", 3, 1): "babff65389027e0ff9a206515e4ec79ac5b6c690cec8bef0a90941ec5c88ac46",
+    ("verify", "fermat", 9, 1): "51ddba918e6a3b93350cca11066856c849ec8a349472141bbb71bc3fe0dc53d6",
+    ("verify", "projline", 19, 1): "0e2f38768b4fddc420b2298d963029144b770f9d50a6453f3115702a39d7d602",
 }
 
 
