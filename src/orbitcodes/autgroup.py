@@ -9,25 +9,26 @@ kernel, `_compose`: a point is a one-column matrix, so a map times a point,
 normalized, is the point's image.  That kernel, the determinant and the
 inverse read the field's tables and build no FieldElement; FieldElement
 stays at the API edge: ProjMap takes rows of elements and checks them, and
-`rows` gives them back.  Groups are stored as their full element sets,
-produced by breadth-first closure from generators, which runs on encoding
-tuples; every group in this package has at most a few thousand elements,
-which keeps intersection and orbit computations trivial.
+`rows` gives them back.
 
-The breadth-first closure is its own exact certificate.  It forms m*g for
-every kept element m and every generator g and keeps the product, so the
-final set holds the identity and is closed under right multiplication by
-each generator: it contains every word in the generators.  Each kept
+Groups are stored as their full element sets.  Only `close` and
+`AutGroup.intersect` make one (calling `AutGroup` raises TypeError), so
+every group lists each element of the group its generators generate
+exactly once.  The closure runs on encoding tuples and lists at most
+`CLOSURE_CAP` (10,000) elements, which keeps intersection and orbit
+computations trivial.
+
+The breadth-first closure is its own exact certificate (Holt, Eick &
+O'Brien, *Handbook of Computational Group Theory*, ch. 4).  It forms m*g
+for every kept element m and every generator g and keeps the product, so
+the final set holds the identity and is closed under right multiplication
+by each generator: it contains every word in the generators.  Each kept
 element is itself such a word, and in a finite group inverses are positive
 powers, so the set is exactly the generated group; no sampled product or
-inverse check is needed.
-
-A group given as a list of elements need not be that closure.
-`certify_generated` decides whether it is, without composing maps: a
-projective frame (3 distinct points of P^1, 4 points of P^2 with no three
-collinear) fixes a map, so the group's elements are the generated group
-iff their images of a frame are distinct, lie in the frame's orbit under
-the generators, and that orbit is no larger than the list.
+inverse check is needed.  The intersection of two groups is a group, and
+`intersect` takes all of it as its generators, so it too is the closure of
+its generators.  A group therefore preserves whatever its generators
+preserve, which is all the curve and faithful-action checks test.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import PreconditionError
-from .gf import FieldElement, FieldSpec, _Memo, _Value, root_of_unity
+from .gf import FieldElement, FieldSpec, _Value, root_of_unity
 from .geometry import (
     PlaneCurve,
     Poly,
@@ -251,20 +252,14 @@ class AutGroup(_Value):
 
     `elements` is in deterministic insertion order (identity first, then
     breadth-first products of generators); `element_set` backs membership.
+    Only `close` and `intersect` build one, through `_group`.
     """
 
     __slots__ = ("generators", "elements", "label", "element_set")
     _fields = __slots__
 
-    def __init__(
-        self, generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label: str = ""
-    ):
-        element_set = frozenset(elements)
-        if not elements or not elements[0].is_identity():
-            raise ValueError("closure must start with the identity")
-        if any(g not in element_set for g in generators):
-            raise ValueError("every generator must appear in the closure")
-        self._init(generators, elements, label, element_set)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an AutGroup is built only by close() or AutGroup.intersect()")
 
     @property
     def order(self) -> int:
@@ -300,7 +295,15 @@ class AutGroup(_Value):
         common = tuple(m for m in self.elements if m in other.element_set)
         gens = tuple(sorted(common, key=lambda m: m.key))
         label = f"{self.label or 'G'} & {other.label or 'H'}"
-        return AutGroup(gens, common, label)
+        return _group(gens, common, label)
+
+
+def _group(generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label: str) -> AutGroup:
+    """The group `elements`, unchecked: each element of the group that
+    `generators` generate, listed once, the identity first."""
+    grp = object.__new__(AutGroup)
+    grp._init(generators, elements, label, frozenset(elements))
+    return grp
 
 
 def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
@@ -338,7 +341,7 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
                     )
                 seen.add(prod)
                 elements.append(ProjMap.from_key(f, n, prod))
-    return AutGroup(generators, tuple(elements), label)
+    return _group(generators, tuple(elements), label)
 
 
 def find_frame(points: Sequence[ProjPoint]) -> tuple[int, ...] | None:
@@ -365,53 +368,6 @@ def find_frame(points: Sequence[ProjPoint]) -> tuple[int, ...] | None:
             if len(frame) == n + 1:
                 return tuple(indices)
     return None
-
-
-def standard_frame(field: FieldSpec, n: int) -> tuple[ProjPoint, ...]:
-    """The unit points and (1 : ... : 1), a frame of P^(n-1)."""
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return tuple(ProjPoint.from_key(field, k) for k in units + [(1,) * n])
-
-
-def certify_generated(group: AutGroup, frame: Sequence[ProjPoint]) -> bool:
-    """True iff `group.elements` lists each element of the group H
-    generated by `group.generators` exactly once, shown on the images of
-    the projective frame `frame` (see `find_frame`).
-
-    A projective map is fixed by the images of a frame (the fundamental
-    theorem of projective geometry), so h -> h(F) is injective.  The orbit
-    O of the key tuple of F under the generators is {h(F) : h in H}, and
-    |O| = |H|.  The test passes iff |O| <= |group|, every listed element m
-    has m(F) in O, and these tuples are pairwise distinct.  Then every
-    element lies in H, and |group| distinct tuples in O give |O| = |group|,
-    so the elements are all of H.  The orbit search maps keys through each
-    generator once per key it meets and gives up once O would pass
-    |group|; each element costs one `image` call per frame point.  Any
-    other outcome gives False: a map in another space, an orbit larger
-    than |group|, an image outside O or met twice.
-    """
-    spec, n = frame[0].spec, len(frame[0].key)
-    if any(m.n != n or m.field != spec for m in group.generators + group.elements):
-        return False
-    start = tuple(p.key for p in frame)
-    generators = [_Memo(g.image) for g in group.generators]
-    orbit = {start}
-    queue = [start]
-    for t in queue:
-        for images in generators:
-            u = tuple(map(images.__getitem__, t))
-            if u not in orbit:
-                if len(orbit) == group.order:
-                    return False
-                orbit.add(u)
-                queue.append(u)
-    seen = set()
-    for m in group.elements:
-        t = tuple(map(m.image, start))
-        if t not in orbit or t in seen:
-            return False
-        seen.add(t)
-    return True
 
 
 # ---------------------------------------------------------------------------

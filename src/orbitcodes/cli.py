@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run the condition checks and report pass/fail"),
         (
             "distance",
-            "compute the exact minimum distance by enumerating messages up to "
-            "scalars (a nonzero multiple of a codeword has the same weight)",
+            "compute the exact minimum distance by the cheaper of two exact "
+            "methods: a scan of messages up to scalars or a Brouwer-Zimmermann search",
         ),
         ("automorphisms", "certify the faithful group action on the code"),
         ("export", "re-serialize a JSON document in canonical form"),

@@ -10,9 +10,9 @@ test works, like the reduction, on rows of canonical encodings with the
 field's `axpy` kernel; `EvalCode.matrix` keeps the field elements as the
 public view.
 
-The faithful-action certificate reads the generators' permutations and the
-images of one projective frame in the evaluation set under each element
-(see `verify_faithful`); the element-by-element scan is its fallback.
+The faithful-action certificate reads the generators' permutations and
+looks for one projective frame in the evaluation set (see
+`verify_faithful`); the element-by-element scan is its fallback.
 
 Both distance methods work up to scalars, since a codeword and its nonzero
 multiples have the same weight, on integer-encoded symbols.  The scan
@@ -49,7 +49,7 @@ from operator import getitem
 from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import FieldSpec, _Memo, _Value
 from .geometry import ProjPoint
-from .autgroup import AutGroup, ProjMap, certify_generated, find_frame
+from .autgroup import AutGroup, ProjMap, find_frame
 from .construction import EvalCode, rank_and_rref
 
 DEFAULT_MESSAGE_GUARD = 2**24
@@ -446,19 +446,15 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
 
     The certificate works on the generators and a projective frame in the
     evaluation set, and builds no element's permutation.  The generators
-    must map the points onto themselves and preserve the code; a
-    permutation group preserves a code iff its generators do.  A frame (3
-    distinct points of P^1, or 4 points of P^2 with no three collinear)
-    fixes a projective map, so `certify_generated` can show from the
-    frame's images alone that `group.elements` lists each element of the
-    generated group once.  Then every element preserves the code, and
-    distinct elements move the frame differently, so they induce distinct
-    permutations: the image has order |group|.  This is exact for any
-    AutGroup.  When a step fails (no frame in the points, an element
-    outside the generated group, an element listed twice, a generator
-    that breaks the code), the elements are scanned in order for the first
-    witness, so a failed report names the same element and reason as an
-    element-by-element check.
+    must map the points onto themselves and preserve the code;
+    `group.elements` lists the group they generate, each element once (see
+    `autgroup`), so every element preserves the code.  A frame (3 distinct points of P^1, or 4 points of P^2 with no
+    three collinear) fixes a projective map, so with a frame in the points
+    only the identity acts trivially on them, and the image has order
+    |group|.  When a step fails (a generator that leaves the points or
+    breaks the code, no frame in the points), the elements are scanned in
+    order for the first witness, so a failed report names the same element
+    and reason as an element-by-element check.
     """
     if _certified_on_generators(group, points, code):
         return CheckReport(
@@ -471,13 +467,11 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
 
 def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
     try:
-        generators = [permutation_of(g, points) for g in group.generators]
-        if not all(preserves_code(sigma, code) for sigma in generators):
+        if not all(preserves_code(permutation_of(g, points), code) for g in group.generators):
             return False
     except ValueError:  # a map leaves the evaluation set; the scan reports it
         return False
-    frame = find_frame(points)
-    return frame is not None and certify_generated(group, [points[i] for i in frame])
+    return find_frame(points) is not None
 
 
 def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:

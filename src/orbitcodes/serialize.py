@@ -121,8 +121,8 @@ def report_to_dict(reports, meta: dict) -> dict:
 
 
 def _typed(value, kind: type):
-    """`value`, if it is a JSON value of `kind` (int or bool); a bool is not
-    an int here, and no float or string is coerced."""
+    """`value`, if it is a JSON value of `kind` (int, bool or str); a bool
+    is not an int here, and no value of another type is coerced."""
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
@@ -167,7 +167,7 @@ def instance_from_dict(d: dict) -> Instance:
     groups = []
     for gd in d["groups"]:
         gens = [map_from_list(flat, working, n) for flat in gd["generators"]]
-        groups.append(close(gens, label=str(gd.get("label", f"G{len(groups) + 1}"))))
+        groups.append(close(gens, label=_typed(gd.get("label", f"G{len(groups) + 1}"), str)))
     functions = None
     if d.get("functions"):
         functions = tuple(poly_from_list(f, working) for f in d["functions"])
@@ -182,5 +182,5 @@ def instance_from_dict(d: dict) -> Instance:
         functions=functions,
         condition_a_declared=_typed(d.get("condition_a_holds", False), bool),
         family="custom",
-        q=d.get("q"),
+        q=None if d.get("q") is None else _typed(d["q"], int),
     )

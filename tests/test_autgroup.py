@@ -1,5 +1,6 @@
-"""Group closure, orbits, curve preservation, the generator families, and
-the frame certificate that a group lists exactly what its generators make."""
+"""Group closure, orbits, curve preservation, the generator families,
+projective frames, and the rule that every group is the closure of its
+generators."""
 
 import itertools
 import random
@@ -20,7 +21,7 @@ from orbitcodes import (
     root_of_unity,
     trace_fermat_curve,
 )
-from orbitcodes.autgroup import _det, certify_generated, find_frame, standard_frame
+from orbitcodes.autgroup import _det, find_frame
 from orbitcodes.geometry import projective_reps
 from orbitcodes.gf import prime_power
 
@@ -389,7 +390,7 @@ def test_bf_joint_group():
 
 
 # ---------------------------------------------------------------------------
-# projective frames and the generated-group certificate
+# projective frames, and groups as the closures of their generators
 
 
 def oracle_independent(keys, field):
@@ -444,8 +445,10 @@ def test_find_frame_on_crafted_point_lists():
     assert find_frame(line) == (0, 1, 2)
     assert find_frame([line[0], line[0], line[3]]) is None
     assert find_frame([]) is None
-    assert find_frame(standard_frame(F5, 3)) == (0, 1, 2, 3)
-    assert find_frame(standard_frame(F5, 2)) == (0, 1, 2)
+    # the unit points and (1 : ... : 1)
+    assert find_frame([point(F5, *k) for k in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]) \
+        == (0, 1, 2, 3)
+    assert find_frame([point(F5, *k) for k in [(1, 0), (0, 1), (1, 1)]]) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (3, 2)])
@@ -477,47 +480,15 @@ def oracle_generated_exactly(group):
     return len(set(group.elements)) == group.order and set(group.elements) == set(whole)
 
 
-def generated_cases(built):
-    """Groups with their evaluation sets: the built-in ones, and hand-built
-    element lists that are a subset of the generated group, list an
-    element twice, or hold an element outside it."""
+def test_every_group_is_the_closure_of_its_generators(built):
+    G1 = built[("fermat", 3)].instance.groups[0]
+    with pytest.raises(TypeError):
+        AutGroup(G1.generators, G1.elements, "G1")  # only close and intersect build one
+    checked = 0
     for res in built.values():
-        for grp in res.instance.groups + (res.instance.joint_group(),):
-            yield grp, res.points
-    res = built[("fermat", 3)]
-    joint = res.instance.joint_group()
-    ident, x, y = joint.elements[:3]
-    x2, x3 = x @ x, x @ x @ x
-    for elements in [
-        joint.elements[:7],
-        joint.elements[:12],  # the generated group has fewer than twice as many
-        joint.elements[:-1] + (joint.elements[1],),
-        (ident, x, x, x3),  # as many as <x>, but x2 missing
-        (ident, x, x2, x3, y),
-    ]:
-        yield AutGroup((x, y) if y in elements else (x,), elements), res.points
-    yield AutGroup((x,), joint.elements), res.points
-    yield AutGroup((), (ident,)), res.points
-    yield AutGroup((), (ident, x)), res.points
-
-
-def test_certify_generated_matches_the_closure_oracle(built):
-    outcomes = []
-    for grp, pts in generated_cases(built):
-        want = oracle_generated_exactly(grp)
-        frame = find_frame(pts)
-        on_points = certify_generated(grp, [pts[i] for i in frame])
-        on_standard = certify_generated(grp, standard_frame(grp.field, len(pts[0].key)))
-        assert on_points == on_standard == want, grp.order
-        outcomes.append(want)
-    assert outcomes.count(False) == 7
-
-
-def test_certify_generated_refuses_maps_of_another_space(fermat3):
-    F9, g1, _ = fermat3
-    G1 = close(g1)
-    assert certify_generated(G1, standard_frame(F9, 3))
-    assert not certify_generated(G1, standard_frame(make_field(3, 4), 3))
-    line = close([ProjMap(((root_of_unity(F9, 4), F9.zero()), (F9.zero(), F9.one())), F9)])
-    assert not certify_generated(line, standard_frame(F9, 3))
-    assert certify_generated(line, standard_frame(F9, 2))
+        groups = res.instance.groups + (res.instance.joint_group(),)
+        pairs = [a.intersect(b) for a, b in itertools.combinations(groups, 2)]
+        for grp in groups + tuple(pairs):
+            assert oracle_generated_exactly(grp), grp.label
+            checked += 1
+    assert checked == 6 * len(built)

@@ -296,6 +296,15 @@ MISTYPED_VALUES = {
     "float_m": ({"m": 1.9}, "1.9"),
     "float_qprime": ({"Qprime": [0.0, 1.2]}, "0.0"),
     "string_condition_a": ({"condition_a_holds": "false"}, "'false'"),
+    # a q copied as is named construct's default output file, so "sub/x"
+    # wrote into a subdirectory; a label was passed through str()
+    "string_q": ({"q": "sub/x"}, "'sub/x'"),
+    "float_q": ({"q": 1.5}, "1.5"),
+    "list_q": ({"q": [1, 2]}, "[1, 2]"),
+    "null_label": ({"groups": [{"label": None, "generators": [[2, 0, 0, 1]]},
+                               {"label": "G2", "generators": [[2, 2, 0, 1]]}]}, "None"),
+    "int_label": ({"groups": [{"label": "G1", "generators": [[2, 0, 0, 1]]},
+                              {"label": 2, "generators": [[2, 2, 0, 1]]}]}, "2"),
 }
 
 

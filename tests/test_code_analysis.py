@@ -18,7 +18,6 @@ import random
 import pytest
 
 from orbitcodes import (
-    AutGroup,
     CheckFailure,
     CheckReport,
     CoordPermutation,
@@ -818,29 +817,6 @@ def test_generator_that_breaks_the_code_gives_the_oracle_witness(built):
     assert rep.witness == {"element": list(joint.generators[1].key)}
 
 
-def test_hand_built_groups_match_the_oracle(built):
-    res = built[("fermat", 3)]
-    joint = res.instance.joint_group()
-    ident, x_scaling, y_scaling = joint.elements[:3]
-    assert (x_scaling, y_scaling) == joint.generators
-    broken = _fermat3_shifted_y_code(res)
-    cases = [
-        # element lists that are not the closure of their generators
-        (AutGroup(joint.generators, joint.elements[:k]), res.code)
-        for k in (3, 7, 15)
-    ] + [
-        (AutGroup((), (ident, x_scaling)), res.code),
-        (AutGroup((x_scaling,), (ident, x_scaling, x_scaling)), res.code),
-        # the only generator preserves the code, a listed element does not
-        (AutGroup((x_scaling,), (ident, x_scaling, y_scaling)), broken),
-        (AutGroup((x_scaling,), joint.elements), broken),
-    ]
-    outcomes = []
-    for grp, code in cases:
-        outcomes.append(assert_matches_oracle(grp, res.points, code).passed)
-    assert outcomes == [True, True, True, True, False, False, False]
-
-
 def test_builtins_pass_on_the_certificate_without_the_scan(built, monkeypatch):
     def no_scan(*args):
         raise AssertionError("the element scan ran")
@@ -850,32 +826,6 @@ def test_builtins_pass_on_the_certificate_without_the_scan(built, monkeypatch):
         for grp in res.instance.groups + (res.instance.joint_group(),):
             rep = verify_faithful(grp, res.points, res.code)
             assert rep.passed and rep.details["image_order"] == grp.order
-
-
-def test_certificate_cases_fall_back_to_the_oracle_report(built):
-    """Each case leaves the certificate and gets the element scan's report:
-    an element listed twice, a subset of the generated group, an element
-    outside it, with and without a code it breaks."""
-    res = built[("fermat", 3)]
-    joint = res.instance.joint_group()
-    ident, x, y = joint.elements[:3]
-    x2, x3 = x @ x, x @ x @ x
-    broken = _fermat3_shifted_y_code(res)
-    cases = [
-        (AutGroup((x,), (ident, x, x, x3)), res.code),  # twice, and as many as <x>
-        (AutGroup((x,), (ident, x, x2, x3, x)), res.code),
-        (AutGroup(joint.generators, joint.elements[:5]), res.code),  # a subset
-        (AutGroup((x,), (ident, x, x2, x3, y)), res.code),  # y is outside <x>
-        (AutGroup((x,), (ident, x, x2, x3, y)), broken),
-        (AutGroup((x,), (ident, y, x)), broken),
-    ]
-    reports = []
-    for grp, code in cases:
-        assert not code_analysis._certified_on_generators(grp, res.points, code)
-        reports.append(assert_matches_oracle(grp, res.points, code))
-    assert [r.passed for r in reports] == [False, False, True, True, False, False]
-    assert reports[0].details == {"group_order": 4, "image_order": 3}
-    assert reports[4].witness == reports[5].witness == {"element": list(y.key)}
 
 
 def test_evaluation_set_without_a_frame_falls_back_to_the_scan():

@@ -10,7 +10,6 @@ import dataclasses
 import pytest
 
 from orbitcodes import (
-    AutGroup,
     CheckFailure,
     CheckReport,
     Instance,
@@ -439,11 +438,8 @@ def test_curve_check_on_hand_built_groups_matches_the_element_loop(built):
     shear = ProjMap(((o, z, o), (z, o, z), (z, z, o)), F9)  # breaks the curve
     assert not shear.preserves_curve(inst.curve)
     cases = [
-        (AutGroup(G1.generators, G1.elements + (shear,), "G1"), G2),  # an extra element
-        (AutGroup(G1.generators, G1.elements[:2], "G1"), G2),  # a subset
-        (AutGroup(G1.generators, G1.elements + G1.elements[1:2], "G1"), G2),  # twice
-        (G1, close([shear], label="shears")),  # a generator breaks it
-        (G1, AutGroup(G2.generators, G2.elements[:1] + (shear,) + G2.elements[1:], "G2")),
+        (G1, close([shear], label="shears")),  # the only generator breaks it
+        (G1, close(G2.generators + (shear,), label="G2")),  # one of two generators does
     ]
     reports = []
     for groups in cases:
@@ -452,7 +448,6 @@ def test_curve_check_on_hand_built_groups_matches_the_element_loop(built):
         rep = check_curve_preservation(case)
         assert rep == oracle_check_curve_preservation(case)
         reports.append(rep)
-    assert [r.passed for r in reports] == [False, True, True, False, False]
-    assert reports[0].witness == reports[4].witness == {"element": list(shear.key)}
-    assert reports[1].details == {"elements_checked": 2 + G2.order}
-    assert reports[3].details == {"group": "shears"}
+    assert [r.passed for r in reports] == [False, False]
+    assert [r.details for r in reports] == [{"group": "shears"}, {"group": "G2"}]
+    assert reports[0].witness == reports[1].witness == {"element": list(shear.key)}

@@ -32,11 +32,12 @@ does the same work.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from orbitcodes import builtin_instance, cli, min_distance_exact, run_construction
-from orbitcodes.cli import EXIT_OK
+from orbitcodes import builtin_instance, cli, min_distance_exact, run_construction, serialize
+from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK
 
 GOLDEN = {
     ("construct", "fermat", 3, 1): "91c78de2d60b2cfd5647ed7b3b8b05711726520f1b6c1cd057199b3675eec0ad",
@@ -97,3 +98,60 @@ def test_bf2_m3_distance_is_its_designed_bound():
     word = [a + b for a, b in zip(code.matrix[0], code.matrix[-1])]
     assert sum(map(bool, word)) == 12 == code.distance_bound
     assert min_distance_exact(code) == 12
+
+
+# Failure reports.  Each job runs on the built-in fermat q=3 instance
+# written as an orbitcodes.instance.v1 document, changed so that a check
+# fails: the shear X -> X + Z appended to G2's generators breaks the curve
+# (curve_preservation fails in G2, with the shear as witness), and the one
+# basis form Y + Z spans a code that the Y scaling does not preserve
+# (faithful_embedding names it).  These are the reports of the element
+# scans that a failed certificate falls back to.  Recorded on the commit
+# before `certify_generated` was deleted: (stdout sha256, exit code).
+SHEAR = [1, 0, 1, 0, 1, 0, 0, 0, 1]
+Y_PLUS_Z = [[[0, 1, 0], 1], [[0, 0, 1], 1]]
+FAILURE_GOLDEN = {
+    ("verify", "g2_shear"): (
+        "bb3fa360385026b4ee7064cbfe99233e8f634806d0edf0385bab29c2b14463a5", EXIT_CHECK_FAILED
+    ),
+    ("automorphisms", "g2_shear"): (
+        "81bfde5d5f3109cd645f1ee1b4f0d623915b6e80f6bc4af73ea7f6f6c16685ee", EXIT_CHECK_FAILED
+    ),
+    ("automorphisms", "y_plus_z"): (
+        "1323281ad1e884890279e0702a650de61603e23c64cf83b2330d5b0faed3c83f", EXIT_CHECK_FAILED
+    ),
+}
+
+
+def fermat3_instance_doc(case):
+    inst = builtin_instance("fermat", 3)
+    doc = {
+        "schema": "orbitcodes.instance.v1",
+        "ground_field": serialize.field_to_dict(inst.ground),
+        "working_field": serialize.field_to_dict(inst.working),
+        "curve": serialize.curve_to_dict(inst.curve),
+        "groups": [
+            {"label": g.label, "generators": [serialize.map_to_list(m) for m in g.generators]}
+            for g in inst.groups
+        ],
+        "Q": serialize.point_to_list(inst.Q),
+        "Qprime": serialize.point_to_list(inst.Qprime),
+        "m": inst.m,
+        "q": inst.q,
+        "condition_a_holds": True,
+    }
+    if case == "g2_shear":
+        doc["groups"][1]["generators"].append(SHEAR)
+    else:
+        doc["functions"] = [Y_PLUS_Z]
+    return doc
+
+
+@pytest.mark.parametrize("command,case", sorted(FAILURE_GOLDEN), ids="-".join)
+def test_failure_report_matches_golden(tmp_path, capsys, command, case):
+    path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    path.write_text(json.dumps(fermat3_instance_doc(case)))
+    code = cli.main([command, "--family", "custom", "--input", str(path), "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert out.read_text() == stdout
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == FAILURE_GOLDEN[(command, case)]
