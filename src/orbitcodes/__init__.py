@@ -30,9 +30,8 @@ _EXPORTS = {
         "preserves_code", "rank_and_rref", "verify_faithful",
     ),
     "construction": (
-        "ConstructionResult", "Divisor", "EvalBasis", "Instance", "build_basis", "build_code",
-        "build_divisor", "builtin_instance", "check_condition_b", "check_condition_d",
-        "run_construction",
+        "ConstructionResult", "Divisor", "EvalBasis", "Instance", "build_basis", "build_divisor",
+        "builtin_instance", "check_condition_b", "check_condition_d", "run_construction",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "serialize", "cli")

@@ -306,7 +306,7 @@ def _group(generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label
     return grp
 
 
-def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
+def close(generators, label: str = "") -> AutGroup:
     """Breadth-first closure of a generator list under composition.
 
     The element order is insertion order: identity, then products explored
@@ -314,8 +314,8 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     product m @ g of a kept element and a generator is formed and kept, so
     the result is exactly the generated group (see the module docstring).
     Each product reads the kept map's row logarithms, filled once per map.
-    Raises when more than `cap` elements appear (the group is too large, or
-    not finite as given).
+    Raises when more than `CLOSURE_CAP` elements appear (the group is too
+    large, or not finite as given).
     """
     generators = tuple(generators)
     if not generators:
@@ -324,8 +324,6 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
     n = generators[0].n
     if any(g.field != f or g.n != n for g in generators):
         raise ValueError("generators must share one field and dimension")
-    if cap < 1:
-        raise ValueError("cap must be positive")
     elements = [ProjMap.from_key(f, n, _identity_key(n))]
     seen = {elements[0].key}
     columns = [_column_logs(f, n, g.key) for g in generators]
@@ -333,11 +331,11 @@ def close(generators, cap: int = CLOSURE_CAP, label: str = "") -> AutGroup:
         for cols in columns:
             prod = _compose(f, m._logs, cols)
             if prod not in seen:
-                if len(elements) >= cap:
+                if len(elements) >= CLOSURE_CAP:
                     raise PreconditionError(
                         "closure_cap_exceeded",
-                        f"group closure exceeded cap {cap}",
-                        {"cap": cap},
+                        f"group closure exceeded cap {CLOSURE_CAP}",
+                        {"cap": CLOSURE_CAP},
                     )
                 seen.add(prod)
                 elements.append(ProjMap.from_key(f, n, prod))

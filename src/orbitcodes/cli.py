@@ -170,7 +170,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
             f"constructed [{code.n}, {code.rank}, >={code.distance_bound}]_"
             f"{inst.ground.order} code; joint group order {result.joint_order}"
         )
-        output = ns.output or f"{inst.family}_q{inst.q}_m{inst.m}.code.json"
+        q_part = "" if inst.q is None else f"_q{inst.q}"
+        output = ns.output or f"{inst.family}{q_part}_m{inst.m}.code.json"
         _emit(serialize.result_to_dict(result), output)
         _say(f"wrote {output}")
         return EXIT_OK

@@ -37,7 +37,6 @@ from .gf import (
     _Value,
     check_order,
     embedding,
-    frobenius,
     make_field,
     prime_power,
 )
@@ -95,12 +94,6 @@ class Divisor(_Value):
 
     def points(self) -> tuple[ProjPoint, ...]:
         return tuple(p for p, _ in self.support)
-
-    def multiplicity(self, pt: ProjPoint) -> int:
-        for p, m in self.support:
-            if p == pt:
-                return m
-        return 0
 
     def as_multiset(self) -> dict[ProjPoint, int]:
         return {p: m for p, m in self.support}
@@ -288,29 +281,25 @@ class Instance:
 
 
 def check_condition_b(inst: Instance) -> CheckReport:
-    """Groups must share one order and a designated pair must intersect
-    trivially (with two groups, the pair is just (G1, G2))."""
+    """Groups must share one order and some pair must intersect trivially
+    (with two groups, the pair is just (G1, G2))."""
     orders = [g.order for g in inst.groups]
     details: dict = {"orders": orders}
     if len(set(orders)) != 1:
         return CheckReport("condition_b", False, {**details, "reason": "group orders differ"})
     pair_results = []
     witness = None
-    any_trivial = False
+    passed = False
     for i in range(len(inst.groups)):
         for j in range(i + 1, len(inst.groups)):
             inter = inst.groups[i].intersect(inst.groups[j])
             pair_results.append({"pair": [i, j], "intersection_order": inter.order})
             if inter.order == 1:
-                any_trivial = True
+                passed = True
             elif witness is None:
                 nontrivial = next(m for m in inter.elements if not m.is_identity())
                 witness = {"pair": [i, j], "element": list(nontrivial.key)}
     details["pairs"] = pair_results
-    if len(inst.groups) == 2:
-        passed = pair_results[0]["intersection_order"] == 1
-    else:
-        passed = any_trivial
     return CheckReport("condition_b", passed, details, witness=None if passed else witness)
 
 
@@ -338,7 +327,6 @@ def build_divisor(inst: Instance) -> Divisor:
                     },
                 )
             )
-    support = tuple(sorted(reference.items(), key=lambda t: t[0].key))
     fod = _field_of_definition(reference, inst.working)
     ground_rational = inst.ground.k % fod.k == 0
     if not ground_rational:
@@ -353,7 +341,7 @@ def build_divisor(inst: Instance) -> Divisor:
                 },
             )
         )
-    return Divisor(support, fod, ground_rational)
+    return Divisor(tuple(reference.items()), fod, ground_rational)
 
 
 def _field_of_definition(multiset: dict[ProjPoint, int], working: FieldSpec) -> FieldSpec:
@@ -535,11 +523,6 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
     return EvalBasis(tuple(forms), mprime, 2)
 
 
-def build_code(inst: Instance) -> EvalCode:
-    """Run all checks, then evaluate the basis at S and assemble the code."""
-    return run_construction(inst).code
-
-
 def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
     if any(not p.key[-1] for p in S):
         raise PreconditionError(
@@ -571,14 +554,17 @@ def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
 
 
 def _ground_coercion(ground: FieldSpec, working: FieldSpec):
-    """Map working-field values into the ground field, verifying that each
-    value is fixed by the ground-field Frobenius before pulling it back."""
+    """Map working-field values into the ground field through the section
+    of the canonical embedding, which refuses every value outside its
+    image, the ground field."""
     if ground == working:
         return lambda v: v
     emb = embedding(ground, working)
 
     def coerce(v: FieldElement) -> FieldElement:
-        if frobenius(v, ground.order) != v:
+        try:
+            return emb.section(v)
+        except ValueError:
             raise CheckFailure(
                 CheckReport(
                     "ground_coercion",
@@ -588,8 +574,7 @@ def _ground_coercion(ground: FieldSpec, working: FieldSpec):
                         "value": v.enc,
                     },
                 )
-            )
-        return emb.section(v)
+            ) from None
 
     return coerce
 

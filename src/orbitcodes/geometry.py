@@ -171,9 +171,6 @@ class ProjPoint:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def __lt__(self, other: ProjPoint) -> bool:
-        return self.key < other.key
-
     def dehomogenized(self) -> tuple[FieldElement, ...]:
         """Representative scaled so the last coordinate is 1 (the affine
         chart used for evaluation); raises if the point is at infinity."""
@@ -216,11 +213,10 @@ class PlaneCurve(_Value):
     `terms` is a canonically ordered tuple of (exponent tuple, coefficient)
     pairs with nonzero coefficients, all of one total degree.
     `rational_points` keeps its enumeration per field on the curve object,
-    so a curve built for one job enumerates each field once; the equation
-    with its coefficients encoded in a field is kept the same way.
+    so a curve built for one job enumerates each field once.
     """
 
-    __slots__ = ("n_coords", "field", "terms", "_points", "_encoded")
+    __slots__ = ("n_coords", "field", "terms", "_points")
     _fields = ("n_coords", "field", "terms")
 
     def __init__(
@@ -247,7 +243,6 @@ class PlaneCurve(_Value):
                 raise ValueError("curve polynomial must be homogeneous")
         self._init(n_coords, field, tuple(sorted(terms, key=lambda t: t[0])))
         object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_encoded", {})
 
     @property
     def degree(self) -> int:
@@ -266,11 +261,8 @@ class PlaneCurve(_Value):
 
     def encoded_terms(self, field: FieldSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The (exponent tuple, coefficient encoding) pairs of the defining
-        polynomial over `field`, pushed through the embedding once per field."""
-        if field not in self._encoded:
-            poly = self.coefficients_over(field)
-            self._encoded[field] = tuple((e, c.enc) for e, c in poly.items())
-        return self._encoded[field]
+        polynomial over `field`, pushed through the canonical embedding."""
+        return tuple((e, c.enc) for e, c in self.coefficients_over(field).items())
 
     def contains(self, pt: ProjPoint) -> bool:
         """True iff the defining polynomial vanishes at pt (always true on P^1)."""

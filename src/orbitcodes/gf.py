@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from functools import cached_property
+from math import gcd
 
 from .errors import PreconditionError
 
@@ -84,19 +85,16 @@ def prime_power(q: int) -> tuple[int, int]:
     raise PreconditionError("not_prime_power", f"{q} is not a prime power")
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder in GF(p)[x]; den must be monic, ascending coeffs."""
+def _poly_mod(num, den: list[int], p: int) -> list[int]:
+    """Remainder of num in GF(p)[x]; den must be monic, ascending coeffs."""
     num = list(num)
     dd = len(den) - 1
-    quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] % p
         if c:
-            quot[i - dd] = c
             for j, dj in enumerate(den):
                 num[i - dd + j] = (num[i - dd + j] - c * dj) % p
-    rem = [c % p for c in num[:dd]]
-    return quot, rem
+    return [c % p for c in num[:dd]]
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -113,8 +111,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
             den = list(lower) + [1]
-            _, rem = _poly_divmod(list(coeffs), den, p)
-            if not any(rem):
+            if not any(_poly_mod(coeffs, den, p)):
                 return False
     return True
 
@@ -191,11 +188,6 @@ class FieldSpec(_Value):
         if not _is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is not monic irreducible over GF({p})")
         self._init(p, k, modulus)
-        # every FieldElement hash hashes its spec: compute the value once
-        _set(self, "_hash", hash((p, k, modulus)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def order(self) -> int:
@@ -241,7 +233,7 @@ class FieldSpec(_Value):
                 for i, x in enumerate(power):
                     for j, y in enumerate(g):
                         prod[i + j] += x * y
-                power = _poly_divmod(prod, self.modulus, self.p)[1]
+                power = _poly_mod(prod, self.modulus, self.p)
             if len(exp) == self.order - 1:
                 break
         log = [0] * self.order
@@ -416,11 +408,9 @@ def root_of_unity(spec: FieldSpec, n: int) -> FieldElement:
         raise PreconditionError(
             "bad_order", f"{n} does not divide the unit group order {spec.order - 1}"
         )
-    one = spec.one()
-    for a in spec.units():
-        if a**n == one and all(a**i != one for i in range(1, n)):
-            return a
-    raise AssertionError("unit group of a finite field is cyclic (unreachable)")
+    # the elements of order n are g^(j*(q-1)/n) with j prime to n
+    exp, step = spec._tables[0], (spec.order - 1) // n
+    return spec.from_enc(min(exp[j * step] for j in range(n) if gcd(j, n) == 1))
 
 
 class Embedding(_Value):

@@ -21,6 +21,7 @@ from orbitcodes import (
     root_of_unity,
     trace_fermat_curve,
 )
+from orbitcodes import autgroup
 from orbitcodes.autgroup import _det, find_frame
 from orbitcodes.geometry import projective_reps
 from orbitcodes.gf import prime_power
@@ -107,9 +108,10 @@ def test_dimension_mismatch():
 # closure
 
 
-def test_close_identity_only():
+def test_close_identity_only(monkeypatch):
+    monkeypatch.setattr(autgroup, "CLOSURE_CAP", 1)  # the identity alone fits
     F5 = make_field(5, 1)
-    g = close([identity_map(F5, 2)], cap=10)
+    g = close([identity_map(F5, 2)])
     assert g.order == 1
 
 
@@ -132,11 +134,14 @@ def test_close_projline_orders(q, expected):
     assert close(g1 + g2).order == expected == q * (q - 1) // 2
 
 
-def test_close_cap_exceeded():
+def test_close_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(autgroup, "CLOSURE_CAP", 7)  # read at each call
     F9 = make_field(3, 2)
     g1, g2 = builtin_generators("fermat", 3, F9)
-    with pytest.raises(PreconditionError):
-        close(g1 + g2, cap=7)
+    with pytest.raises(PreconditionError) as exc:
+        close(g1 + g2)
+    assert exc.value.kind == "closure_cap_exceeded"
+    assert exc.value.details == {"cap": 7}
 
 
 def test_closure_contains_generators_and_identity(fermat3):

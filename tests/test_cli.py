@@ -182,6 +182,24 @@ def test_custom_instance_roundtrip(tmp_path, capsys):
     assert built["joint_group_order"] == 6
 
 
+@pytest.mark.parametrize(
+    "q,name",
+    [("absent", "custom_m1.code.json"), (None, "custom_m1.code.json"), (3, "custom_q3_m1.code.json")],
+    ids=["absent", "null", "three"],
+)
+def test_custom_default_output_names_q_only_when_given(tmp_path, capsys, monkeypatch, q, name):
+    doc = dict(AFFINE_F3_INSTANCE)
+    if q != "absent":
+        doc["q"] = q
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "construct", "--family", "custom", "--input", "inst.json")
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["inst.json", name])
+    assert (tmp_path / name).read_text() == stdout
+    assert f"wrote {name}" in err
+
+
 def _assert_bad_input(capsys, *argv):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == EXIT_PRECONDITION
@@ -474,3 +492,41 @@ def test_main_in_process_freezes_nothing(tmp_path, capsys):
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert run_cli(capsys, "construct", "--m", "0")[0] == EXIT_PRECONDITION
     assert gc.get_freeze_count() == before
+
+
+# ---------------------------------------------------------------------------
+# output bytes and the hash seed: set and dict orders may depend on it
+
+BENCH_DATA = SRC.parent / "perfbench" / "data"
+
+
+def fermat4_custom_instance():
+    """The benchmark's seeded fermat q=4 instance, with its first seed as Q'."""
+    doc = json.loads((BENCH_DATA / "fermat4_instance.json").read_text())
+    doc["Qprime"] = json.loads((BENCH_DATA / "fermat4_seeds.json").read_text())[0]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "bf", "--q", "2"),
+        ("verify", "--family", "fermat", "--q", "5"),
+        ("construct", "--family", "custom", "--input", "inst.json"),
+    ],
+    ids=["construct-bf-2", "verify-fermat-5", "construct-custom-fermat4"],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, argv):
+    (tmp_path / "inst.json").write_text(json.dumps(fermat4_custom_instance()))
+    outs = []
+    for seed in ("0", "1"):
+        res = subprocess.run(
+            [sys.executable, "-m", "orbitcodes", *argv],
+            capture_output=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        assert res.returncode == EXIT_OK
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]

@@ -16,13 +16,13 @@ from orbitcodes import (
     ProjMap,
     PreconditionError,
     build_basis,
-    build_code,
     build_divisor,
     builtin_generators,
     builtin_instance,
     check_condition_b,
     check_condition_d,
     close,
+    diagonal_map,
     fermat_curve,
     make_field,
     point,
@@ -56,6 +56,71 @@ def test_condition_b_fails_when_groups_equal():
     assert rep.witness is not None  # a shared non-identity element
 
 
+def _fermat3_with_third_group():
+    """The built-in fermat q=3 instance with a third group of order 4, the
+    scalings of Z by the powers of a primitive 4th root of unity."""
+    inst = builtin_instance("fermat", 3)
+    F9 = inst.working
+    zeta = root_of_unity(F9, 4)
+    G3 = close([diagonal_map(F9, F9.one(), F9.one(), zeta)], label="G3")
+    return dataclasses.replace(inst, groups=inst.groups + (G3,))
+
+
+def test_condition_b_with_three_groups():
+    inst = _fermat3_with_third_group()
+    rep = check_condition_b(inst)
+    assert rep == CheckReport(
+        "condition_b",
+        True,
+        {
+            "orders": [4, 4, 4],
+            "pairs": [
+                {"pair": [0, 1], "intersection_order": 1},
+                {"pair": [0, 2], "intersection_order": 1},
+                {"pair": [1, 2], "intersection_order": 1},
+            ],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "copies,orders",
+    [
+        ((0, 0, 0), [4, 4, 4]),  # every pair shares all of G1
+        ((0, 1, 0), [1, 4, 1]),  # one pair is trivial, which is enough
+    ],
+)
+def test_condition_b_with_three_groups_passes_iff_a_pair_is_trivial(copies, orders):
+    inst = builtin_instance("fermat", 3)
+    inst = dataclasses.replace(inst, groups=tuple(inst.groups[i] for i in copies))
+    rep = check_condition_b(inst)
+    assert [p["intersection_order"] for p in rep.details["pairs"]] == orders
+    assert rep.passed == (1 in orders)
+    if rep.passed:
+        assert rep.witness is None
+    else:
+        assert rep.witness == {"pair": [0, 1], "element": [1, 0, 0, 0, 6, 0, 0, 0, 6]}
+
+
+def test_condition_d_with_three_groups_takes_the_first_good_pair():
+    inst = _fermat3_with_third_group()
+    D = run_construction(builtin_instance("fermat", 3)).divisor
+    S, rep = check_condition_d(inst, D)
+    assert len(S) == 16
+    assert rep.passed
+    assert rep.details["clauses"][-1] == {
+        "clause": "orbit_size",
+        "variant": "many_groups_pair",
+        "orbit_size": 16,
+        "designated_pair": [0, 1],
+        "passed": True,
+    }
+    # Q's orbit under the third group is not the line section
+    res = run_construction(inst, strict=False)
+    assert [r.name for r in res.reports][-1] == "condition_c"
+    assert not res.reports[-1].passed and res.code is None
+
+
 # ---------------------------------------------------------------------------
 # divisors / condition (c)
 
@@ -77,7 +142,7 @@ def test_projline_divisor_is_scaled_base_point(built):
     F5 = make_field(5, 1)
     assert D.points() == (point(F5, 1, 0),)
     assert D.degree == 2 and D.e == 2
-    assert D.multiplicity(point(F5, 1, 0)) == 2
+    assert dict(D.support) == {point(F5, 1, 0): 2}
 
 
 def test_bf_divisor_multiplicities(built):
@@ -364,8 +429,35 @@ def test_ground_coercion_failure_signals_nonrational_data():
     Q = curve.line_section_points(F9)[0]
     inst = Instance(curve, (close(g1), close(g2)), Q, point(F9, 1, 1, 1), F3, F9)
     with pytest.raises(CheckFailure) as exc:
-        build_code(inst)
+        run_construction(inst).code
     assert exc.value.report.name in ("condition_d", "ground_coercion")
+
+
+def test_ground_coercion_report_names_the_first_value_off_the_ground():
+    # the projline q=9 groups on the line over GF(9), built over ground GF(3):
+    # conditions a-d hold, and the basis takes the value 6 outside GF(3)
+    F9 = make_field(3, 2)
+    F3 = make_field(3, 1)
+    g1, g2 = builtin_generators("projline", 9, F9)
+    groups = (close(g1, label="G1"), close(g2, label="G2"))
+    inst = Instance(projective_line(F9), groups, point(F9, 1, 0), point(F9, 1, 1), F3, F9)
+    res = run_construction(inst, strict=False)
+    assert res.code is None and res.joint_order == 36 and len(res.points) == 9
+    assert [(r.name, r.passed) for r in res.reports] == [
+        ("condition_a", True),
+        ("curve_preservation", True),
+        ("condition_b", True),
+        ("condition_c", True),
+        ("rationality", True),
+        ("condition_d", True),
+        ("ground_coercion", False),
+    ]
+    assert res.reports[-1] == CheckReport(
+        "ground_coercion", False, {"reason": "evaluation leaves the ground field", "value": 6}
+    )
+    with pytest.raises(CheckFailure) as exc:
+        run_construction(inst)
+    assert exc.value.report == res.reports[-1]
 
 
 def test_joint_group_is_closed_once_per_instance():

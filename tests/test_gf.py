@@ -386,6 +386,27 @@ def oracle_primitive_roots(spec, n):
     return out
 
 
+def oracle_root_of_unity(spec, n):
+    """The scan of the units in encoding order by their powers."""
+    one = spec.one()
+    for a in spec.units():
+        if a**n == one and all(a**i != one for i in range(1, n)):
+            return a
+    raise AssertionError("unit group of a finite field is cyclic (unreachable)")
+
+
+PRIMES_UP_TO_81 = [p for p in range(2, 82) if all(p % d for d in range(2, p))]
+FIELDS_UP_TO_81 = [(p, k) for p in PRIMES_UP_TO_81 for k in range(1, 7) if p**k <= 81]
+
+
+@pytest.mark.parametrize("p,k", FIELDS_UP_TO_81)
+def test_root_of_unity_matches_the_scan(p, k):
+    spec = make_field(p, k)
+    for n in range(1, spec.order):
+        if (spec.order - 1) % n == 0:
+            assert root_of_unity(spec, n) == oracle_root_of_unity(spec, n)
+
+
 def test_root_of_unity_f9_order_4():
     F9 = make_field(3, 2)
     z = root_of_unity(F9, 4)

@@ -43,7 +43,8 @@ HEAVY = {
     "inspect",
 }
 
-# the names the package exported when it imported every submodule up front
+# the names the package exported when it imported every submodule up front,
+# less `build_code`, which is deleted (it returned `run_construction(inst).code`)
 EXPORTS = {
     "errors": ["CheckFailure", "CheckReport", "OrbitCodesError", "PreconditionError"],
     "gf": ["Embedding", "FieldElement", "FieldSpec", "embedding", "frobenius", "make_field",
@@ -55,7 +56,7 @@ EXPORTS = {
     "code_analysis": ["CoordPermutation", "EvalCode", "min_distance_exact", "permutation_of",
                       "preserves_code", "rank_and_rref", "verify_faithful"],
     "construction": ["ConstructionResult", "Divisor", "EvalBasis", "Instance", "build_basis",
-                     "build_code", "build_divisor", "builtin_instance", "check_condition_b",
+                     "build_divisor", "builtin_instance", "check_condition_b",
                      "check_condition_d", "run_construction"],
 }
 
