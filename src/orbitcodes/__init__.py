@@ -26,12 +26,13 @@ _EXPORTS = {
         "AutGroup", "ProjMap", "builtin_generators", "close", "diagonal_map", "identity_map",
     ),
     "code_analysis": (
-        "CoordPermutation", "EvalCode", "min_distance_exact", "permutation_of",
-        "preserves_code", "rank_and_rref", "verify_faithful",
+        "CoordPermutation", "min_distance_exact", "permutation_of", "preserves_code",
+        "verify_faithful",
     ),
     "construction": (
-        "ConstructionResult", "Divisor", "EvalBasis", "Instance", "build_basis", "build_divisor",
-        "builtin_instance", "check_condition_b", "check_condition_d", "run_construction",
+        "ConstructionResult", "Divisor", "EvalBasis", "EvalCode", "Instance", "build_basis",
+        "build_divisor", "builtin_instance", "check_condition_b", "check_condition_d",
+        "rank_and_rref", "run_construction",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "serialize", "cli")

@@ -22,11 +22,12 @@ import argparse
 import gc
 import sys
 
-from .errors import CheckFailure, OrbitCodesError, PreconditionError
+from .errors import CheckFailure, OrbitCodesError, PreconditionError, dumps
 
 # The math (construction, serialize) is imported in the command path, after
-# the usage checks, and json where a document is read or written, so that
-# --help, a usage error and `import orbitcodes.cli` load none of the math.
+# the usage checks and export, and json where a document is read or written,
+# so that --help, a usage error, export and `import orbitcodes.cli` load
+# none of the math.
 # code_analysis is imported only by the commands that run it, distance and
 # automorphisms.
 
@@ -41,12 +42,7 @@ def _say(msg: str):
 
 def _emit(doc: dict, output: str | None):
     """Write a command's report to `output` first, then to stdout."""
-    from .serialize import dumps
-
-    _write(dumps(doc), output)
-
-
-def _write(text: str, output: str | None):
+    text = dumps(doc)
     if output:
         try:
             with open(output, "w") as fh:
@@ -54,14 +50,6 @@ def _write(text: str, output: str | None):
         except OSError as exc:
             raise PreconditionError("bad_output", f"cannot write {output}: {exc}") from None
     sys.stdout.write(text)
-
-
-def _failure_text(doc: dict) -> str:
-    """The canonical text of `serialize.dumps`, from json alone: a command
-    can stop before any math is imported."""
-    import json
-
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 def _read_document(path: str) -> dict:
@@ -120,10 +108,10 @@ def _error_doc(exc: PreconditionError) -> dict:
 def _report(doc: dict, output: str | None, status: int) -> int:
     """Write a failure document, or the bad_output error if `output` fails."""
     try:
-        _write(_failure_text(doc), output)
+        _emit(doc, output)
     except PreconditionError as exc:
         _say(f"precondition error [{exc.kind}]: {exc}")
-        _write(_failure_text(_error_doc(exc)), None)
+        _emit(_error_doc(exc), None)
         return EXIT_PRECONDITION
     return status
 
@@ -151,7 +139,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     from . import serialize
-    from .construction import ConstructionResult, EvalCode, run_construction
+    from .construction import run_construction
 
     inst = _load_instance(ns)
     strict = ns.command != "verify"
@@ -180,19 +168,13 @@ def _dispatch(ns: argparse.Namespace) -> int:
         from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
 
         guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
-        c = result.code
-        d = min_distance_exact(c, guard)
-        code = EvalCode(c.field, c.points, c.matrix, c.rank, c.distance_bound, d)
-        result = ConstructionResult(
-            result.instance, result.reports, result.divisor, result.points, result.joint_order, code
-        )
-        ok = d >= code.distance_bound
-        _say(
-            f"exact minimum distance {d}, designed bound {code.distance_bound} "
-            f"({'met' if ok else 'VIOLATED'})"
-        )
-        _emit(serialize.result_to_dict(result), ns.output)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        # min_distance_exact raises CheckFailure on any weight below the bound
+        d = min_distance_exact(result.code, guard)
+        _say(f"exact minimum distance {d}, designed bound {result.code.distance_bound} (met)")
+        doc = serialize.result_to_dict(result)
+        doc["distance_exact"] = d
+        _emit(doc, ns.output)
+        return EXIT_OK
 
     if ns.command == "automorphisms":
         from .code_analysis import verify_faithful

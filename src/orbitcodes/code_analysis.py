@@ -4,8 +4,9 @@ Exact minimum distance by the cheaper of two exact methods, and
 certification that a matrix group acting on the evaluation set embeds
 faithfully into the code's permutation automorphism group.  The code,
 `EvalCode`, and its row reduction, `rank_and_rref`, live in `construction`,
-which builds the code and needs its rank, so that `construct` and `verify`
-never load this module; both names are re-exported here.  The membership
+which builds the code and reports its rank, so that `construct` and
+`verify` never load this module.  Every method here reads the code's one
+reduction, `EvalCode.reduced`, which also gives its rank.  The membership
 test works, like the reduction, on rows of canonical encodings with the
 field's `axpy` kernel; `EvalCode.matrix` keeps the field elements as the
 public view.
@@ -95,10 +96,7 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     guard.  Outside the guard the report gives the lightest weight of the
     first BZ round that broke the bound.
     """
-    q = code.field.order
-    k = code.reduced[0]
-    if k != code.rank:
-        raise ValueError("stored rank disagrees with the matrix")
+    q, k = code.field.order, code.rank
     if k == 0:
         raise ValueError("cannot measure the distance of the zero code")
     classes = (q**k - 1) // (q - 1)
@@ -448,35 +446,39 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
     evaluation set, and builds no element's permutation.  The generators
     must map the points onto themselves and preserve the code;
     `group.elements` lists the group they generate, each element once (see
-    `autgroup`), so every element preserves the code.  A frame (3 distinct points of P^1, or 4 points of P^2 with no
-    three collinear) fixes a projective map, so with a frame in the points
-    only the identity acts trivially on them, and the image has order
-    |group|.  When a step fails (a generator that leaves the points or
-    breaks the code, no frame in the points), the elements are scanned in
-    order for the first witness, so a failed report names the same element
-    and reason as an element-by-element check.
+    `autgroup`), so every element preserves the code.  A frame (3 distinct
+    points of P^1, or 4 points of P^2 with no three collinear) fixes a
+    projective map, so with a frame in the points only the identity acts
+    trivially on them, and the image has order |group|.  When a step fails
+    (a generator that breaks the code, no frame in the points), the
+    elements are scanned in order for the first witness, so a failed
+    report names the same element and reason as an element-by-element
+    check.  A map that sends a point outside the evaluation set gets no
+    report: the scan raises the ValueError of `permutation_of` for the
+    first element that does, as that check does.
     """
-    if _certified_on_generators(group, points, code):
-        return CheckReport(
-            "faithful_embedding",
-            True,
-            {"group_order": group.order, "image_order": group.order},
-        )
-    return _scan_elements(group, points, code)
+    if not _certified_on_generators(group, points, code):
+        failure = _scan_elements(group, points, code)
+        if failure:
+            return failure
+    details = {"group_order": group.order, "image_order": group.order}
+    return CheckReport("faithful_embedding", True, details)
 
 
 def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
     try:
         if not all(preserves_code(permutation_of(g, points), code) for g in group.generators):
             return False
-    except ValueError:  # a map leaves the evaluation set; the scan reports it
+    except ValueError:  # a map leaves the evaluation set; the scan raises it
         return False
     return find_frame(points) is not None
 
 
-def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:
-    """Element-by-element check in element order."""
-    images = set()
+def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport | None:
+    """Element-by-element check in element order: the report of the first
+    element that fails, or None.  When every element passes, only the
+    identity acts trivially, so the action on the points is injective and
+    its image has order |group|."""
     for gamma in group.elements:
         sigma = permutation_of(gamma, points)
         if not preserves_code(sigma, code):
@@ -493,10 +495,4 @@ def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport:
                 {"reason": "non-identity element acts trivially on the evaluation set"},
                 witness={"element": list(gamma.key)},
             )
-        images.add(sigma.perm)
-    passed = len(images) == group.order
-    return CheckReport(
-        "faithful_embedding",
-        passed,
-        {"group_order": group.order, "image_order": len(images)},
-    )
+    return None

@@ -21,7 +21,10 @@ support of D taken once), the code is L((m*e) * D0) with bound
 The code value, `EvalCode`, and the exact row reduction that gives its
 rank, `rank_and_rref`, are defined here rather than in `code_analysis`,
 so that `construct` and `verify` do not load the distance and
-faithful-action module; `code_analysis` re-exports both.
+faithful-action module.  A code is built without its rank: `EvalCode.rank`
+reads the code's one reduction, made on first use, so `verify`, which
+reports no rank, reduces nothing.  The package exports both names from
+here, and `code_analysis` imports them.
 """
 
 from __future__ import annotations
@@ -100,14 +103,15 @@ class Divisor(_Value):
 
 
 class EvalBasis(_Value):
-    """Homogeneous forms of one common degree, evaluated in the affine chart
-    where the last coordinate is 1 (division by that power of the last
-    coordinate is understood)."""
+    """Homogeneous forms of one common degree, the degree of the first
+    nonzero form, evaluated in the affine chart where the last coordinate
+    is 1 (division by that power of the last coordinate is understood)."""
 
     __slots__ = ("forms", "degree", "n_coords")
     _fields = __slots__
 
-    def __init__(self, forms: tuple[Poly, ...], degree: int, n_coords: int):
+    def __init__(self, forms: tuple[Poly, ...], n_coords: int):
+        degree = next((poly_degree(f) for f in forms if f), 0)
         for f in forms:
             if not f:
                 raise ValueError("basis forms must be nonzero")
@@ -119,13 +123,6 @@ class EvalBasis(_Value):
                 raise ValueError("basis form exponents must be nonnegative")
         self._init(forms, degree, n_coords)
 
-    @classmethod
-    def explicit(cls, forms: tuple[Poly, ...], n_coords: int) -> EvalBasis:
-        """The basis of explicit forms, at the degree of the first nonzero
-        one; forms the constructor refuses (a zero or non-homogeneous form,
-        mixed degrees, a wrong arity, a negative exponent) raise ValueError."""
-        return cls(forms, next((poly_degree(f) for f in forms if f), 0), n_coords)
-
     def evaluate(self, form: Poly, pt: ProjPoint) -> FieldElement:
         terms = tuple((e, c.enc) for e, c in form.items())
         chart = tuple(c.enc for c in pt.dehomogenized())
@@ -136,34 +133,28 @@ class EvalCode(_Value):
     """A linear code presented by evaluations of functions at ordered points.
 
     `matrix` holds one row per nominal function (there may be more rows than
-    the rank); `rank` is the code dimension; `distance_bound` is the designed
-    lower bound on the minimum distance; `distance_exact` is filled in only
-    once `min_distance_exact` has proved the minimum distance, by the
-    cheaper of the message scan and Brouwer-Zimmermann (see the README
-    paragraph on how `distance` proves the exact minimum).
+    the rank); `distance_bound` is the designed lower bound on the minimum
+    distance.  The rank, the code dimension, is read from the one row
+    reduction of the matrix, `reduced`.
     """
 
-    _fields = ("field", "points", "matrix", "rank", "distance_bound", "distance_exact")
+    _fields = ("field", "points", "matrix", "distance_bound")
 
     def __init__(
         self,
         field: FieldSpec,
         points: tuple[ProjPoint, ...],
         matrix: tuple[tuple[FieldElement, ...], ...],
-        rank: int,
         distance_bound: int,
-        distance_exact: int | None = None,
     ):
         n = len(points)
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix rows must match the number of points")
         if any(c.spec != field for row in matrix for c in row):
             raise ValueError("matrix entries must live in the code field")
-        if not (rank <= len(matrix) <= n):
-            raise ValueError("need rank <= nominal rows <= length")
-        if distance_exact is not None and distance_exact < distance_bound:
-            raise ValueError("exact distance below the designed bound")
-        self._init(field, points, matrix, rank, distance_bound, distance_exact)
+        if len(matrix) > n:
+            raise ValueError("need nominal rows <= length")
+        self._init(field, points, matrix, distance_bound)
 
     @property
     def n(self) -> int:
@@ -178,9 +169,13 @@ class EvalCode(_Value):
     @cached_property
     def reduced(self):
         """`rank_and_rref` of `encodings`, computed once per code: (rank,
-        rref rows, pivot columns).  The distance scan and every
+        rref rows, pivot columns).  The rank, the distance scan and every
         code-preservation test read it."""
         return rank_and_rref(self.field, self.encodings)
+
+    @property
+    def rank(self) -> int:
+        return self.reduced[0]
 
 
 def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
@@ -259,7 +254,7 @@ class Instance:
         if not self.curve.contains(self.Qprime):
             raise ValueError("Q' must lie on the curve")
         if self.functions is not None:
-            EvalBasis.explicit(self.functions, self.curve.n_coords)
+            EvalBasis(self.functions, self.curve.n_coords)
 
     def joint_group(self) -> AutGroup:
         """The group generated by every group's generators, closed once."""
@@ -493,7 +488,7 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
     rank, never the nominal count.
     """
     if inst.functions is not None:
-        return EvalBasis.explicit(inst.functions, inst.curve.n_coords)
+        return EvalBasis(inst.functions, inst.curve.n_coords)
     one = inst.working.one()
     if inst.curve.n_coords == 3:
         section = set(inst.curve.line_section_points(inst.working))
@@ -509,7 +504,7 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
             for j in range(total + 1):
                 i = total - j
                 forms.append({(i, j, m - total): one})
-        return EvalBasis(tuple(forms), m, 3)
+        return EvalBasis(tuple(forms), 3)
     # P^1: divisor must sit at the single point with last coordinate zero
     infinity = ProjPoint((inst.working.one(), inst.working.zero()))
     if D.points() != (infinity,):
@@ -520,10 +515,10 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
         )
     mprime = inst.m * D.degree
     forms = [{(i, mprime - i): one} for i in range(mprime + 1)]
-    return EvalBasis(tuple(forms), mprime, 2)
+    return EvalBasis(tuple(forms), 2)
 
 
-def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
+def _assemble_code(inst: Instance, S, basis: EvalBasis) -> EvalCode:
     if any(not p.key[-1] for p in S):
         raise PreconditionError(
             "unsupported_basis",
@@ -542,15 +537,8 @@ def _assemble_code(inst: Instance, D: Divisor, S, basis: EvalBasis) -> EvalCode:
                 )
             )
         rows.append(row)
-    rank, _, _ = rank_and_rref(inst.ground, [[c.enc for c in row] for row in rows])
     bound = len(S) - inst.m * inst.groups[0].order
-    return EvalCode(
-        field=inst.ground,
-        points=tuple(S),
-        matrix=tuple(rows),
-        rank=rank,
-        distance_bound=bound,
-    )
+    return EvalCode(inst.ground, tuple(S), tuple(rows), bound)
 
 
 def _ground_coercion(ground: FieldSpec, working: FieldSpec):
@@ -614,11 +602,14 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
     the failure is recorded in the reports and later stages are skipped.
     """
     reports: list[CheckReport] = []
+    D = code = None
+    S, joint_order = (), 0
 
-    def fail(result: ConstructionResult):
-        if strict:
-            raise CheckFailure(next(r for r in reports if not r.passed))
-        return result
+    def result() -> ConstructionResult:
+        failed = next((r for r in reports if not r.passed), None)
+        if strict and failed is not None:
+            raise CheckFailure(failed)
+        return ConstructionResult(inst, tuple(reports), D, tuple(S), joint_order, code)
 
     reports.append(
         CheckReport(
@@ -630,48 +621,40 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
     reports.append(check_curve_preservation(inst))
     reports.append(check_condition_b(inst))
     if not all(r.passed for r in reports):
-        return fail(ConstructionResult(inst, tuple(reports), None, (), 0, None))
+        return result()
 
     try:
         D = build_divisor(inst)
-        reports.append(
-            CheckReport(
-                "condition_c",
-                True,
-                {
-                    "degree": D.degree,
-                    "support_size": len(D.support),
-                    "e": D.e,
-                },
-            )
-        )
-        reports.append(
-            CheckReport(
-                "rationality",
-                True,
-                {
-                    "field_of_definition": {"p": D.field_of_definition.p, "k": D.field_of_definition.k},
-                    "ground_rational": D.ground_rational,
-                },
-            )
-        )
     except CheckFailure as exc:
         reports.append(exc.report)
-        return fail(ConstructionResult(inst, tuple(reports), None, (), 0, None))
+        return result()
+    reports.append(
+        CheckReport(
+            "condition_c", True, {"degree": D.degree, "support_size": len(D.support), "e": D.e}
+        )
+    )
+    reports.append(
+        CheckReport(
+            "rationality",
+            True,
+            {
+                "field_of_definition": {"p": D.field_of_definition.p, "k": D.field_of_definition.k},
+                "ground_rational": D.ground_rational,
+            },
+        )
+    )
 
     S, rep_d = check_condition_d(inst, D)
     reports.append(rep_d)
     joint_order = inst.joint_group().order
     if not rep_d.passed:
-        return fail(ConstructionResult(inst, tuple(reports), D, S, joint_order, None))
+        return result()
 
     try:
-        basis = build_basis(inst, D)
-        code = _assemble_code(inst, D, S, basis)
+        code = _assemble_code(inst, S, build_basis(inst, D))
     except CheckFailure as exc:
         reports.append(exc.report)
-        return fail(ConstructionResult(inst, tuple(reports), D, S, joint_order, None))
-    return ConstructionResult(inst, tuple(reports), D, tuple(S), joint_order, code)
+    return result()
 
 
 # ---------------------------------------------------------------------------

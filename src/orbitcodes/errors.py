@@ -1,4 +1,5 @@
-"""Exceptions and check reports shared across the package."""
+"""Exceptions, check reports and the canonical JSON text, shared across
+the package."""
 
 from __future__ import annotations
 
@@ -63,3 +64,13 @@ class CheckFailure(OrbitCodesError):
     def __init__(self, report: CheckReport):
         super().__init__(f"check '{report.name}' failed: {report.details}")
         self.report = report
+
+
+def dumps(doc: dict) -> str:
+    """The canonical JSON text of a document: sorted keys, fixed separators
+    and a final newline, so a given configuration always gives the same
+    bytes.  json is imported here, on first use, so that `--help` and the
+    usage checks, which import this module, load no json."""
+    import json
+
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"

@@ -3,8 +3,9 @@
 Everything is written in terms of canonical integer encodings: field
 elements as enc values, points as tuples of enc values of the normalized
 coordinates, maps as row-major enc tuples, polynomials as sorted
-(exponents, enc) pairs.  Dumps sort keys and use fixed separators so a
-given configuration always produces byte-identical files.
+(exponents, enc) pairs.  `dumps`, the canonical text of `errors`, sorts
+keys and uses fixed separators so a given configuration always produces
+byte-identical files.
 
 Schemas:
   orbitcodes.instance.v1  input description of a custom instance
@@ -14,16 +15,11 @@ Schemas:
 
 from __future__ import annotations
 
-import json
-
+from .errors import dumps
 from .gf import FieldSpec
 from .geometry import PlaneCurve, Poly, ProjPoint, projective_line
 from .autgroup import AutGroup, ProjMap, close
 from .construction import ConstructionResult, Divisor, Instance
-
-
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +95,7 @@ def result_to_dict(result: ConstructionResult) -> dict:
                 "k": code.rank,
                 "k_nominal": len(code.matrix),
                 "distance_bound": code.distance_bound,
-                "distance_exact": code.distance_exact,
+                "distance_exact": None,
                 "matrix": [[c.enc for c in row] for row in code.matrix],
             }
         )

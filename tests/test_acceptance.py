@@ -221,7 +221,7 @@ def test_criterion_8_property_suites(built):
     one, zero = F5.one(), F5.zero()
     pts = (point(F5, 0, 1), point(F5, 1, 1), point(F5, 1, 2))
     rows = ((one, one, one), (zero, one, F5.from_int(2)))
-    inflated = EvalCode(F5, pts, rows, rank=2, distance_bound=3)
+    inflated = EvalCode(F5, pts, rows, distance_bound=3)
     with pytest.raises(CheckFailure):
         min_distance_exact(inflated)
 

@@ -243,7 +243,7 @@ def test_distance_scan_enforces_bound():
     one, zero = F5.one(), F5.zero()
     pts = (point(F5, 0, 1), point(F5, 1, 1), point(F5, 1, 2))
     rows = ((one, one, one), (zero, one, F5.from_int(2)))
-    bad = EvalCode(F5, pts, rows, rank=2, distance_bound=3)  # true distance is 1
+    bad = EvalCode(F5, pts, rows, distance_bound=3)  # true distance is 1
     with pytest.raises(CheckFailure) as exc:
         min_distance_exact(bad)
     assert exc.value.report.name == "distance_bound"
@@ -289,7 +289,7 @@ def oracle_min_distance_exact(code, max_messages=DEFAULT_MESSAGE_GUARD):
     q = code.field.order
     k, rref, _ = oracle_rank_and_rref(code.matrix)
     if k != code.rank:
-        raise ValueError("stored rank disagrees with the matrix")
+        raise ValueError("the code's rank disagrees with the oracle reduction")
     if k == 0:
         raise ValueError("cannot measure the distance of the zero code")
     total = q**k - 1
@@ -365,24 +365,24 @@ def random_code(rng, field, max_messages=2**16):
                 ))
         rank = oracle_rank_and_rref(rows)[0]
         if 1 <= rank <= 5 and field.order**rank - 1 <= max_messages:
-            return code_of(field, rows, rank)
+            return code_of(field, rows)
 
 
-def code_of(field, rows, rank, distance_bound=0):
+def code_of(field, rows, distance_bound=0):
     # the scan reads only the matrix; the points fix the length
     reps = list(projective_reps(field, 3))
     pts = tuple(reps[j % len(reps)] for j in range(len(rows[0])))
-    return EvalCode(field, pts, tuple(rows), rank=rank, distance_bound=distance_bound)
+    return EvalCode(field, pts, tuple(rows), distance_bound=distance_bound)
 
 
 def with_bound(code, distance_bound):
-    """The same code with another designed bound and no exact distance."""
-    return EvalCode(code.field, code.points, code.matrix, code.rank, distance_bound)
+    """The same code with another designed bound."""
+    return EvalCode(code.field, code.points, code.matrix, distance_bound)
 
 
-def encoded_code(field, encodings, rank, distance_bound):
+def encoded_code(field, encodings, distance_bound):
     rows = tuple(tuple(field.from_enc(e) for e in row) for row in encodings)
-    return code_of(field, rows, rank, distance_bound)
+    return code_of(field, rows, distance_bound)
 
 
 def test_first_violating_message_is_reported():
@@ -391,7 +391,7 @@ def test_first_violating_message_is_reported():
     F3 = make_field(3, 1)
     r0 = (1, 0, 1, 1, 1, 1, 1, 1)
     r1 = (0, 1, 2, 2, 2, 2, 1, 1)
-    code = encoded_code(F3, (r0, r1), rank=2, distance_bound=7)
+    code = encoded_code(F3, (r0, r1), distance_bound=7)
     rep = assert_distance_matches_oracle(code)
     assert rep.details == {"weight": 4, "bound": 7}
 
@@ -405,12 +405,12 @@ def test_first_violation_at_the_start_of_a_started_parent():
     r0 = (1, 0, 0, 0, 2, 1, 0, 0, 0)
     r1 = (0, 1, 0, 1, 1, 2, 0, 1, 0)
     r2 = (0, 0, 1, 1, 0, 1, 1, 2, 0)
-    code = encoded_code(F3, (r0, r1, r2), rank=3, distance_bound=5)
+    code = encoded_code(F3, (r0, r1, r2), distance_bound=5)
     assert assert_distance_matches_oracle(code).details == {"weight": 3, "bound": 5}
     assert assert_distance_matches_oracle(with_bound(code, 3)) == 3
     # without the first row the code is [9, 2, 5], and the root is the
     # parent with no nonzero coefficient: it takes the cells (0, 1), (1, s)
-    pair = encoded_code(F3, (r1, r2), rank=2, distance_bound=5)
+    pair = encoded_code(F3, (r1, r2), distance_bound=5)
     assert assert_distance_matches_oracle(pair) == 5
 
 
@@ -420,13 +420,13 @@ def test_rank_two_root_is_the_parent():
     F5 = make_field(5, 1)
     r0 = (1, 0, 1, 2, 3, 0)
     r1 = (0, 1, 0, 0, 4, 0)
-    code = encoded_code(F5, (r0, r1), rank=2, distance_bound=3)
+    code = encoded_code(F5, (r0, r1), distance_bound=3)
     assert assert_distance_matches_oracle(code).details == {"weight": 2, "bound": 3}
     assert assert_distance_matches_oracle(with_bound(code, 2)) == 2
     # here (0, 1), (1, 0) and (1, 1) meet the bound 4 and (1, 2) is the
     # first to break it, with weight 3
     r1 = (0, 1, 2, 4, 1, 1)
-    code = encoded_code(F5, (r0, r1), rank=2, distance_bound=4)
+    code = encoded_code(F5, (r0, r1), distance_bound=4)
     assert assert_distance_matches_oracle(code).details == {"weight": 3, "bound": 4}
 
 
@@ -436,7 +436,7 @@ def test_rank_one_is_the_weight_of_its_row(bound):
     F9 = make_field(3, 2)
     row = (0, 3, 0, 1, 8, 0, 2)
     rows = (row, row, tuple(F9.mul(5, e) for e in row))
-    got = assert_distance_matches_oracle(encoded_code(F9, rows, rank=1, distance_bound=bound))
+    got = assert_distance_matches_oracle(encoded_code(F9, rows, distance_bound=bound))
     if bound <= 4:
         assert got == 4
     else:
@@ -573,7 +573,7 @@ def high_rate_code(rng, field):
             cols.append(rng.choice(cols))
         else:
             cols.append(tuple(rng.choice(els) for _ in range(k)))
-    return code_of(field, tuple(zip(*cols)), k)
+    return code_of(field, tuple(zip(*cols)))
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -610,7 +610,7 @@ def test_bz_catches_up_the_lower_weights_of_a_partial_set():
         (0, 0, 0, 1, 2, 2, 0, 2, 0),
         (2, 0, 0, 1, 0, 1, 0, 1, 0),
     ]
-    code = encoded_code(F4, rows, rank=5, distance_bound=0)
+    code = encoded_code(F4, rows, distance_bound=0)
     assert [r for _, r in code_analysis._greedy_sets(code)] == [5, 3, 1]
     assert assert_bz_matches_oracle(code) == 3
 
@@ -625,7 +625,8 @@ def test_bz_catches_up_the_lower_weights_of_a_partial_set():
 ])
 def test_bz_on_partial_sets_and_zero_columns(rows, rank, ranks, d):
     F2 = make_field(2, 1)
-    code = encoded_code(F2, rows, rank=rank, distance_bound=0)
+    code = encoded_code(F2, rows, distance_bound=0)
+    assert code.rank == rank
     assert [r for _, r in code_analysis._greedy_sets(code)] == ranks
     assert assert_bz_matches_oracle(code) == d
     for bound in (d, d + 1):
@@ -644,7 +645,7 @@ def test_sub_bound_weight_met_by_bz_gets_the_scan_report(monkeypatch):
         (0, 0, 0, 1, 0, 1, 3, 4, 2, 2),
         (0, 0, 0, 0, 1, 1, 0, 0, 0, 0),
     ]
-    code = encoded_code(F5, rows, rank=5, distance_bound=3)
+    code = encoded_code(F5, rows, distance_bound=3)
     rep, taken = methods_taken(code, monkeypatch)
     assert taken == ["bz", "scan"]
     assert rep == distance_or_report(oracle_min_distance_exact, code)
@@ -663,7 +664,7 @@ def test_bz_past_the_scan_count_hands_over_to_the_scan(monkeypatch):
     F13 = make_field(13, 1)
     xs = range(1, 13)
     rows = [tuple(F13.pow(x, e) for x in xs) for e in range(4)]
-    code = encoded_code(F13, rows, rank=4, distance_bound=5)
+    code = encoded_code(F13, rows, distance_bound=5)
     assert methods_taken(code, monkeypatch) == (9, ["bz", "scan"])
     assert methods_taken(code, monkeypatch, max_messages=2380) == (9, ["bz", "scan"])
     # below the scan's count, BZ's own count is what passes the guard
@@ -805,7 +806,7 @@ def _fermat3_shifted_y_code(res):
     the X scaling preserves it, the Y scaling does not."""
     one_row, _, y_row = res.code.matrix
     row = tuple(a + b for a, b in zip(y_row, one_row))
-    return EvalCode(res.code.field, res.code.points, (row,), rank=1, distance_bound=0)
+    return EvalCode(res.code.field, res.code.points, (row,), distance_bound=0)
 
 
 def test_generator_that_breaks_the_code_gives_the_oracle_witness(built):
@@ -841,7 +842,7 @@ def test_evaluation_set_without_a_frame_falls_back_to_the_scan():
     pts = close([x_scaling]).orbit(point(F9, 1, 0, 1))
     assert len(pts) == 4
     code = EvalCode(F9, pts, ((one,) * 4, tuple(p.dehomogenized()[0] for p in pts)),
-                    rank=2, distance_bound=3)
+                    distance_bound=3)
     for gens, passed in [([x_scaling], True), ([x_scaling, y_scaling], False)]:
         group = close(gens)
         assert not code_analysis._certified_on_generators(group, pts, code)
@@ -850,6 +851,23 @@ def test_evaluation_set_without_a_frame_falls_back_to_the_scan():
     assert rep.details == {
         "reason": "non-identity element acts trivially on the evaluation set"
     }
+
+
+def test_a_generator_that_leaves_the_points_raises(built):
+    # the shear X -> X + Z joined to G2 sends a point of the fermat q=3
+    # evaluation set outside it: no report, the ValueError of the first
+    # element that does, from the certificate and the oracle alike
+    res = built[("fermat", 3)]
+    F9 = res.instance.working
+    o, z = F9.one(), F9.zero()
+    from orbitcodes import ProjMap
+
+    shear = ProjMap(((o, z, o), (z, o, z), (z, z, o)), F9)
+    group = close(res.instance.groups[1].generators + (shear,))
+    want = r"map sends \(1, 1, 2\) outside the evaluation set \(to \(0, 1, 2\)\)"
+    for check in (verify_faithful, oracle_verify_faithful):
+        with pytest.raises(ValueError, match=want):
+            check(group, res.points, res.code)
 
 
 def test_faithful_fermat_q3(built):
@@ -882,14 +900,6 @@ def test_faithful_on_every_builtin(built):
         assert rep.details["image_order"] == joint.order
 
 
-def test_eval_code_rejects_distance_below_bound():
-    F5 = make_field(5, 1)
-    one = F5.one()
-    pts = (point(F5, 0, 1), point(F5, 1, 1))
-    with pytest.raises(ValueError):
-        EvalCode(F5, pts, ((one, one),), rank=1, distance_bound=2, distance_exact=1)
-
-
 def test_unfaithful_action_reports_witness():
     # a scaling that fixes a coordinate-axis point cannot be told apart from
     # the identity on that orbit
@@ -908,7 +918,7 @@ def test_unfaithful_action_reports_witness():
     seed = point(F9, 0, 1, 2)  # fixed by every element of the group
     pts = group.orbit(seed)
     assert pts == (seed,)
-    code = EvalCode(F9, pts, ((one,),), rank=1, distance_bound=1)
+    code = EvalCode(F9, pts, ((one,),), distance_bound=1)
     rep = assert_matches_oracle(group, pts, code)
     assert not rep.passed
     assert rep.witness is not None

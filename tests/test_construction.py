@@ -342,6 +342,37 @@ def test_rank_is_three_for_unit_scale_plane_families(built):
             assert res.code.rank == 3
 
 
+def test_one_row_reduction_per_code(monkeypatch):
+    # a code is built without its rank: the rank, the code document and the
+    # analyses read one reduction, and the verify path, which reports no
+    # rank, makes none
+    from orbitcodes import min_distance_exact, serialize, verify_faithful
+
+    calls = []
+    reduce = construction.rank_and_rref
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(construction, "rank_and_rref", counted)
+    res = run_construction(builtin_instance("fermat", 3))
+    assert serialize.result_to_dict(res)["k"] == 3 and len(calls) == 1
+    assert min_distance_exact(res.code) == 12 and len(calls) == 1
+
+    calls.clear()  # verify
+    res = run_construction(builtin_instance("fermat", 3), strict=False)
+    serialize.report_to_dict(res.reports, {})
+    assert res.passed and calls == []
+
+    calls.clear()  # automorphisms
+    inst = builtin_instance("fermat", 3)
+    res = run_construction(inst)
+    rep = verify_faithful(inst.joint_group(), res.points, res.code)
+    serialize.report_to_dict([rep], {})
+    assert rep.passed and len(calls) == 1
+
+
 def test_builtin_q_and_seed_choices(built):
     F9 = make_field(3, 2)
     res = built[("fermat", 3)]

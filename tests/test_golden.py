@@ -25,10 +25,13 @@ recorded from the change itself; `test_bf2_m3_distance_is_its_designed_bound`
 checks its distance with a witness instead.  The verify jobs for bf q=2,
 bf q=3, fermat q=9 and projline q=19 and automorphisms bf q=3 (also a CI
 hash) were recorded on the commit before map products and point images
-moved to one log-domain kernel.  A refactor of the arithmetic or of any
-layer above it must leave every one of them unchanged.  The benchmark's
-goldens cover further jobs; together they are the check that a change
-does the same work.
+moved to one log-domain kernel.  The bf q=4 construct, distance,
+automorphisms and verify jobs, until then checked only by the CI
+workflow's sha256 steps, were recorded on the commit before the code's
+rank came to be read from its one row reduction; they match those steps.
+A refactor of the arithmetic or of any layer above it must leave every
+one of them unchanged.  The benchmark's goldens cover further jobs;
+together they are the check that a change does the same work.
 """
 
 import hashlib
@@ -72,6 +75,10 @@ GOLDEN = {
     ("verify", "bf", 3, 1): "babff65389027e0ff9a206515e4ec79ac5b6c690cec8bef0a90941ec5c88ac46",
     ("verify", "fermat", 9, 1): "51ddba918e6a3b93350cca11066856c849ec8a349472141bbb71bc3fe0dc53d6",
     ("verify", "projline", 19, 1): "0e2f38768b4fddc420b2298d963029144b770f9d50a6453f3115702a39d7d602",
+    ("construct", "bf", 4, 1): "fcfdd71009dd0a97b06baa6a30b2de00345839bed74da7ec2bad159266e8a3e6",
+    ("distance", "bf", 4, 1): "e26efc8c3382d4d31f7f3d9d1c78727278f51523679665f3a2f3e851ddfca304",
+    ("automorphisms", "bf", 4, 1): "847157f677a98f42b6ceeae842d87fbd7a7584582d4709bd3549e841ee8256a4",
+    ("verify", "bf", 4, 1): "40bd9993826b46c63241c6d80d977f89b395726e03fa15d7dedd6b9ecc33db38",
 }
 
 

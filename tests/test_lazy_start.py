@@ -44,7 +44,8 @@ HEAVY = {
 }
 
 # the names the package exported when it imported every submodule up front,
-# less `build_code`, which is deleted (it returned `run_construction(inst).code`)
+# less `build_code`, which is deleted (it returned `run_construction(inst).code`);
+# `EvalCode` and `rank_and_rref` resolve from `construction`, where they are defined
 EXPORTS = {
     "errors": ["CheckFailure", "CheckReport", "OrbitCodesError", "PreconditionError"],
     "gf": ["Embedding", "FieldElement", "FieldSpec", "embedding", "frobenius", "make_field",
@@ -53,11 +54,11 @@ EXPORTS = {
                  "projective_line", "trace_fermat_curve"],
     "autgroup": ["AutGroup", "ProjMap", "builtin_generators", "close", "diagonal_map",
                  "identity_map"],
-    "code_analysis": ["CoordPermutation", "EvalCode", "min_distance_exact", "permutation_of",
-                      "preserves_code", "rank_and_rref", "verify_faithful"],
-    "construction": ["ConstructionResult", "Divisor", "EvalBasis", "Instance", "build_basis",
-                     "build_divisor", "builtin_instance", "check_condition_b",
-                     "check_condition_d", "run_construction"],
+    "code_analysis": ["CoordPermutation", "min_distance_exact", "permutation_of",
+                      "preserves_code", "verify_faithful"],
+    "construction": ["ConstructionResult", "Divisor", "EvalBasis", "EvalCode", "Instance",
+                     "build_basis", "build_divisor", "builtin_instance", "check_condition_b",
+                     "check_condition_d", "rank_and_rref", "run_construction"],
 }
 
 
@@ -114,6 +115,19 @@ def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command
     assert ("orbitcodes.code_analysis" in loaded) == analysis
 
 
+def test_export_loads_no_math(tmp_path):
+    doc = tmp_path / "in.json"
+    doc.write_text('{"schema": "orbitcodes.verify.v1", "passed": true, "checks": []}')
+    res = run_fresh("-m", "orbitcodes", "export", "--input", str(doc))
+    assert res.returncode == 0
+    assert res.stdout == (
+        b'{\n "checks": [],\n "passed": true,\n "schema": "orbitcodes.verify.v1"\n}\n'
+    )
+    loaded = loaded_modules(res.stderr)
+    assert "orbitcodes.cli" in loaded  # the listing works
+    assert not loaded & HEAVY
+
+
 def test_import_package_loads_no_submodule():
     res = run_fresh("-c", "import orbitcodes")
     assert res.returncode == 0
@@ -122,12 +136,21 @@ def test_import_package_loads_no_submodule():
     assert not {name for name in loaded if name.startswith("orbitcodes.")}
 
 
+def test_resolving_the_code_value_loads_no_code_analysis():
+    res = run_fresh("-c", "import orbitcodes; orbitcodes.EvalCode; orbitcodes.rank_and_rref")
+    assert res.returncode == 0
+    loaded = loaded_modules(res.stderr)
+    assert "orbitcodes.construction" in loaded  # the listing works
+    assert "orbitcodes.code_analysis" not in loaded
+
+
 def test_usage_error_document_is_the_canonical_text(capsys):
     assert cli.main(["construct", "--m", "0"]) == cli.EXIT_PRECONDITION
     stdout = capsys.readouterr().out
     doc = {"schema": "orbitcodes.error.v1", "error": "usage", "message": "--m must be >= 1",
            "details": {}}
     assert stdout == serialize.dumps(doc)
+    assert serialize.dumps is errors.dumps is cli.dumps
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

@@ -7,7 +7,11 @@ compare, hash and print the same, and refuse assignment.  The one class
 still built by `dataclasses` is `construction.Instance`.  `AutGroup` is the
 exception to the arguments and errors: calling it raises TypeError, since
 only `close` and `AutGroup.intersect` build one, so its cases are built
-from closures without the dataclass's identity and generator checks.
+from closures without the dataclass's identity and generator checks.  The
+`EvalCode` and `EvalBasis` oracles take no rank, exact distance or basis
+degree, the values those classes stopped taking: a code reads its rank
+from its own row reduction, and a basis takes the degree of its first
+nonzero form.
 """
 
 import dataclasses
@@ -124,9 +128,7 @@ class EvalCode:
     field: gf.FieldSpec
     points: tuple
     matrix: tuple
-    rank: int
     distance_bound: int
-    distance_exact: int | None = None
 
     def __post_init__(self):
         n = len(self.points)
@@ -134,10 +136,8 @@ class EvalCode:
             raise ValueError("matrix rows must match the number of points")
         if any(c.spec != self.field for row in self.matrix for c in row):
             raise ValueError("matrix entries must live in the code field")
-        if not (self.rank <= len(self.matrix) <= n):
-            raise ValueError("need rank <= nominal rows <= length")
-        if self.distance_exact is not None and self.distance_exact < self.distance_bound:
-            raise ValueError("exact distance below the designed bound")
+        if len(self.matrix) > n:
+            raise ValueError("need nominal rows <= length")
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,12 @@ class Divisor:
 @dataclass(frozen=True)
 class EvalBasis:
     forms: tuple[Poly, ...]
-    degree: int
+    degree: int = field(init=False)
     n_coords: int
 
     def __post_init__(self):
+        degree = next((poly_degree(f) for f in self.forms if f), 0)
+        object.__setattr__(self, "degree", degree)
         for f in self.forms:
             if not f:
                 raise ValueError("basis forms must be nonzero")
@@ -187,7 +189,7 @@ class ConstructionResult:
     divisor: construction.Divisor | None
     points: tuple
     joint_order: int
-    code: code_analysis.EvalCode | None
+    code: construction.EvalCode | None
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +239,12 @@ def cases():
          [(G1.generators, G1.elements, "G1"), (G2.generators, G2.elements),
           (G1.generators, G1.elements[:1] + G1.elements[:0:-1], "")],
          []),
-        (code_analysis.EvalCode, EvalCode,
-         [(code.field, code.points, code.matrix, code.rank, code.distance_bound),
-          (code.field, code.points, code.matrix, code.rank, code.distance_bound, 12),
-          (code.field, code.points, code.matrix[:1], 1, 4, None)],
-         [(code.field, code.points[1:], code.matrix, code.rank, code.distance_bound),
-          (F3, code.points, code.matrix, code.rank, code.distance_bound),
-          (code.field, code.points, code.matrix, 4, code.distance_bound),
-          (code.field, code.points, code.matrix, code.rank, 12, 11)]),
+        (construction.EvalCode, EvalCode,
+         [(code.field, code.points, code.matrix, code.distance_bound),
+          (code.field, code.points, code.matrix[:1], 4)],
+         [(code.field, code.points[1:], code.matrix, code.distance_bound),
+          (F3, code.points, code.matrix, code.distance_bound),
+          (code.field, code.points[:2], tuple(row[:2] for row in code.matrix), 0)]),
         (code_analysis.CoordPermutation, CoordPermutation,
          [((0, 1, 2),), ((2, 0, 1),), ((),)],
          [((0, 0),), ((1, 2),)]),
@@ -252,8 +252,8 @@ def cases():
          [(((pts[3], 2), (pts[1], 2)), F9, True), (res.divisor.support, F3, False)],
          [((), F9, True), (((pts[0], 0),), F9, True)]),
         (construction.EvalBasis, EvalBasis,
-         [((f, {(0, 1, 0): one}), 1, 3), ((), 2, 2)],
-         [(({},), 1, 3), ((f,), 2, 3), (({(1, 0): one},), 1, 3)]),
+         [((f, {(0, 1, 0): one}), 3), (({(0, 2, 0): one},), 3), ((), 2)],
+         [(({},), 3), ((f, {(2, 0, 0): one}), 3), (({(1, 0): one},), 3)]),
         (construction.ConstructionResult, ConstructionResult,
          [(res.instance, res.reports, res.divisor, res.points, res.joint_order, res.code),
           (inst, (), None, (), 0, None)],
@@ -333,9 +333,9 @@ def test_cached_values_stay_off_equality():
     assert inst.curve.rational_points(inst.working) and fresh == inst.curve
     assert hash(fresh) == hash(inst.curve) and repr(fresh) == repr(inst.curve)
     code = res.code
-    twin = code_analysis.EvalCode(code.field, code.points, code.matrix, code.rank,
-                                  code.distance_bound)
+    twin = construction.EvalCode(code.field, code.points, code.matrix, code.distance_bound)
     assert code.reduced and code.encodings and twin == code and repr(twin) == repr(code)
+    assert "reduced" not in vars(twin) and twin.rank == code.rank == 3
 
 
 def test_instance_is_the_only_dataclass():
