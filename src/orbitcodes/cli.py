@@ -14,13 +14,21 @@ reorder points or rows, and all internal choices are canonical.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 precondition or
 usage error.
+
+One table, COMMANDS, defines every command and option.  A plain argv -- a
+command, then pairs of an exact long option and a value that does not
+start with "-" -- is read from that table directly; every other argv
+(help, abbreviations, --opt=value, negative numbers, usage errors) goes to
+the argparse parser that `build_parser` builds from the same table.  The
+process entry point flushes stdout and stderr and leaves with os._exit,
+without interpreter teardown.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
+import os
 import sys
+from types import SimpleNamespace
 
 from .errors import CheckFailure, OrbitCodesError, PreconditionError, dumps
 
@@ -41,7 +49,8 @@ def _say(msg: str):
 
 
 def _emit(doc: dict, output: str | None):
-    """Write a command's report to `output` first, then to stdout."""
+    """Write a command's report to `output` first, then to stdout, and flush
+    stdout, so that a stdout that cannot be written is bad output too."""
     text = dumps(doc)
     if output:
         try:
@@ -49,7 +58,13 @@ def _emit(doc: dict, output: str | None):
                 fh.write(text)
         except OSError as exc:
             raise PreconditionError("bad_output", f"cannot write {output}: {exc}") from None
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise PreconditionError(
+            "bad_output", f"cannot write stdout: {exc}", {"stream": "stdout"}
+        ) from None
 
 
 def _read_document(path: str) -> dict:
@@ -60,14 +75,14 @@ def _read_document(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise PreconditionError("bad_input", f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise PreconditionError("bad_input", f"{path} does not hold a JSON object")
     return doc
 
 
-def _load_instance(ns: argparse.Namespace):
+def _load_instance(ns):
     from .construction import builtin_instance
 
     if ns.family != "custom":
@@ -83,8 +98,9 @@ def _load_instance(ns: argparse.Namespace):
         ) from None
 
 
-def run(ns: argparse.Namespace) -> int:
-    """Execute one parsed command; returns the process exit code."""
+def run(ns) -> int:
+    """Execute one parsed command, the namespace of `_plain_args` or of
+    `build_parser`; returns the process exit code."""
     try:
         return _dispatch(ns)
     except CheckFailure as exc:
@@ -92,9 +108,7 @@ def run(ns: argparse.Namespace) -> int:
         doc = {"schema": "orbitcodes.verify.v1", "passed": False, "checks": [exc.report.as_dict()]}
         return _report(doc, ns.output, EXIT_CHECK_FAILED)
     except PreconditionError as exc:
-        _say(f"precondition error [{exc.kind}]: {exc}")
-        output = None if exc.kind == "bad_output" else ns.output  # never retry it
-        return _report(_error_doc(exc), output, EXIT_PRECONDITION)
+        return _fail(exc, ns.output)
     except OrbitCodesError as exc:
         _say(f"error: {exc}")
         return EXIT_PRECONDITION
@@ -105,18 +119,27 @@ def _error_doc(exc: PreconditionError) -> dict:
             "details": exc.details}
 
 
+def _fail(exc: PreconditionError, output: str | None) -> int:
+    """Say a precondition error and write its document.  An output that
+    failed is never retried: the document of a failed file goes to stdout
+    alone, and a failed stdout gets no document."""
+    _say(f"precondition error [{exc.kind}]: {exc}")
+    if exc.details.get("stream") == "stdout":
+        return EXIT_PRECONDITION
+    return _report(_error_doc(exc), None if exc.kind == "bad_output" else output,
+                   EXIT_PRECONDITION)
+
+
 def _report(doc: dict, output: str | None, status: int) -> int:
-    """Write a failure document, or the bad_output error if `output` fails."""
+    """Write a failure document, or the bad_output error if an output fails."""
     try:
         _emit(doc, output)
     except PreconditionError as exc:
-        _say(f"precondition error [{exc.kind}]: {exc}")
-        _emit(_error_doc(exc), None)
-        return EXIT_PRECONDITION
+        return _fail(exc, output)
     return status
 
 
-def _dispatch(ns: argparse.Namespace) -> int:
+def _dispatch(ns) -> int:
     # the checks on the arguments alone come before any math is imported
     if getattr(ns, "m", 1) < 1:
         raise PreconditionError("usage", "--m must be >= 1")
@@ -193,7 +216,45 @@ def _dispatch(ns: argparse.Namespace) -> int:
     raise PreconditionError("usage", f"unknown command {ns.command!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The commands, each with its help and its options, and each option with
+# the keyword arguments of argparse's `add_argument`.  An option without a
+# default defaults to None.
+_INSTANCE_OPTIONS = (
+    ("--family", {"choices": ["fermat", "projline", "bf", "custom"], "default": "fermat"}),
+    ("--q", {"type": int, "default": 3, "help": "family size parameter"}),
+    ("--m", {"type": int, "default": 1, "help": "divisor scale (>= 1)"}),
+)
+_IO_OPTIONS = (
+    ("--input", {"help": "input JSON (custom instance or export source)"}),
+    ("--output", {"help": "write the JSON report to this file"}),
+)
+_CODE_OPTIONS = _INSTANCE_OPTIONS + _IO_OPTIONS
+COMMANDS = {
+    "construct": ("build a code and write the code JSON", _CODE_OPTIONS),
+    "verify": ("run the condition checks and report pass/fail", _CODE_OPTIONS),
+    "distance": (
+        "compute the exact minimum distance by the cheaper of two exact "
+        "methods: a scan of messages up to scalars or a Brouwer-Zimmermann search",
+        _CODE_OPTIONS + (
+            ("--max-messages", {
+                "type": int,
+                "help": (
+                    "guard on the codewords up to scalars the chosen method forms: "
+                    "(|F|^k - 1)/(|F| - 1) for the scan, the estimate and then the "
+                    "count for Brouwer-Zimmermann; at least 1 (raise to force)"
+                ),
+            }),
+        ),
+    ),
+    "automorphisms": ("certify the faithful group action on the code", _CODE_OPTIONS),
+    "export": ("re-serialize a JSON document in canonical form", _IO_OPTIONS),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orbitcodes",
         description=(
@@ -203,61 +264,70 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("construct", "build a code and write the code JSON"),
-        ("verify", "run the condition checks and report pass/fail"),
-        (
-            "distance",
-            "compute the exact minimum distance by the cheaper of two exact "
-            "methods: a scan of messages up to scalars or a Brouwer-Zimmermann search",
-        ),
-        ("automorphisms", "certify the faithful group action on the code"),
-        ("export", "re-serialize a JSON document in canonical form"),
-    ]:
+    for name, (desc, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=desc)
-        if name != "export":
-            cmd.add_argument(
-                "--family",
-                choices=["fermat", "projline", "bf", "custom"],
-                default="fermat",
-            )
-            cmd.add_argument("--q", type=int, default=3, help="family size parameter")
-            cmd.add_argument("--m", type=int, default=1, help="divisor scale (>= 1)")
-        cmd.add_argument("--input", help="input JSON (custom instance or export source)")
-        cmd.add_argument("--output", help="write the JSON report to this file")
-        if name == "distance":
-            cmd.add_argument(
-                "--max-messages",
-                type=int,
-                help=(
-                    "guard on the codewords up to scalars the chosen method forms: "
-                    "(|F|^k - 1)/(|F| - 1) for the scan, the estimate and then the "
-                    "count for Brouwer-Zimmermann; at least 1 (raise to force)"
-                ),
-            )
+        for option, kwargs in options:
+            cmd.add_argument(option, **kwargs)
     return parser
 
 
+def _dest(option: str) -> str:
+    """The attribute argparse stores a long option in: --max-messages is
+    max_messages."""
+    return option[2:].replace("-", "_")
+
+
+def _plain_args(argv):
+    """The namespace argparse would build from `argv` when argv is a
+    command followed by pairs of an exact long option of that command and
+    a value that does not start with "-", each value of the option's type
+    and among its choices; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = dict(COMMANDS[argv[0]][1])
+    values = {_dest(option): kwargs.get("default") for option, kwargs in options.items()}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        kwargs = options.get(option)
+        if kwargs is None or value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[_dest(option)] = value
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PRECONDITION if exc.code not in (0, None) else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _plain_args(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_PRECONDITION if exc.code not in (0, None) else EXIT_OK
     return run(ns)
 
 
 def process_main():
     """The process entry point of `python -m orbitcodes` and the `orbitcodes`
-    script: run `main`, then exit with its status."""
+    script: run `main`, flush stdout and stderr, and exit with its status."""
     status = main()
-    # The process is about to exit, so the full collections of interpreter
-    # shutdown would only walk the objects left from the import and the job
-    # for cycles the exit frees anyway.  Freezing moves every tracked object
-    # out of the collector's generations, so shutdown skips them.  `main`
-    # itself has no gc side effect, since tests call it in-process.
-    gc.freeze()
-    sys.exit(status)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        # a stream could not be written: `_emit` has said so for a report,
+        # and argparse swallows its own write errors (help, usage)
+        status = EXIT_PRECONDITION
+    # os._exit skips interpreter teardown (module cleanup, the shutdown
+    # collections, freeing the heap), which frees nothing the exit does not;
+    # `main` itself has no process side effect, since tests call it in-process
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,12 @@
 
 import gc
 import hashlib
+import importlib.util
 import json
 import os
+import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +18,7 @@ from orbitcodes import cli, construction, serialize
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH_DIR = SRC.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -219,7 +224,14 @@ def test_missing_input_file_is_bad_input(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
-@pytest.mark.parametrize("text", ['{"schema": "orbitcodes.instance.v1", ', "[1, 2]"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema": "orbitcodes.instance.v1", ',
+        "[1, 2]",
+        pytest.param("[" * 100000 + "]" * 100000, id="deep"),  # past the recursion limit
+    ],
+)
 def test_malformed_json_is_bad_input(tmp_path, capsys, command, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -431,6 +443,36 @@ def test_unwritable_default_output_is_bad_output(tmp_path, capsys, monkeypatch):
     _assert_bad_output(capsys, "construct", "--family", "fermat", "--q", "3")
 
 
+FULL_STDOUT = (
+    "precondition error [bad_output]: cannot write stdout: [Errno 28] No space left on device"
+)
+
+
+class FullStream:
+    """A stdout on which every write fails as on a full device."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_failed_stdout_is_not_tried_again(capsys, monkeypatch):
+    stdout = FullStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["construct", "--m", "0"]) == EXIT_PRECONDITION
+    assert stdout.writes == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "precondition error [usage]: --m must be >= 1",
+        FULL_STDOUT,
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the process entry point of `python -m orbitcodes` and the `orbitcodes` script
 
@@ -467,22 +509,68 @@ def test_entry_point_exits_2_on_a_precondition(tmp_path, argv, error):
     assert b"Traceback" not in res.stderr
 
 
-def test_entry_point_freezes_the_heap_before_exit():
-    # an atexit hook runs before the shutdown collections and reports the
-    # objects the entry point froze
+def buffered_env() -> dict:
+    """The environment of a job whose stdout is block-buffered, as it is by
+    default when stdout is a file or a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(SRC)}
+
+
+def test_entry_point_skips_interpreter_teardown():
+    # an atexit hook runs at interpreter teardown, which the entry point's
+    # os._exit skips; stdout is buffered, so it holds the whole error
+    # document only if the entry point flushed it first
     script = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('teardown ran\\n'))\n"
         "runpy.run_module('orbitcodes', run_name='__main__', alter_sys=True)\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script, "construct", "--m", "0"],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=buffered_env(),
         timeout=60,
     )
     assert res.returncode == EXIT_PRECONDITION
-    assert int(res.stderr.decode().split()[-1]) > 0
+    assert res.stdout.decode() == serialize.dumps(
+        {"schema": "orbitcodes.error.v1", "error": "usage", "message": "--m must be >= 1",
+         "details": {}}
+    )
+    assert res.stderr.decode() == "precondition error [usage]: --m must be >= 1\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a code document larger than the stdout buffer: the write fails
+        ("construct", "--family", "fermat", "--q", "3", "--output", "{tmp}/f3.code.json"),
+        # an error document smaller than it: the flush fails
+        ("construct", "--m", "0"),
+    ],
+    ids=["construct", "m-0"],
+)
+def test_unwritable_stdout_is_bad_output(tmp_path, argv, unbuffered):
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "orbitcodes", *(a.format(tmp=tmp_path) for a in argv)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert res.returncode == EXIT_PRECONDITION
+    stderr = res.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert [line for line in stderr.splitlines() if "bad_output" in line] == [FULL_STDOUT]
+    if "--output" in argv:  # the file is written before stdout
+        assert hashlib.sha256((tmp_path / "f3.code.json").read_bytes()).hexdigest() == (
+            FERMAT3_CONSTRUCT_SHA256
+        )
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):
@@ -495,9 +583,106 @@ def test_main_in_process_freezes_nothing(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the plain-argv reader: wherever it accepts an argv, argparse builds the
+# same namespace
+
+OPTIONS = sorted({option for _, options in cli.COMMANDS.values() for option, _ in options})
+# values of every kind: plain and of each type, and the ones argparse and
+# int() read in their own way
+VALUES = ["3", "5", "fermat", "projline", "bf", "custom", "out.json", "-3", "\u0663", "1_0",
+          " 3", "", "nope"]
+TOKENS = (
+    list(cli.COMMANDS)
+    + OPTIONS
+    + [option[:n] for option in OPTIONS for n in range(3, len(option))]  # abbreviations
+    + [f"{option}={value}" for option in OPTIONS for value in ("3", "bf")]
+    + ["-h", "--help", "--"]
+    + VALUES
+)
+
+
+def sample_argv(rng: random.Random) -> list:
+    """An argv of up to 6 tokens, mostly shaped as a command and option
+    pairs so that many are plain, each token drawn from all of TOKENS with
+    probability 1/8."""
+    argv = []
+    for i in range(rng.randint(0, 6)):
+        pool = list(cli.COMMANDS) if i == 0 else OPTIONS if i % 2 else VALUES
+        argv.append(rng.choice(TOKENS if rng.random() < 0.125 else pool))
+    return argv
+
+
+def test_plain_args_agree_with_argparse():
+    parser = cli.build_parser()
+    rng = random.Random(20221130)
+    accepted = 0
+    for _ in range(5000):
+        argv = sample_argv(rng)
+        ns = cli._plain_args(argv)
+        if ns is None:
+            continue
+        accepted += 1
+        try:
+            want = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects the plain argv {argv!r}")
+        assert vars(ns) == vars(want), argv
+    assert accepted >= 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], ["construct", "-h"], ["construct", "--fam", "bf"],
+        ["construct", "--q=3"], ["construct", "--q", "-3"], ["construct", "construct"],
+        ["construct", "--q"], ["export", "--q", "3"], ["construct", "--", "--q", "3"],
+        ["construct", "--q", "x"], ["construct", "--family", "klein"], [],
+    ],
+)
+def test_plain_args_leave_every_other_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_plain_args_hold_exactly_the_attributes_argparse_gives():
+    assert vars(cli._plain_args(["export"])) == {"command": "export", "input": None,
+                                                  "output": None}
+    assert vars(cli._plain_args(["distance"])) == {
+        "command": "distance", "family": "fermat", "q": 3, "m": 1, "input": None,
+        "output": None, "max_messages": None,
+    }
+
+
+def load_benchmark_harness():
+    spec = importlib.util.spec_from_file_location("harness", BENCH_DIR / "harness.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("harness", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ci_argvs() -> list:
+    """The argv of every orbitcodes call in the CI workflow."""
+    text = (SRC.parent / ".github" / "workflows" / "tests.yml").read_text()
+    commands = "|".join(cli.COMMANDS)
+    calls = re.findall(rf"\borbitcodes ((?:{commands}) [^>]*)>", text)
+    return [shlex.split(args) for args in calls]
+
+
+def test_benchmark_and_ci_argv_are_plain():
+    harness = load_benchmark_harness()
+    argvs = [list(job.args) for jobs in harness.WORKLOADS.values() for job in jobs]
+    argvs += ci_argvs()
+    assert len(argvs) >= 16 + 8
+    for argv in argvs:
+        ns = cli._plain_args(argv)
+        assert ns is not None, argv
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+
+
+# ---------------------------------------------------------------------------
 # output bytes and the hash seed: set and dict orders may depend on it
 
-BENCH_DATA = SRC.parent / "perfbench" / "data"
+BENCH_DATA = BENCH_DIR / "data"
 
 
 def fermat4_custom_instance():

@@ -1,6 +1,7 @@
 """Start-up: what `--help`, a usage error, `import orbitcodes` and each
-command load, the package names that resolve on first use, and the
-plain-class CheckReport that keeps `dataclasses` off that path."""
+command load (argparse only where the argv is not plain), the package
+names that resolve on first use, and the plain-class CheckReport that
+keeps `dataclasses` off that path."""
 
 import hashlib
 import importlib
@@ -29,6 +30,12 @@ HELP_SHA256 = {
     # re-recorded when the --max-messages help came to name the codewords
     # up to scalars that the chosen distance method forms
     ("distance", "--help"): "b0db37d17ddd45fe4f671328482d8bbca45909be2162fdb3dc5b11b2eee15e9c",
+    # recorded before the commands and options moved into one table that
+    # argparse and the plain-argv reader both read
+    ("construct", "--help"): "6c595b85e2c6a40a13923f07f4dfdc473069a85c18a998d7da37868a8c38ff2e",
+    ("verify", "--help"): "b6599eb226d6ea843c9519553315218e457adc2e0bca6670df4f30a925d34bdd",
+    ("automorphisms", "--help"): "7fc0248c8139b0d24bd4e395adea9fe0ddebbca39825dbad91d79e3208b8b463",
+    ("export", "--help"): "74f5b0ab4a83e25aa71ae3d9ede12e874ba8ef509f2997fd85d763425c54f8b3",
 }
 
 # what start-up must not load: the math and the decorator machinery
@@ -42,6 +49,9 @@ HEAVY = {
     "dataclasses",
     "inspect",
 }
+
+# what argparse loads; a plain argv (a command and option pairs) loads none
+PARSER = {"argparse", "gettext", "locale"}
 
 # the names the package exported when it imported every submodule up front,
 # less `build_code`, which is deleted (it returned `run_construction(inst).code`);
@@ -83,21 +93,27 @@ def loaded_modules(stderr: bytes) -> set:
 
 
 @pytest.mark.parametrize(
-    "argv,status",
+    "argv,status,parsed",
     [
-        (("--help",), 0),
-        (("distance", "--help"), 0),
-        (("construct", "--no-such-option"), 2),  # an argparse usage error
-        (("construct", "--m", "0"), 2),  # a usage check of the CLI
+        (("--help",), 0, True),
+        (("distance", "--help"), 0, True),
+        (("construct", "--no-such-option"), 2, True),  # an argparse usage error
+        (("construct", "--m", "0"), 2, False),  # a usage check of the CLI
+        (("construct", "--help"), 0, True),
+        (("verify", "--help"), 0, True),
+        (("automorphisms", "--help"), 0, True),
+        (("export", "--help"), 0, True),
     ],
-    ids=["help", "distance-help", "argparse-usage", "m-0"],
+    ids=["help", "distance-help", "argparse-usage", "m-0", "construct-help", "verify-help",
+         "automorphisms-help", "export-help"],
 )
-def test_start_up_loads_no_math(argv, status):
+def test_start_up_loads_no_math(argv, status, parsed):
     res = run_fresh("-m", "orbitcodes", *argv)
     assert res.returncode == status
     loaded = loaded_modules(res.stderr)
     assert "orbitcodes.cli" in loaded  # the listing works
     assert not loaded & HEAVY
+    assert (loaded & PARSER == PARSER) if parsed else not loaded & PARSER
     if argv in HELP_SHA256:
         assert hashlib.sha256(res.stdout).hexdigest() == HELP_SHA256[argv]
 
@@ -113,6 +129,7 @@ def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command
     loaded = loaded_modules(res.stderr)
     assert "orbitcodes.construction" in loaded  # the listing works
     assert ("orbitcodes.code_analysis" in loaded) == analysis
+    assert not loaded & PARSER
 
 
 def test_export_loads_no_math(tmp_path):
@@ -125,7 +142,7 @@ def test_export_loads_no_math(tmp_path):
     )
     loaded = loaded_modules(res.stderr)
     assert "orbitcodes.cli" in loaded  # the listing works
-    assert not loaded & HEAVY
+    assert not loaded & (HEAVY | PARSER)
 
 
 def test_import_package_loads_no_submodule():
