@@ -29,6 +29,13 @@ inverse check is needed.  The intersection of two groups is a group, and
 `intersect` takes all of it as its generators, so it too is the closure of
 its generators.  A group therefore preserves whatever its generators
 preserve, which is all the curve and faithful-action checks test.
+
+A group lists its generators in its element order: `close` keeps the
+distinct non-identity generators, in the order given, right after the
+identity, and `intersect` takes its elements, in element order, as its
+generators.  So the first generator that breaks a property is the first
+element that does, and a check that tests the generators in order reports
+what a check of every element in order reports.
 """
 
 from __future__ import annotations
@@ -293,9 +300,8 @@ class AutGroup(_Value):
         if self.field != other.field:
             raise ValueError("cannot intersect groups over different fields")
         common = tuple(m for m in self.elements if m in other.element_set)
-        gens = tuple(sorted(common, key=lambda m: m.key))
         label = f"{self.label or 'G'} & {other.label or 'H'}"
-        return _group(gens, common, label)
+        return _group(common, common, label)
 
 
 def _group(generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label: str) -> AutGroup:

@@ -13,7 +13,8 @@ bytes are deterministic for a fixed configuration: there is no flag to
 reorder points or rows, and all internal choices are canonical.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 precondition or
-usage error.
+usage error, or a report or help that cannot be written to stdout.  A
+stderr that cannot be written changes neither stdout nor the exit code.
 
 One table, COMMANDS, defines every command and option.  A plain argv -- a
 command, then pairs of an exact long option and a value that does not
@@ -45,7 +46,12 @@ EXIT_PRECONDITION = 2
 
 
 def _say(msg: str):
-    print(msg, file=sys.stderr)
+    """Print a progress line to stderr; a stderr that cannot be written
+    changes neither the report nor the exit status."""
+    try:
+        print(msg, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _emit(doc: dict, output: str | None):
@@ -255,7 +261,13 @@ def build_parser():
     """The argparse parser of COMMANDS."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse's own write drops an OSError; help that cannot be
+            # written must reach `main` as a failed write
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="orbitcodes",
         description=(
             "Construct evaluation codes on plane curves with prescribed "
@@ -310,6 +322,8 @@ def main(argv=None) -> int:
             ns = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_PRECONDITION if exc.code not in (0, None) else EXIT_OK
+        except OSError:  # help that cannot be written to stdout
+            return EXIT_PRECONDITION
     return run(ns)
 
 
@@ -319,11 +333,12 @@ def process_main():
     status = main()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        # a stream could not be written: `_emit` has said so for a report,
-        # and argparse swallows its own write errors (help, usage)
+    except OSError:  # help left in the buffer; `_emit` flushes a report itself
         status = EXIT_PRECONDITION
+    try:
+        sys.stderr.flush()
+    except OSError:  # progress that cannot be written changes nothing
+        pass
     # os._exit skips interpreter teardown (module cleanup, the shutdown
     # collections, freeing the heap), which frees nothing the exit does not;
     # `main` itself has no process side effect, since tests call it in-process

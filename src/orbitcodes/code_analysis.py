@@ -443,43 +443,36 @@ def verify_faithful(group: AutGroup, points: Sequence[ProjPoint], code: EvalCode
     of the permutation representation has order exactly |group|.
 
     The certificate works on the generators and a projective frame in the
-    evaluation set, and builds no element's permutation.  The generators
-    must map the points onto themselves and preserve the code;
-    `group.elements` lists the group they generate, each element once (see
-    `autgroup`), so every element preserves the code.  A frame (3 distinct
-    points of P^1, or 4 points of P^2 with no three collinear) fixes a
-    projective map, so with a frame in the points only the identity acts
-    trivially on them, and the image has order |group|.  When a step fails
-    (a generator that breaks the code, no frame in the points), the
-    elements are scanned in order for the first witness, so a failed
-    report names the same element and reason as an element-by-element
-    check.  A map that sends a point outside the evaluation set gets no
-    report: the scan raises the ValueError of `permutation_of` for the
-    first element that does, as that check does.
+    evaluation set.  The generators must map the points onto themselves
+    and preserve the code; `group.elements` lists the group they generate,
+    each element once (see `autgroup`), so every element preserves the
+    code.  A frame (3 distinct points of P^1, or 4 points of P^2 with no
+    three collinear) fixes a projective map, so with a frame in the points
+    only the identity acts trivially on them, and the image has order
+    |group|.  Only when the points hold no frame are the elements scanned
+    as well, after the generators pass.  The group lists its generators in
+    its element order, so a failed report names the first failing element
+    and its reason, as an element-by-element check does.  A map that sends
+    a point outside the evaluation set gets no report: the ValueError of
+    `permutation_of` is raised for the first element that does, as that
+    check does.
     """
-    if not _certified_on_generators(group, points, code):
-        failure = _scan_elements(group, points, code)
-        if failure:
-            return failure
+    failure = _scan_elements(group.generators, points, code)
+    if failure is None and find_frame(points) is None:
+        failure = _scan_elements(group.elements, points, code)
+    if failure:
+        return failure
     details = {"group_order": group.order, "image_order": group.order}
     return CheckReport("faithful_embedding", True, details)
 
 
-def _certified_on_generators(group: AutGroup, points, code: EvalCode) -> bool:
-    try:
-        if not all(preserves_code(permutation_of(g, points), code) for g in group.generators):
-            return False
-    except ValueError:  # a map leaves the evaluation set; the scan raises it
-        return False
-    return find_frame(points) is not None
-
-
-def _scan_elements(group: AutGroup, points, code: EvalCode) -> CheckReport | None:
-    """Element-by-element check in element order: the report of the first
-    element that fails, or None.  When every element passes, only the
-    identity acts trivially, so the action on the points is injective and
-    its image has order |group|."""
-    for gamma in group.elements:
+def _scan_elements(maps: Sequence[ProjMap], points, code: EvalCode) -> CheckReport | None:
+    """The report of the first of `maps`, in order, whose permutation of
+    the points breaks the code or is the identity although the map is not;
+    None when no map fails.  When every element of a group passes, only
+    the identity acts trivially, so the action on the points is injective
+    and its image has order |group|."""
+    for gamma in maps:
         sigma = permutation_of(gamma, points)
         if not preserves_code(sigma, code):
             return CheckReport(

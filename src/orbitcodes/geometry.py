@@ -236,6 +236,8 @@ class PlaneCurve(_Value):
             for exps, c in terms:
                 if len(exps) != n_coords:
                     raise ValueError("exponent tuple arity mismatch")
+                if min(exps) < 0:
+                    raise ValueError("curve exponents must be nonnegative")
                 if not c or c.spec != field:
                     raise ValueError("curve coefficients must be nonzero elements of the curve field")
                 degs.add(sum(exps))

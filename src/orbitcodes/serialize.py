@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import dumps
 from .gf import FieldSpec
-from .geometry import PlaneCurve, Poly, ProjPoint, projective_line
+from .geometry import PlaneCurve, Poly, ProjPoint
 from .autgroup import AutGroup, ProjMap, close
 from .construction import ConstructionResult, Divisor, Instance
 
@@ -117,8 +117,8 @@ def report_to_dict(reports, meta: dict) -> dict:
 
 
 def _typed(value, kind: type):
-    """`value`, if it is a JSON value of `kind` (int, bool or str); a bool
-    is not an int here, and no value of another type is coerced."""
+    """`value`, if it is a JSON value of `kind` (int, bool, str or list); a
+    bool is not an int here, and no value of another type is coerced."""
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
@@ -130,15 +130,18 @@ def field_from_dict(d: dict) -> FieldSpec:
 
 
 def poly_from_list(items, field: FieldSpec) -> Poly:
-    return {tuple(_typed(x, int) for x in e): field.from_enc(_typed(c, int)) for e, c in items}
+    return {
+        tuple(_typed(x, int) for x in e): field.from_enc(_typed(c, int))
+        for e, c in _typed(items, list)
+    }
 
 
 def curve_from_dict(d: dict, field: FieldSpec) -> PlaneCurve:
+    """The curve of `d`; `PlaneCurve` refuses coordinates other than 2 or 3
+    and any term of the line P^1."""
     n = _typed(d["coords"], int)
-    if n == 2:
-        return projective_line(field)
     terms = poly_from_list(d["terms"], field)
-    return PlaneCurve(3, field, tuple(terms.items()))
+    return PlaneCurve(n, field, tuple(terms.items()))
 
 
 def map_from_list(flat, field: FieldSpec, n: int) -> ProjMap:
@@ -164,9 +167,9 @@ def instance_from_dict(d: dict) -> Instance:
     for gd in d["groups"]:
         gens = [map_from_list(flat, working, n) for flat in gd["generators"]]
         groups.append(close(gens, label=_typed(gd.get("label", f"G{len(groups) + 1}"), str)))
-    functions = None
-    if d.get("functions"):
-        functions = tuple(poly_from_list(f, working) for f in d["functions"])
+    functions = d.get("functions")
+    if functions is not None:  # an empty list asks for the automatic basis too
+        functions = tuple(poly_from_list(f, working) for f in _typed(functions, list)) or None
     return Instance(
         curve=curve,
         groups=tuple(groups),

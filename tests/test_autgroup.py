@@ -233,6 +233,58 @@ def test_close_keeps_the_breadth_first_order(built, fermat3):
         assert [e.key for e in grp.elements] == keys
 
 
+def distinct_non_identity(generators) -> list:
+    """The generators less the identity and repeats, in the order given."""
+    out = []
+    for g in generators:
+        if not g.is_identity() and g not in out:
+            out.append(g)
+    return out
+
+
+def random_generator_lists(count: int):
+    """Seeded lists of one to three random maps of PGL(2) over GF(4), GF(5),
+    GF(7) or GF(9), or of PGL(3) over GF(2), each with the identity, a
+    repeated generator or both put in at random places."""
+    rng = random.Random(2211)
+    for _ in range(count):
+        p, k, n = rng.choice([(2, 2, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (2, 1, 3)])
+        field = make_field(p, k)
+        els = list(field.elements())
+        gens = []
+        while len(gens) < rng.randint(1, 3):
+            rows = tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n))
+            try:
+                gens.append(ProjMap(rows, field))
+            except ValueError:  # singular
+                pass
+        extra = rng.choice([["identity"], ["repeat"], ["identity", "repeat"]])
+        for what in extra:
+            g = identity_map(field, n) if what == "identity" else rng.choice(gens)
+            gens.insert(rng.randint(0, len(gens)), g)
+        yield gens
+
+
+def test_a_group_lists_its_generators_in_its_element_order(built):
+    """`close` puts the distinct non-identity generators, in the order
+    given, right after the identity, and an intersection's generators are
+    its elements, in the element order of the first group."""
+    groups = [g for res in built.values()
+              for g in res.instance.groups + (res.instance.joint_group(),)]
+    groups += [close(gens) for gens in random_generator_lists(60)]
+    with_repeats = 0
+    for grp in groups:
+        gens = distinct_non_identity(grp.generators)
+        assert list(grp.elements[1 : 1 + len(gens)]) == gens
+        with_repeats += len(gens) < len(grp.generators)
+    assert with_repeats >= 60
+    for grp in groups:
+        for other in (grp, close(grp.generators[:1])):
+            common = grp.intersect(other)
+            assert common.generators == common.elements
+            assert list(common.elements) == [m for m in grp.elements if m in other]
+
+
 def test_lagrange_divisibility(fermat3):
     _, g1, g2 = fermat3
     joint = close(g1 + g2)

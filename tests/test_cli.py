@@ -299,6 +299,26 @@ def test_bad_map_or_point_is_bad_input(tmp_path, capsys, case):
     doc = _assert_bad_input(capsys, "construct", "--family", "custom", "--input", str(path))
     assert reason in doc["message"]
 
+# instance.v1 documents with one bad curve: (reason, curve)
+BAD_CURVES = {
+    "four_coords": ("ambient space must be P^1 or P^2", {"coords": 4, "terms": []}),
+    "terms_on_the_line": (
+        "P^1 instances use the empty curve", {"coords": 2, "terms": [[[2, 0], 1], [[0, 2], 1]]}
+    ),
+    "negative_exponent": (
+        "curve exponents must be nonnegative", {"coords": 3, "terms": [[[-1, 3, 0], 1]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CURVES)
+def test_bad_curve_is_bad_input(tmp_path, capsys, case):
+    reason, curve = BAD_CURVES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(AFFINE_F3_INSTANCE, curve=curve)))
+    doc = _assert_bad_input(capsys, "construct", "--family", "custom", "--input", str(path))
+    assert reason in doc["message"]
+
 
 @pytest.mark.parametrize("command", ["construct", "verify", "distance", "automorphisms"])
 @pytest.mark.parametrize(
@@ -335,6 +355,11 @@ MISTYPED_VALUES = {
                                {"label": "G2", "generators": [[2, 2, 0, 1]]}]}, "None"),
     "int_label": ({"groups": [{"label": "G1", "generators": [[2, 0, 0, 1]]},
                               {"label": 2, "generators": [[2, 2, 0, 1]]}]}, "2"),
+    # a false or empty non-list was read as absent, the automatic basis
+    "false_functions": ({"functions": False}, "False"),
+    "zero_functions": ({"functions": 0}, "0"),
+    "object_functions": ({"functions": {}}, "{}"),
+    "object_terms": ({"curve": {"coords": 2, "terms": {}}}, "{}"),
 }
 
 
@@ -473,6 +498,34 @@ def test_failed_stdout_is_not_tried_again(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (("construct", "--family", "fermat", "--q", "3", "--output", "{tmp}/f3.code.json"),
+         EXIT_OK),
+        (("construct", "--m", "0"), EXIT_PRECONDITION),
+    ],
+    ids=["construct", "m-0"],
+)
+def test_failed_stderr_changes_nothing(tmp_path, capsys, monkeypatch, argv, status):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == status
+    stderr = FullStream()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(argv) == status
+    assert capsys.readouterr().out == want
+    assert stderr.writes > 0
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("distance", "--help")])
+def test_help_to_a_failed_stdout_exits_2(monkeypatch, argv):
+    stdout = FullStream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(list(argv)) == EXIT_PRECONDITION
+    assert stdout.writes == 1
+
+
 # ---------------------------------------------------------------------------
 # the process entry point of `python -m orbitcodes` and the `orbitcodes` script
 
@@ -516,6 +569,14 @@ def buffered_env() -> dict:
     return {**env, "PYTHONPATH": str(SRC)}
 
 
+def stream_env(unbuffered: bool) -> dict:
+    """`buffered_env`, with stdout and stderr unbuffered if `unbuffered`."""
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_entry_point_skips_interpreter_teardown():
     # an atexit hook runs at interpreter teardown, which the entry point's
     # os._exit skips; stdout is buffered, so it holds the whole error
@@ -552,15 +613,12 @@ def test_entry_point_skips_interpreter_teardown():
     ids=["construct", "m-0"],
 )
 def test_unwritable_stdout_is_bad_output(tmp_path, argv, unbuffered):
-    env = buffered_env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         res = subprocess.run(
             [sys.executable, "-m", "orbitcodes", *(a.format(tmp=tmp_path) for a in argv)],
             stdout=full,
             stderr=subprocess.PIPE,
-            env=env,
+            env=stream_env(unbuffered),
             timeout=60,
         )
     assert res.returncode == EXIT_PRECONDITION
@@ -571,6 +629,46 @@ def test_unwritable_stdout_is_bad_output(tmp_path, argv, unbuffered):
         assert hashlib.sha256((tmp_path / "f3.code.json").read_bytes()).hexdigest() == (
             FERMAT3_CONSTRUCT_SHA256
         )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (("construct", "--family", "fermat", "--q", "3", "--output", "{tmp}/f3.code.json"),
+         EXIT_OK),
+        (("construct", "--m", "0"), EXIT_PRECONDITION),
+    ],
+    ids=["construct", "m-0"],
+)
+def test_unwritable_stderr_changes_nothing(tmp_path, argv, status, unbuffered):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    command = [sys.executable, "-m", "orbitcodes", *argv]
+    env = stream_env(unbuffered)
+    want = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=env, timeout=60)
+    assert res.returncode == want.returncode == status
+    assert res.stdout == want.stdout
+    if status == EXIT_OK:
+        assert hashlib.sha256(res.stdout).hexdigest() == FERMAT3_CONSTRUCT_SHA256
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("distance", "--help")])
+def test_help_to_an_unwritable_stdout_exits_2(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "orbitcodes", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=stream_env(unbuffered),
+            timeout=60,
+        )
+    assert res.returncode == EXIT_PRECONDITION
+    assert b"Traceback" not in res.stderr
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):

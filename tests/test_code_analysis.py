@@ -9,7 +9,8 @@ structure on the plane instances) and, with the bound reports, against the
 full enumeration of every nonzero message, kept here as an oracle.  The
 faithful-action certificate is compared with the element-by-element
 check, kept here as `oracle_verify_faithful`, on the built-in groups and
-on hand-built groups that leave the certificate for the fallback scan.
+on hand-built groups, made by `close` and by `intersect`, with a failing
+generator or on points that hold no frame.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from orbitcodes import (
     verify_faithful,
 )
 from orbitcodes import code_analysis
+from orbitcodes.autgroup import find_frame
 from orbitcodes.code_analysis import DEFAULT_MESSAGE_GUARD, in_row_space
 from orbitcodes.geometry import projective_reps
 
@@ -818,39 +820,77 @@ def test_generator_that_breaks_the_code_gives_the_oracle_witness(built):
     assert rep.witness == {"element": list(joint.generators[1].key)}
 
 
-def test_builtins_pass_on_the_certificate_without_the_scan(built, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("the element scan ran")
+def test_an_intersection_gives_the_oracle_witness(built):
+    # the joint group intersected with itself takes every element as a
+    # generator, in the joint group's element order; ordered by key, another
+    # element that breaks the code would come before the Y scaling
+    res = built[("fermat", 3)]
+    code = _fermat3_shifted_y_code(res)
+    joint = res.instance.joint_group()
+    common = joint.intersect(joint)
+    assert common.generators == common.elements == joint.elements
+    rep = assert_matches_oracle(common, res.points, code)
+    assert rep.witness == {"element": list(joint.generators[1].key)}
 
-    monkeypatch.setattr(code_analysis, "_scan_elements", no_scan)
+
+def record_scans(monkeypatch) -> list:
+    """Patch `_scan_elements` to record the maps of each call."""
+    scanned = []
+    scan = code_analysis._scan_elements
+
+    def recording(maps, points, code):
+        scanned.append(maps)
+        return scan(maps, points, code)
+
+    monkeypatch.setattr(code_analysis, "_scan_elements", recording)
+    return scanned
+
+
+def test_builtins_pass_on_the_certificate_without_the_scan(built, monkeypatch):
+    scanned = record_scans(monkeypatch)
     for res in built.values():
         for grp in res.instance.groups + (res.instance.joint_group(),):
+            scanned.clear()
             rep = verify_faithful(grp, res.points, res.code)
             assert rep.passed and rep.details["image_order"] == grp.order
+            assert scanned == [grp.generators]  # the elements are never scanned
 
 
-def test_evaluation_set_without_a_frame_falls_back_to_the_scan():
+def test_evaluation_set_without_a_frame_falls_back_to_the_scan(monkeypatch):
     # the points (z^i : 0 : 1) all lie on the line Y = 0, so they hold no
-    # frame of P^2; the X scaling permutes them regularly, and the Y
-    # scaling fixes each of them
+    # frame of P^2; the X scaling permutes them regularly, the Y scaling
+    # fixes each of them, and so does the product of X -> zX, Y -> zY and
+    # X -> X/z, neither of which fixes them
     F9 = make_field(3, 2)
     z = root_of_unity(F9, 4)
     one, zero = F9.one(), F9.zero()
     from orbitcodes import diagonal_map
 
     x_scaling, y_scaling = diagonal_map(F9, z, one, one), diagonal_map(F9, one, z, one)
+    xy_scaling, x_unscaling = diagonal_map(F9, z, z, one), diagonal_map(F9, z**3, one, one)
     pts = close([x_scaling]).orbit(point(F9, 1, 0, 1))
-    assert len(pts) == 4
+    assert len(pts) == 4 and find_frame(pts) is None
     code = EvalCode(F9, pts, ((one,) * 4, tuple(p.dehomogenized()[0] for p in pts)),
                     distance_bound=3)
-    for gens, passed in [([x_scaling], True), ([x_scaling, y_scaling], False)]:
-        group = close(gens)
-        assert not code_analysis._certified_on_generators(group, pts, code)
+    scanned = record_scans(monkeypatch)
+    trivial = {"reason": "non-identity element acts trivially on the evaluation set"}
+    products = close([xy_scaling, x_unscaling])
+    cases = [
+        (close([x_scaling]), True, None),  # every element scanned, none fails
+        (close([x_scaling, y_scaling]), False, y_scaling),  # a generator fails
+        (products, False, y_scaling),  # only a product does
+        (products.intersect(products), False, y_scaling),  # every element a generator
+    ]
+    for group, passed, witness in cases:
+        scanned.clear()
         rep = assert_matches_oracle(group, pts, code)
         assert rep.passed == passed
-    assert rep.details == {
-        "reason": "non-identity element acts trivially on the evaluation set"
-    }
+        if passed:
+            assert scanned == [group.generators, group.elements]
+        else:
+            assert rep.details == trivial and rep.witness == {"element": list(witness.key)}
+            assert scanned[0] == group.generators
+            assert (witness in group.generators) == (len(scanned) == 1)
 
 
 def test_a_generator_that_leaves_the_points_raises(built):

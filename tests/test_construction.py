@@ -545,10 +545,21 @@ def oracle_check_curve_preservation(inst):
 
 
 def test_curve_check_matches_the_element_loop_on_builtins(built, monkeypatch):
-    monkeypatch.setattr(construction, "_scan_curve_elements", None)  # never reached
+    tested = []
+    preserves_curve = ProjMap.preserves_curve
+
+    def recording(self, curve):
+        tested.append(self)
+        return preserves_curve(self, curve)
+
     for res in built.values():
         inst = res.instance
-        rep = check_curve_preservation(inst)
+        tested.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(ProjMap, "preserves_curve", recording)
+            rep = check_curve_preservation(inst)
+        # the generators alone are tested, never another element
+        assert tested == [g for grp in inst.groups for g in grp.generators]
         assert rep == oracle_check_curve_preservation(inst)
         assert rep.details["elements_checked"] == sum(g.order for g in inst.groups)
 
@@ -567,10 +578,30 @@ def test_curve_check_on_hand_built_groups_matches_the_element_loop(built):
     reports = []
     for groups in cases:
         case = dataclasses.replace(inst, groups=groups)
-        assert not all(construction._curve_certified_on_generators(g, case) for g in groups)
+        assert not all(g.preserves_curve(case.curve) for grp in groups for g in grp.generators)
         rep = check_curve_preservation(case)
         assert rep == oracle_check_curve_preservation(case)
         reports.append(rep)
     assert [r.passed for r in reports] == [False, False]
     assert [r.details for r in reports] == [{"group": "shears"}, {"group": "G2"}]
     assert reports[0].witness == reports[1].witness == {"element": list(shear.key)}
+
+
+def test_curve_check_on_an_intersection_matches_the_element_loop(built):
+    # X -> X - Z and the X scaling generate the maps X -> aX + bZ; their
+    # intersection with themselves lists them in close's order, where
+    # X -> X - Z is the first to break the curve, while ordered by key
+    # X -> X + Z would come first
+    inst = built[("fermat", 3)].instance
+    G1 = inst.groups[0]
+    F9 = inst.working
+    o, z = F9.one(), F9.zero()
+    shear = ProjMap(((o, z, -o), (z, o, z), (z, z, o)), F9)
+    H = close(G1.generators + (shear,), label="H")
+    common = H.intersect(H)
+    breaking = [m for m in common.elements if not m.preserves_curve(inst.curve)]
+    assert breaking[0] == shear != min(breaking, key=lambda m: m.key)
+    case = dataclasses.replace(inst, groups=(G1, common))
+    rep = check_curve_preservation(case)
+    assert rep == oracle_check_curve_preservation(case)
+    assert (rep.details, rep.witness) == ({"group": "H & H"}, {"element": list(shear.key)})
