@@ -338,14 +338,28 @@ def close(generators, label: str = "") -> AutGroup:
             prod = _compose(f, m._logs, cols)
             if prod not in seen:
                 if len(elements) >= CLOSURE_CAP:
-                    raise PreconditionError(
-                        "closure_cap_exceeded",
-                        f"group closure exceeded cap {CLOSURE_CAP}",
-                        {"cap": CLOSURE_CAP},
-                    )
+                    raise _cap_exceeded()
                 seen.add(prod)
                 elements.append(ProjMap.from_key(f, n, prod))
     return _group(generators, tuple(elements), label)
+
+
+def check_joint_fits(g: AutGroup, h: AutGroup) -> None:
+    """Raise `close`'s `closure_cap_exceeded` error when the group that g
+    and h generate together cannot fit under `CLOSURE_CAP`.
+
+    The products a*b (a in g, b in h) are |g|*|h| / |g & h| distinct
+    elements of that group, so when they alone pass the cap, closing it
+    would raise the same error after listing `CLOSURE_CAP` elements.
+    """
+    if g.order * h.order > CLOSURE_CAP * g.intersect(h).order:
+        raise _cap_exceeded()
+
+
+def _cap_exceeded() -> PreconditionError:
+    return PreconditionError(
+        "closure_cap_exceeded", f"group closure exceeded cap {CLOSURE_CAP}", {"cap": CLOSURE_CAP}
+    )
 
 
 def find_frame(points: Sequence[ProjPoint]) -> tuple[int, ...] | None:

@@ -54,6 +54,7 @@ from .autgroup import (
     FAMILIES,
     AutGroup,
     builtin_generators,
+    check_joint_fits,
     close,
     family_entry,
 )
@@ -464,25 +465,25 @@ def check_curve_preservation(inst: Instance) -> CheckReport:
 
 
 def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
-    """Monomial basis of L(m*D) for the supported divisor shapes.
+    """Monomial basis of L(m*D) for the supported divisor shape, D
+    supported on the whole line section (`line_section_points`).
 
-    Plane curves with D the full line-section divisor get all monomials of
-    degree <= m in the affine chart, written as forms X^i Y^j Z^(m-i-j);
-    the line gets s^i t^(m'-i) with m' = deg(m*D).  Other shapes must come
-    with explicit functions; the code dimension is always the evaluation
-    rank, never the nominal count.
+    On a plane curve that is all monomials of degree <= m in the affine
+    chart, written as forms X^i Y^j Z^(m-i-j); on the line, whose section
+    is the one point (1:0), it is s^i t^(m'-i) with m' = deg(m*D).  Other
+    shapes must come with explicit functions; the code dimension is always
+    the evaluation rank, never the nominal count.
     """
     if inst.functions is not None:
         return EvalBasis(inst.functions, inst.curve.n_coords)
+    plane = inst.curve.n_coords == 3
+    if D.points() != inst.curve.line_section_points(inst.working):
+        shape = "needs the divisor supported on the full line section" if plane else (
+            "on the line needs the divisor supported at (1:0)")
+        raise PreconditionError(
+            "unsupported_basis", f"automatic basis {shape}; supply explicit functions")
     one = inst.working.one()
-    if inst.curve.n_coords == 3:
-        section = set(inst.curve.line_section_points(inst.working))
-        if set(D.points()) != section:
-            raise PreconditionError(
-                "unsupported_basis",
-                "automatic basis needs the divisor supported on the full line section; "
-                "supply explicit functions",
-            )
+    if plane:
         m = inst.m
         forms = []
         for total in range(m + 1):
@@ -490,14 +491,6 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
                 i = total - j
                 forms.append({(i, j, m - total): one})
         return EvalBasis(tuple(forms), 3)
-    # P^1: divisor must sit at the single point with last coordinate zero
-    infinity = ProjPoint((inst.working.one(), inst.working.zero()))
-    if D.points() != (infinity,):
-        raise PreconditionError(
-            "unsupported_basis",
-            "automatic basis on the line needs the divisor supported at (1:0); "
-            "supply explicit functions",
-        )
     mprime = inst.m * D.degree
     forms = [{(i, mprime - i): one} for i in range(mprime + 1)]
     return EvalBasis(tuple(forms), 2)
@@ -650,8 +643,12 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
     """Assemble a built-in instance from its `FAMILIES` entry, with the
     deterministic choices of Q and Q'.
 
-    Q is the first line-section point on a plane curve, and the first point
-    with coincident orbit multisets on P^1.  Q' is the first curve point in
+    Once G1 and G2 are closed, an instance whose joint group cannot fit
+    under `CLOSURE_CAP` is refused (`check_joint_fits`) before any point is
+    enumerated.  Q is the first point of `line_section_points`, the
+    curve's points at infinity: for every family the line at infinity
+    joins the two Galois points, so the section is a fiber of both groups,
+    and on P^1 it is the point (1:0).  Q' is the first curve point in
     canonical order that meets the family's shape rule and passes
     `check_condition_d`.  The generators are not checked against the curve
     here: `run_construction` certifies them in `check_curve_preservation`.
@@ -661,10 +658,8 @@ def builtin_instance(family: str, q: int, m: int = 1) -> Instance:
     curve = fam.curve(q, field)
     g1, g2 = builtin_generators(family, q, field)
     groups = (close(g1, label="G1"), close(g2, label="G2"))
-    if curve.n_coords == 3:
-        Q = curve.line_section_points(field)[0]
-    else:
-        Q = _first_common_fiber_point(curve, field, groups)
+    check_joint_fits(*groups)
+    Q = curve.line_section_points(field)[0]
     return _with_first_valid_qprime(curve, field, groups, Q, m, fam.qprime_shape, family, q)
 
 
@@ -674,16 +669,6 @@ def _family_field(q: int, degree: int) -> FieldSpec:
     check_order(q, degree)
     p, s = prime_power(q)
     return make_field(p, degree * s)
-
-
-def _first_common_fiber_point(curve: PlaneCurve, field: FieldSpec, groups) -> ProjPoint:
-    """First point whose orbit multisets agree across the groups (the
-    candidate base points Q)."""
-    for pt in curve.rational_points(field):
-        reference = groups[0].orbit_multiset(pt)
-        if all(g.orbit_multiset(pt) == reference for g in groups[1:]):
-            return pt
-    raise PreconditionError("no_valid_q", "no point has coincident orbit multisets")
 
 
 def _with_first_valid_qprime(curve, field, groups, Q, m, shape, family, q) -> Instance:

@@ -13,9 +13,11 @@ maps.  P^1 is represented by the degenerate curve with no terms: every
 point lies on it.  Membership evaluates the equation on encodings, with
 the coefficients pushed into the point's field once per field.
 
-Rational points of a curve with no term in both X and Y, such as the
-fermat and bf curves, come from a value join of its two halves on Z = 1
-and a scan of the line Z = 0, in O(|F|) evaluations
+The line section of a curve, its points with last coordinate zero, is
+solved on that line: |F| + 1 points in the plane, the one point (1:0) on
+P^1.  Rational points of a curve with no term in both X and Y, such as the
+fermat and bf curves, are that section and the affine points of a value
+join of its two halves on Z = 1, in O(|F|) evaluations
 (`_separated_points`); a curve with a mixed XY term, and P^1, keep the
 scan of every point of the ambient space.
 """
@@ -212,11 +214,12 @@ class PlaneCurve(_Value):
 
     `terms` is a canonically ordered tuple of (exponent tuple, coefficient)
     pairs with nonzero coefficients, all of one total degree.
-    `rational_points` keeps its enumeration per field on the curve object,
-    so a curve built for one job enumerates each field once.
+    `rational_points` and `line_section_points` keep their points per field
+    on the curve object, so a curve built for one job enumerates each field
+    once.
     """
 
-    __slots__ = ("n_coords", "field", "terms", "_points")
+    __slots__ = ("n_coords", "field", "terms", "_points", "_sections")
     _fields = ("n_coords", "field", "terms")
 
     def __init__(
@@ -245,6 +248,7 @@ class PlaneCurve(_Value):
                 raise ValueError("curve polynomial must be homogeneous")
         self._init(n_coords, field, tuple(sorted(terms, key=lambda t: t[0])))
         object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_sections", {})
 
     @property
     def degree(self) -> int:
@@ -278,17 +282,18 @@ class PlaneCurve(_Value):
         """All points over `field`, canonical order, no duplicates; found
         once per field, and later calls return the same tuple.
 
-        A plane curve with no term in both X and Y is found by a value join
+        A plane curve with no term in both X and Y is its line section
+        (`line_section_points`) and the affine points of a value join
         (`_separated_points`), in O(|F|) evaluations.  A curve with such a
         mixed term, and P^1, are scanned: the equation is evaluated at all
         |F|^2 + |F| + 1 (or |F| + 1) points of the ambient space.
         """
         if field not in self._points:
-            if field != self.field:
-                embedding(self.field, field)  # raises PreconditionError if incompatible
-            terms = self.encoded_terms(field)
+            terms = self.encoded_terms(field)  # raises PreconditionError if incompatible
             if self.n_coords == 3 and not any(e[0] and e[1] for e, _ in terms):
                 keys = _separated_points(field, terms)
+                keys += (p.key for p in self.line_section_points(field))
+                keys.sort()
                 points = tuple(ProjPoint.from_key(field, k) for k in keys)
             else:
                 points = tuple(
@@ -299,23 +304,27 @@ class PlaneCurve(_Value):
         return self._points[field]
 
     def line_section_points(self, field: FieldSpec) -> tuple[ProjPoint, ...]:
-        """Rational points with last coordinate zero, canonical order."""
-        if self.n_coords != 3:
-            raise ValueError("line sections are only defined for plane curves")
-        return tuple(p for p in self.rational_points(field) if not p.key[-1])
+        """The points over `field` with last coordinate zero, canonical
+        order, kept per field: the points of the line itself, those of
+        `projective_reps` one dimension down with 0 appended, tested on the
+        terms without the last coordinate, the others vanishing there."""
+        if field not in self._sections:
+            at_infinity = [(e, c) for e, c in self.encoded_terms(field) if not e[-1]]
+            keys = (p.key + (0,) for p in projective_reps(field, self.n_coords - 1))
+            self._sections[field] = tuple(
+                ProjPoint.from_key(field, k) for k in keys if not poly_eval(at_infinity, field, k)
+            )
+        return self._sections[field]
 
 
 def _separated_points(spec: FieldSpec, terms) -> list[tuple[int, ...]]:
-    """Sorted keys of the points of a plane curve whose encoded terms
-    `terms` have no monomial in both X and Y.
+    """Keys of the affine points (last coordinate nonzero) of a plane
+    curve whose encoded terms `terms` have no monomial in both X and Y.
 
     On the chart Z = 1 the equation reads a(x) + b(y) = 0, where a takes
     the terms without Y (pure powers of Z included) and b the terms with Y.
     The values of -b over the field are bucketed by value, and each x meets
-    the bucket of a(x): those (x, y, 1) are the affine points.  The line
-    Z = 0 is a copy of P^1: its |F| + 1 points, those of `projective_reps`
-    with Z = 0 appended, are scanned on the terms without Z.  Sorted key
-    order is the canonical point order.
+    the bucket of a(x): those (x, y, 1) are the affine points.
     """
     def values(pairs):
         """[sum of c * v^e over (e, c) in pairs, for each encoding v]"""
@@ -325,18 +334,11 @@ def _separated_points(spec: FieldSpec, terms) -> list[tuple[int, ...]]:
     roots: dict[int, list[int]] = {}
     for y, value in enumerate(values([(e[1], c) for e, c in terms if e[1]])):
         roots.setdefault(spec.neg(value), []).append(y)
-    keys = [
+    return [
         normalized(spec, (x, y, 1))
         for x, value in enumerate(values([(e[0], c) for e, c in terms if not e[1]]))
         for y in roots.get(value, ())
     ]
-    at_infinity = [(e, c) for e, c in terms if not e[2]]
-    keys += [
-        k for k in (p.key + (0,) for p in projective_reps(spec, 2))
-        if not poly_eval(at_infinity, spec, k)
-    ]
-    keys.sort()
-    return keys
 
 
 def plane_curve(field: FieldSpec, coeffs: Poly) -> PlaneCurve:

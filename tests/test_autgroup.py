@@ -22,7 +22,7 @@ from orbitcodes import (
     trace_fermat_curve,
 )
 from orbitcodes import autgroup
-from orbitcodes.autgroup import _det, find_frame
+from orbitcodes.autgroup import _det, check_joint_fits, find_frame
 from orbitcodes.geometry import projective_reps
 from orbitcodes.gf import prime_power
 
@@ -142,6 +142,27 @@ def test_close_cap_exceeded(monkeypatch):
         close(g1 + g2)
     assert exc.value.kind == "closure_cap_exceeded"
     assert exc.value.details == {"cap": 7}
+
+
+@pytest.mark.parametrize("same,cap", [(False, 15), (False, 16), (True, 4)])
+def test_joint_fit_check_refuses_exactly_when_the_closure_would(monkeypatch, same, cap):
+    # fermat q=3: G1 x G2 is the joint group of order 16; G1 with itself
+    # forms 16 products of only 4 distinct elements, so it fits a cap of 4
+    monkeypatch.setattr(autgroup, "CLOSURE_CAP", cap)
+    F9 = make_field(3, 2)
+    g1, g2 = builtin_generators("fermat", 3, F9)
+    if same:
+        g2 = g1
+    G1, G2 = close(g1), close(g2)
+    try:
+        close(g1 + g2)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as early:
+            check_joint_fits(G1, G2)
+        assert (early.value.kind, str(early.value), early.value.details) == (
+            exc.kind, str(exc), exc.details)
+    else:
+        check_joint_fits(G1, G2)
 
 
 def test_closure_contains_generators_and_identity(fermat3):

@@ -14,7 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from orbitcodes import cli, construction, serialize
+from orbitcodes import (
+    cli,
+    construction,
+    diagonal_map,
+    fermat_curve,
+    geometry,
+    make_field,
+    root_of_unity,
+    serialize,
+)
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -405,6 +414,92 @@ def test_field_above_the_table_cap_exits_2_at_once(family, q):
     res = run_entry_point("construct", "--family", family, "--q", str(q), timeout=10)
     assert res.returncode == EXIT_PRECONDITION
     assert json.loads(res.stdout)["error"] == "order_overflow"
+
+
+# the stdout of closure_cap_exceeded, the same document for every command;
+# recorded from construct and verify bf q=8 and construct fermat q=101 on
+# the commit before the joint group's size was checked ahead of the points
+CAP_EXCEEDED_SHA256 = "f5644787f76e93bacfcb1b596bd72fb73152f78265aad55be73a84b329a661bd"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "bf", "--q", "8"),
+        ("construct", "--family", "fermat", "--q", "101"),
+        ("verify", "--family", "bf", "--q", "8"),
+    ],
+    ids=["construct-bf-8", "construct-fermat-101", "verify-bf-8"],
+)
+def test_a_joint_group_past_the_cap_is_refused_before_any_point(capsys, monkeypatch, tmp_path, argv):
+    def refuse(self, field):
+        raise AssertionError("curve points were enumerated")
+
+    monkeypatch.setattr(geometry.PlaneCurve, "rational_points", refuse)
+    monkeypatch.setattr(geometry.PlaneCurve, "line_section_points", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CAP_EXCEEDED_SHA256
+
+
+def plane_instance_off_the_section():
+    """fermat q=3 with the X and Z scalings: both fix the line Y = 0, so D
+    is the curve's section by Y = 0, not by Z = 0."""
+    F9 = make_field(3, 2)
+    curve = fermat_curve(3, F9)
+    zeta = root_of_unity(F9, 4)
+    one = F9.one()
+    groups = {"G1": [diagonal_map(F9, zeta, one, one)], "G2": [diagonal_map(F9, one, one, zeta)]}
+    Q = next(p for p in curve.rational_points(F9) if not p.key[1])
+    return {
+        "schema": "orbitcodes.instance.v1",
+        "ground_field": serialize.field_to_dict(F9),
+        "working_field": serialize.field_to_dict(F9),
+        "curve": serialize.curve_to_dict(curve),
+        "groups": [
+            {"label": label, "generators": [serialize.map_to_list(g) for g in gens]}
+            for label, gens in groups.items()
+        ],
+        "Q": serialize.point_to_list(Q),
+        "Qprime": [1, 1, 1],
+        "m": 1,
+        "condition_a_holds": True,
+    }
+
+
+# the scaling s -> 2s and the map (s : t) -> (s : 2t + 2s) over GF(3) both
+# fix (0 : 1), the divisor's one point, while the line's section is (1 : 0)
+LINE_INSTANCE_OFF_THE_SECTION = dict(
+    AFFINE_F3_INSTANCE,
+    groups=[
+        {"label": "G1", "generators": [[2, 0, 0, 1]]},
+        {"label": "G2", "generators": [[1, 0, 2, 2]]},
+    ],
+    Q=[0, 1],
+    Qprime=[1, 0],
+)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (plane_instance_off_the_section,
+         "automatic basis needs the divisor supported on the full line section; "
+         "supply explicit functions"),
+        (lambda: LINE_INSTANCE_OFF_THE_SECTION,
+         "automatic basis on the line needs the divisor supported at (1:0); "
+         "supply explicit functions"),
+    ],
+    ids=["plane", "line"],
+)
+def test_a_divisor_off_the_line_section_needs_explicit_functions(tmp_path, capsys, make, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(make()))
+    code, stdout, _ = run_cli(capsys, "construct", "--family", "custom", "--input", str(path))
+    assert code == EXIT_PRECONDITION
+    doc = json.loads(stdout)
+    assert (doc["error"], doc["message"]) == ("unsupported_basis", message)
 
 
 def test_custom_requires_input(capsys):

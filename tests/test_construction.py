@@ -32,6 +32,7 @@ from orbitcodes import (
 )
 from orbitcodes import construction
 from orbitcodes.construction import Divisor, check_curve_preservation
+from orbitcodes.gf import prime_power
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,34 @@ def test_projline_divisor_is_scaled_base_point(built):
     assert D.points() == (point(F5, 1, 0),)
     assert D.degree == 2 and D.e == 2
     assert dict(D.support) == {point(F5, 1, 0): 2}
+
+
+def oracle_first_common_fiber_point(curve, field, groups):
+    """The search for Q that the line section replaced on P^1: the first
+    point whose orbit multisets agree across the groups, or None."""
+    for pt in curve.rational_points(field):
+        reference = groups[0].orbit_multiset(pt)
+        if all(g.orbit_multiset(pt) == reference for g in groups[1:]):
+            return pt
+    return None
+
+
+def test_projline_base_point_is_the_first_common_fiber_point(built):
+    valid = []
+    for q in range(5, 256, 2):
+        try:
+            p, s = prime_power(q)
+        except PreconditionError:
+            continue
+        field = make_field(p, s)
+        groups = [close(g) for g in builtin_generators("projline", q, field)]
+        line = projective_line(field)
+        Q = oracle_first_common_fiber_point(line, field, groups)
+        assert Q == point(field, 1, 0) == line.line_section_points(field)[0]
+        if ("projline", q) in built:
+            assert built[("projline", q)].instance.Q == Q
+        valid.append(q)
+    assert len(valid) == 61
 
 
 def test_bf_divisor_multiplicities(built):

@@ -4,7 +4,9 @@ The enumeration oracle below builds projective points from raw coordinate
 triples and dedupes by scalar classes, independently of the library's
 normalized-representative generator.  The value join that enumerates
 curves without a mixed XY term is compared with the brute scan it
-replaced, kept here as `oracle_rational_points`.
+replaced, kept here as `oracle_rational_points`; the line section,
+solved on its line, is compared with the filter of that scan it
+replaced, kept as `oracle_line_section`.
 """
 
 import itertools
@@ -22,7 +24,9 @@ from orbitcodes import (
     trace_fermat_curve,
 )
 from orbitcodes import geometry
+from orbitcodes.autgroup import FAMILIES
 from orbitcodes.geometry import PlaneCurve, poly_degree, poly_eval, projective_reps
+from orbitcodes.gf import prime_power
 
 
 def oracle_curve_points(curve, field):
@@ -290,6 +294,82 @@ def test_fermat_q3_line_section():
 def test_fermat_q2_line_section():
     F4 = make_field(2, 2)
     assert len(fermat_curve(2, F4).line_section_points(F4)) == 3
+
+
+def oracle_line_section(curve, field):
+    """The filter the line section replaced, on the brute scan of the
+    ambient space: every point with last coordinate zero on which the whole
+    equation vanishes."""
+    terms = curve.encoded_terms(field)
+    return tuple(
+        p for p in projective_reps(field, curve.n_coords)
+        if not p.key[-1] and not poly_eval(terms, field, p.key)
+    )
+
+
+def assert_section_matches_the_filter(curve, field):
+    section = PlaneCurve(curve.n_coords, curve.field, curve.terms).line_section_points(field)
+    assert section == oracle_line_section(curve, field)
+    assert section == tuple(p for p in curve.rational_points(field) if not p.key[-1])
+    return section
+
+
+BUILTIN_CURVES = [
+    *[("fermat", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25)],
+    *[("bf", q) for q in (2, 3, 4)],
+    *[("projline", q) for q in (5, 7, 9, 11, 13, 25)],
+]
+
+
+@pytest.mark.parametrize("family,q", BUILTIN_CURVES)
+def test_section_matches_the_filter_on_builtin_curves(family, q):
+    p, s = prime_power(q)
+    fam = FAMILIES[family]
+    field = make_field(p, fam.degree * s)
+    curve = fam.curve(q, field)
+    section = assert_section_matches_the_filter(curve, field)
+    assert curve.line_section_points(field) is curve.line_section_points(field)
+    # the line at infinity meets the curve in the fiber of both Galois points
+    assert len(section) == {"fermat": q + 1, "bf": q + 1, "projline": 1}[family]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["separated", "mixed"])
+@pytest.mark.parametrize("p,k,ext", [(3, 1, 1), (2, 2, 1), (5, 1, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2)])
+def test_section_matches_the_filter_on_random_plane_curves(p, k, ext, mixed):
+    rng = random.Random(1000 * p + 10 * k + ext + 5 * mixed)
+    field, points_field = make_field(p, k), make_field(p, k * ext)
+    sizes = set()
+    for _ in range(30):
+        d = rng.randint(2, 6)
+        monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        cross = [e for e in monomials if e[0] and e[1]]
+        chosen = rng.sample([e for e in monomials if e not in cross], rng.randint(1, 3))
+        # the terms without Z are the ones the section is solved on
+        chosen += [e for e in ((d, 0, 0), (0, d, 0)) if e not in chosen and rng.random() < 0.7]
+        if mixed:
+            chosen.append(rng.choice(cross))
+        terms = [(e, rng.randrange(1, field.order)) for e in chosen]
+        curve = PlaneCurve(3, field, tuple((e, field.from_enc(c)) for e, c in terms))
+        sizes.add(len(assert_section_matches_the_filter(curve, points_field)))
+    # some section is more than one point and less than the whole line
+    assert any(1 < n < points_field.order + 1 for n in sizes), sizes
+
+
+def test_a_section_may_be_empty():
+    # x^2 + y^2 = 0 has no root (x : y) over GF(3), since -1 is not a square
+    F3 = make_field(3, 1)
+    curve = separated_curve(F3, [((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)])
+    assert assert_section_matches_the_filter(curve, F3) == ()
+    assert curve.rational_points(F3)
+
+
+def test_the_line_section_of_p1_is_the_point_at_infinity():
+    F3, F5, F8, F9 = make_field(3, 1), make_field(5, 1), make_field(2, 3), make_field(3, 2)
+    for field in (F5, F8, F9):
+        assert projective_line(field).line_section_points(field) == (point(field, 1, 0),)
+    assert projective_line(F3).line_section_points(F9) == (point(F9, 1, 0),)
+    with pytest.raises(PreconditionError):
+        projective_line(F5).line_section_points(F9)
 
 
 def test_trace_curve_shape_and_line_section():
