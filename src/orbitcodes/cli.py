@@ -37,8 +37,9 @@ from .errors import CheckFailure, OrbitCodesError, PreconditionError, dumps
 # the usage checks and export, and json where a document is read or written,
 # so that --help, a usage error, export and `import orbitcodes.cli` load
 # none of the math.
-# code_analysis is imported only by the commands that run it, distance and
-# automorphisms.
+# code_analysis is imported only where it runs: by automorphisms, and by
+# distance when the geometry does not prove the distance
+# (`construction.certified_distance`).
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,7 +169,7 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     from . import serialize
-    from .construction import run_construction
+    from .construction import certified_distance, run_construction
 
     inst = _load_instance(ns)
     strict = ns.command != "verify"
@@ -194,11 +195,13 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.command == "distance":
-        from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
+        d = certified_distance(result)
+        if d is None:
+            from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
 
-        guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
-        # min_distance_exact raises CheckFailure on any weight below the bound
-        d = min_distance_exact(result.code, guard)
+            guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
+            # min_distance_exact raises CheckFailure on any weight below the bound
+            d = min_distance_exact(result.code, guard)
         _say(f"exact minimum distance {d}, designed bound {result.code.distance_bound} (met)")
         doc = serialize.result_to_dict(result)
         doc["distance_exact"] = d
@@ -239,15 +242,18 @@ COMMANDS = {
     "construct": ("build a code and write the code JSON", _CODE_OPTIONS),
     "verify": ("run the condition checks and report pass/fail", _CODE_OPTIONS),
     "distance": (
-        "compute the exact minimum distance by the cheaper of two exact "
-        "methods: a scan of messages up to scalars or a Brouwer-Zimmermann search",
+        "compute the exact minimum distance: proved from the geometry where it "
+        "applies (the root count on P^1, Bezout on a smooth diagonal curve), else "
+        "by the cheaper of a scan of messages up to scalars and a "
+        "Brouwer-Zimmermann search",
         _CODE_OPTIONS + (
             ("--max-messages", {
                 "type": int,
                 "help": (
-                    "guard on the codewords up to scalars the chosen method forms: "
+                    "guard on the codewords up to scalars an enumeration forms: "
                     "(|F|^k - 1)/(|F| - 1) for the scan, the estimate and then the "
-                    "count for Brouwer-Zimmermann; at least 1 (raise to force)"
+                    "count for Brouwer-Zimmermann; a distance the geometry proves "
+                    "forms none; at least 1 (raise to force)"
                 ),
             }),
         ),

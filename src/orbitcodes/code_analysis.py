@@ -3,13 +3,14 @@
 Exact minimum distance by the cheaper of two exact methods, and
 certification that a matrix group acting on the evaluation set embeds
 faithfully into the code's permutation automorphism group.  The code,
-`EvalCode`, and its row reduction, `rank_and_rref`, live in `construction`,
-which builds the code and reports its rank, so that `construct` and
-`verify` never load this module.  Every method here reads the code's one
-reduction, `EvalCode.reduced`, which also gives its rank.  The membership
-test works, like the reduction, on rows of canonical encodings with the
-field's `axpy` kernel; `EvalCode.matrix` keeps the field elements as the
-public view.
+`EvalCode`, its row reduction, `rank_and_rref`, and the membership test
+`in_row_space` live in `construction`, which builds the code, reports its
+rank and proves the distance from the geometry where it can
+(`certified_distance`).  So `construct` and `verify` never load this
+module, and `distance` loads it only when that proof does not apply.
+Every method here reads the code's one reduction, `EvalCode.reduced`,
+which also gives its rank, on rows of canonical encodings;
+`EvalCode.matrix` keeps the field elements as the public view.
 
 The faithful-action certificate reads the generators' permutations and
 looks for one projective frame in the evaluation set (see
@@ -51,20 +52,9 @@ from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import FieldSpec, _Memo, _Value
 from .geometry import ProjPoint
 from .autgroup import AutGroup, ProjMap, find_frame
-from .construction import EvalCode, rank_and_rref
+from .construction import EvalCode, in_row_space, rank_and_rref
 
 DEFAULT_MESSAGE_GUARD = 2**24
-
-
-def in_row_space(spec: FieldSpec, vector: Sequence[int], rref, pivots) -> bool:
-    """Membership test of a vector of encodings against a precomputed
-    reduced matrix."""
-    residue = vector
-    for row, col in zip(rref, pivots):
-        c = residue[col]
-        if c:
-            residue = spec.axpy(spec.neg(c), row, residue)
-    return not any(residue)
 
 
 def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD) -> int:

@@ -18,17 +18,24 @@ distance bound is #S - m*|G1|.  With the scale written against D0 (the
 support of D taken once), the code is L((m*e) * D0) with bound
 #S - (m*e)*|G1|/e, and the size condition on S reads m*e < e*#S/|G1|.
 
-The code value, `EvalCode`, and the exact row reduction that gives its
-rank, `rank_and_rref`, are defined here rather than in `code_analysis`,
-so that `construct` and `verify` do not load the distance and
-faithful-action module.  A code is built without its rank: `EvalCode.rank`
-reads the code's one reduction, made on first use, so `verify`, which
-reports no rank, reduces nothing.  The package exports both names from
-here, and `code_analysis` imports them.
+The code value, `EvalCode`, the exact row reduction that gives its rank,
+`rank_and_rref`, and the membership test `in_row_space` are defined here
+rather than in `code_analysis`, so that `construct` and `verify` do not
+load the distance and faithful-action module.  A code is built without its
+rank: `EvalCode.rank` reads the code's one reduction, made on first use, so
+`verify`, which reports no rank, reduces nothing.  The package exports
+`EvalCode` and `rank_and_rref` from here, and `code_analysis` imports all
+three.
+
+`certified_distance` proves the minimum distance from the geometry, with
+no enumeration, when the bound is the root count on P^1 or Bezout's
+theorem on a certified-smooth diagonal curve, and a witness codeword
+meets it; `distance` loads `code_analysis` only when it does not apply.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
@@ -209,6 +216,17 @@ def rank_and_rref(spec: FieldSpec, rows: Sequence[Sequence[int]]):
         if r == len(work):
             break
     return r, tuple(work[:r]), tuple(pivots)
+
+
+def in_row_space(spec: FieldSpec, vector: Sequence[int], rref, pivots) -> bool:
+    """Membership test of a vector of encodings against a precomputed
+    reduced matrix."""
+    residue = vector
+    for row, col in zip(rref, pivots):
+        c = residue[col]
+        if c:
+            residue = spec.axpy(spec.neg(c), row, residue)
+    return not any(residue)
 
 
 @dataclass(frozen=True)
@@ -633,6 +651,77 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
     except CheckFailure as exc:
         reports.append(exc.report)
     return result()
+
+
+# ---------------------------------------------------------------------------
+# the distance the geometry proves
+
+
+def certified_distance(result: ConstructionResult) -> int | None:
+    """The minimum distance of a built code when the geometry proves it
+    exact, else None; the checks are linear in the length n.
+
+    A codeword is the evaluation on S of a nonzero form F of the basis
+    degree t, or the zero word: the ground coercion is linear, so a ground
+    combination of the rows evaluates the same combination of the basis
+    forms pushed into the working field.  S lies on the curve, which the
+    construction certified.
+      - On P^1 a nonzero binary form of degree t has at most t roots, so
+        every nonzero codeword weighs at least n - t.  With rank t + 1,
+        Singleton's d <= n - k + 1 makes n - t exact.
+      - A plane curve aX^d + bY^d + cZ^d with abc != 0 and p not dividing
+        d has partial derivatives that are monomials in one variable each,
+        so it is smooth, and a smooth plane curve is irreducible.  By
+        Bezout, a form of degree t that the equation does not divide meets
+        it in at most t*d points, so every nonzero codeword weighs at least
+        n - t*d (`_plane_distance`).
+    None when a hypothesis fails, when no witness is found, or when the
+    proved distance is below max(designed bound, 1); the enumeration of
+    `code_analysis` then decides the distance and makes any failure report.
+    """
+    code = result.code
+    t = build_basis(result.instance, result.divisor).degree
+    if result.instance.curve.n_coords == 2:
+        d = code.n - t if code.rank == t + 1 else None
+    else:
+        d = _plane_distance(result.instance, code, t)
+    return d if d is not None and d >= max(code.distance_bound, 1) else None
+
+
+def _plane_distance(inst: Instance, code: EvalCode, t: int) -> int | None:
+    """n - t*d for a certified-smooth curve of degree d, when the code
+    holds a word of exactly that weight; else None.
+
+    The witness is the product of Y - cZ over the first t values c, in
+    encoding order, whose line through (1:0:0) holds d points of S.  The
+    lines meet S in disjoint sets, so the product, evaluated on S and put
+    through the ground coercion, weighs n - t*d; `in_row_space` checks
+    that it is a codeword.
+    """
+    curve, spec = inst.curve, inst.working
+    d = curve.degree
+    diagonal = ((0, 0, d), (0, d, 0), (d, 0, 0))  # the order of `curve.terms`
+    if tuple(e for e, _ in curve.terms) != diagonal or d % spec.p == 0:
+        return None
+    # the y of each point in the chart Z = 1: the line Y = yZ holds it
+    ys = [spec.mul(pt.key[1], spec.inv(pt.key[2])) for pt in code.points]
+    lines = sorted(c for c, count in Counter(ys).items() if count == d)[:t]
+    if len(lines) < t:
+        return None
+    coerce = _ground_coercion(inst.ground, spec)
+    word = []
+    try:
+        for y in ys:
+            value = 1
+            for c in lines:
+                value = spec.mul(value, spec.add(y, spec.neg(c)))
+            word.append(coerce(FieldElement(spec, value)).enc)
+    except CheckFailure:  # the witness leaves the ground field
+        return None
+    _, rref, pivots = code.reduced
+    if word.count(0) != t * d or not in_row_space(code.field, word, rref, pivots):
+        return None
+    return code.n - t * d
 
 
 # ---------------------------------------------------------------------------

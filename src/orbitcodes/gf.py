@@ -85,6 +85,18 @@ def prime_power(q: int) -> tuple[int, int]:
     raise PreconditionError("not_prime_power", f"{q} is not a prime power")
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def _poly_mod(num, den: list[int], p: int) -> list[int]:
     """Remainder of num in GF(p)[x]; den must be monic, ascending coeffs."""
     num = list(num)
@@ -223,19 +235,21 @@ class FieldSpec(_Value):
     def _tables(self) -> tuple[list[int], list[int], list]:
         """exp, log and Zech tables of g, the primitive element of smallest
         encoding: exp[i] = g^i for i < 2(q-1), log[g^i] = i, and zech[i] =
-        log(1 + g^i), None where 1 + g^i = 0."""
-        for candidate in range(1, self.order):
-            g = self.from_enc(candidate).coeffs
-            exp, power = [1], g
-            while (a := sum(c * self.p**i for i, c in enumerate(power))) != 1:
-                exp.append(a)
-                prod = [0] * (2 * self.k - 1)
-                for i, x in enumerate(power):
-                    for j, y in enumerate(g):
-                        prod[i + j] += x * y
-                power = _poly_mod(prod, self.modulus, self.p)
-            if len(exp) == self.order - 1:
-                break
+        log(1 + g^i), None where 1 + g^i = 0.
+
+        A unit g is primitive iff g^((q-1)/r) != 1 for every prime r
+        dividing q - 1, so each candidate takes that test by
+        square-and-multiply, and only g lists its powers."""
+        one = [1] + [0] * (self.k - 1)
+        cofactors = [(self.order - 1) // r for r in _prime_factors(self.order - 1)]
+        g = next(
+            g for g in (self.from_enc(c).coeffs for c in range(1, self.order))
+            if all(self._poly_power(g, e) != one for e in cofactors)
+        )
+        exp, power = [1], g
+        while (a := sum(c * self.p**i for i, c in enumerate(power))) != 1:
+            exp.append(a)
+            power = self._poly_product(power, g)
         log = [0] * self.order
         for i, a in enumerate(exp):
             log[a] = i
@@ -243,6 +257,25 @@ class FieldSpec(_Value):
         p = self.p
         zech = [log[b] if (b := a - a % p + (a + 1) % p) else None for a in exp]
         return exp + exp, log, zech
+
+    def _poly_product(self, a, b) -> list[int]:
+        """The product of two coefficient lists, reduced by the modulus."""
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return _poly_mod(prod, self.modulus, self.p)
+
+    def _poly_power(self, a, n: int) -> list[int]:
+        """a^n for a coefficient list a, by square-and-multiply."""
+        out = [1] + [0] * (self.k - 1)
+        while n:
+            if n & 1:
+                out = self._poly_product(out, a)
+            n >>= 1
+            if n:
+                a = self._poly_product(a, a)
+        return out
 
     # Arithmetic on encodings.  Every FieldElement operator wraps one of
     # these, and the kernels over encoding tuples (points, maps, curve

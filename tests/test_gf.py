@@ -14,7 +14,7 @@ import pytest
 
 from orbitcodes import PreconditionError, embedding, frobenius, make_field, root_of_unity
 from orbitcodes.autgroup import _column_logs, _product_logs
-from orbitcodes.gf import MAX_ORDER, FieldSpec
+from orbitcodes.gf import MAX_ORDER, FieldSpec, _poly_mod, is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
 
@@ -240,6 +240,43 @@ def test_table_arithmetic_matches_oracle_sampled(p, k):
         assert_ops_match_oracle(spec, a, b)
     for _ in range(20):
         assert_powers_match_oracle(spec, spec.from_enc(rng.randrange(spec.order)))
+
+
+def oracle_tables(spec):
+    """The table builder before it tested each candidate's order first: it
+    listed the powers of every candidate generator in encoding order until
+    one had q - 1 of them."""
+    p, k = spec.p, spec.k
+    for candidate in range(1, spec.order):
+        g = spec.from_enc(candidate).coeffs
+        exp, power = [1], g
+        while (a := sum(c * p**i for i, c in enumerate(power))) != 1:
+            exp.append(a)
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(power):
+                for j, y in enumerate(g):
+                    prod[i + j] += x * y
+            power = _poly_mod(prod, spec.modulus, p)
+        if len(exp) == spec.order - 1:
+            break
+    log = [0] * spec.order
+    for i, a in enumerate(exp):
+        log[a] = i
+    zech = [log[b] if (b := a - a % p + (a + 1) % p) else None for a in exp]
+    return exp + exp, log, zech
+
+
+ORDERS_UP_TO_2_12 = [
+    (p, k) for p in range(2, 2**12 + 1) if is_prime(p)
+    for k in range(1, 13) if p**k <= 2**12
+]
+
+
+def test_tables_match_the_candidate_scan_on_every_field_up_to_order_2_12():
+    assert len(ORDERS_UP_TO_2_12) == 564 + 40  # prime fields and extensions
+    for p, k in ORDERS_UP_TO_2_12:
+        spec = make_field(p, k)
+        assert spec._tables == oracle_tables(spec), (p, k)
 
 
 def oracle_matvec(spec, rows, xs):

@@ -29,6 +29,14 @@ moved to one log-domain kernel.  The bf q=4 construct, distance,
 automorphisms and verify jobs, until then checked only by the CI
 workflow's sha256 steps, were recorded on the commit before the code's
 rank came to be read from its one row reduction; they match those steps.
+The distance jobs fermat q=7, 8 and 9 at m=2, fermat q=5 at m=3 and
+projline q=25 became reachable when the distance came to be proved from
+the curve (`construction.certified_distance`); the commit before it
+refused each with `enumeration_guard_exceeded`.  fermat q=7 m=2 was
+recorded there with `--max-messages 100000000`.  No run of that commit
+can finish the other four (5*10^7 to 3*10^10 codewords up to scalars), so
+each is pinned as that commit's `construct` document with `distance_exact`
+set to its designed bound, written by `errors.dumps`.
 A refactor of the arithmetic or of any layer above it must leave every
 one of them unchanged.  The benchmark's goldens cover further jobs;
 together they are the check that a change does the same work.
@@ -79,6 +87,11 @@ GOLDEN = {
     ("distance", "bf", 4, 1): "e26efc8c3382d4d31f7f3d9d1c78727278f51523679665f3a2f3e851ddfca304",
     ("automorphisms", "bf", 4, 1): "847157f677a98f42b6ceeae842d87fbd7a7584582d4709bd3549e841ee8256a4",
     ("verify", "bf", 4, 1): "40bd9993826b46c63241c6d80d977f89b395726e03fa15d7dedd6b9ecc33db38",
+    ("distance", "fermat", 7, 2): "76f4e9c03ce0ed72903bba98b3923b6a12dec7c6ee269387061be82d609bb1e8",
+    ("distance", "fermat", 8, 2): "cba3c7d154ad89ac06db3282bedd2489aaddac054e8792acb0495a49681cf51c",
+    ("distance", "fermat", 9, 2): "418131811428fb626a91cfe0819e36e61db6e0b206c01bbddb36d47542ec628e",
+    ("distance", "fermat", 5, 3): "8a64c5230ef1af430b82873e48094d3a5805b29c94d6146620d6e8764199bcf6",
+    ("distance", "projline", 25, 1): "cb947b46db421e3cbd5ac599324400a32e69f1724661a7f1cee96963eb27fe82",
 }
 
 

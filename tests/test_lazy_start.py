@@ -23,13 +23,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # sha256 of the help text at 80 columns, recorded before the CLI imported
 # its math on the command path; the same bytes on Python 3.10 to 3.13
 HELP_SHA256 = {
-    # re-recorded when the distance command's help came to name both exact
-    # methods, the scan up to scalars and Brouwer-Zimmermann, one of which
-    # it runs since the distance took the cheaper of the two
-    ("--help",): "fcf1c387fbbd0279f80e73c59eb715584dd4aa68d0d579a1f1a117d36bfb1a43",
-    # re-recorded when the --max-messages help came to name the codewords
-    # up to scalars that the chosen distance method forms
-    ("distance", "--help"): "b0db37d17ddd45fe4f671328482d8bbca45909be2162fdb3dc5b11b2eee15e9c",
+    # re-recorded when the distance command's help came to say that the
+    # geometry proves the distance where it applies, and that the cheaper
+    # of the two enumerations runs otherwise
+    ("--help",): "7ef249f725b7b204bdcdca6e33bedd0a39fcebedabd6fbbed1eafeb4a97e9346",
+    # re-recorded when the --max-messages help came to say that the guard
+    # counts only what an enumeration forms
+    ("distance", "--help"): "0045a1c25c9cdbdd2af838eae5c8e4851f244792a4b24aeca919ee1664f927cc",
     # recorded before the commands and options moved into one table that
     # argparse and the plain-argv reader both read
     ("construct", "--help"): "6c595b85e2c6a40a13923f07f4dfdc473069a85c18a998d7da37868a8c38ff2e",
@@ -119,11 +119,20 @@ def test_start_up_loads_no_math(argv, status, parsed):
 
 
 @pytest.mark.parametrize(
-    "command,analysis",
-    [("construct", False), ("verify", False), ("distance", True), ("automorphisms", True)],
+    "command,family,q,analysis",
+    [
+        ("construct", "fermat", 3, False),
+        ("verify", "fermat", 3, False),
+        ("distance", "fermat", 3, False),  # the geometry proves the distance
+        ("distance", "bf", 2, True),  # a singular curve: the distance is enumerated
+        ("automorphisms", "fermat", 3, True),
+    ],
+    ids=["construct-False", "verify-False", "distance-False", "distance-True",
+         "automorphisms-True"],
 )
-def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command, analysis):
-    res = run_fresh("-m", "orbitcodes", command, "--family", "fermat", "--q", "3",
+def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command, family, q,
+                                                               analysis):
+    res = run_fresh("-m", "orbitcodes", command, "--family", family, "--q", str(q),
                     "--output", str(tmp_path / "out.json"))
     assert res.returncode == 0
     loaded = loaded_modules(res.stderr)
