@@ -28,6 +28,7 @@ without interpreter teardown.
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -57,12 +58,19 @@ def _say(msg: str):
 
 def _emit(doc: dict, output: str | None):
     """Write a command's report to `output` first, then to stdout, and flush
-    stdout, so that a stdout that cannot be written is bad output too."""
+    stdout, so that a stdout that cannot be written is bad output too.
+
+    The file is rewritten in place: it is opened without O_TRUNC and any
+    old tail is cut after the write, since truncating a file on open can
+    wait for the write-back of its previous contents.  Only a regular file
+    is cut; a device such as /dev/null cannot be."""
     text = dumps(doc)
     if output:
         try:
-            with open(output, "w") as fh:
+            with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
         except OSError as exc:
             raise PreconditionError("bad_output", f"cannot write {output}: {exc}") from None
     try:

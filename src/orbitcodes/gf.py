@@ -259,11 +259,16 @@ class FieldSpec(_Value):
         return exp + exp, log, zech
 
     def _poly_product(self, a, b) -> list[int]:
-        """The product of two coefficient lists, reduced by the modulus."""
-        prod = [0] * (len(a) + len(b) - 1)
+        """The product of two coefficient lists, reduced by the modulus.
+        Only the nonzero terms of a and b are multiplied, and b's trailing
+        zeros are dropped, so a power times a sparse g is cheap to form and
+        to reduce."""
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (len(a) + (terms[-1][0] if terms else 0))
         for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
+            if x:
+                for j, y in terms:
+                    prod[i + j] += x * y
         return _poly_mod(prod, self.modulus, self.p)
 
     def _poly_power(self, a, n: int) -> list[int]:

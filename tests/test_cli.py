@@ -625,6 +625,118 @@ def test_help_to_a_failed_stdout_exits_2(monkeypatch, argv):
 
 
 # ---------------------------------------------------------------------------
+# an output file is rewritten in place: no O_TRUNC on open, the old tail cut
+# after the write, and otherwise what `open(path, "w")` did
+
+CONSTRUCT_F3 = ("construct", "--family", "fermat", "--q", "3")
+
+
+def test_output_over_a_longer_file_keeps_its_inode_mode_and_hard_links(tmp_path, capsys):
+    out, twin = tmp_path / "f3.code.json", tmp_path / "twin.json"
+    out.write_bytes(b"x" * 20000)
+    out.chmod(0o640)
+    os.link(out, twin)
+    before = out.stat()
+    code, stdout, _ = run_cli(capsys, *CONSTRUCT_F3, "--output", str(out))
+    assert code == EXIT_OK
+    after = out.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (
+        before.st_ino, before.st_mode, 2
+    )
+    assert twin.read_text() == out.read_text() == stdout  # no stale tail
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FERMAT3_CONSTRUCT_SHA256
+
+
+def test_symlinked_output_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 20000)
+    link.symlink_to(target.name)
+    code, stdout, _ = run_cli(capsys, *CONSTRUCT_F3, "--output", str(link))
+    assert code == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text() == stdout
+
+
+def test_output_to_dev_null_exits_0_with_the_golden_stdout(capsys):
+    code, stdout, stderr = run_cli(capsys, *CONSTRUCT_F3, "--output", os.devnull)
+    assert code == EXIT_OK
+    assert hashlib.sha256(stdout.encode()).hexdigest() == FERMAT3_CONSTRUCT_SHA256
+    assert stderr.splitlines()[-1] == f"wrote {os.devnull}"
+
+
+def bad_output_bytes(path: str, reason: str) -> tuple[str, str]:
+    """The stdout document and the stderr line of `construct` fermat q=3 when
+    `path` cannot be written for `reason`."""
+    message = f"cannot write {path}: {reason}"
+    doc = {"schema": "orbitcodes.error.v1", "error": "bad_output", "message": message,
+           "details": {}}
+    return serialize.dumps(doc), f"precondition error [bad_output]: {message}"
+
+
+@pytest.mark.parametrize(
+    "name,reason",
+    [
+        ("directory", "[Errno 21] Is a directory: '{}'"),
+        ("missing/out.json", "[Errno 2] No such file or directory: '{}'"),
+    ],
+    ids=["directory", "missing-directory"],
+)
+def test_unwritable_output_keeps_its_bad_output_bytes(tmp_path, capsys, name, reason):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / name
+    code, stdout, stderr = run_cli(capsys, *CONSTRUCT_F3, "--output", str(path))
+    assert code == EXIT_PRECONDITION
+    want_stdout, want_line = bad_output_bytes(str(path), reason.format(path))
+    assert stdout == want_stdout
+    assert stderr.splitlines()[-1] == want_line
+
+
+def test_read_only_output_behaves_as_before(tmp_path, capsys):
+    # a process that may override file permissions (root) writes a read-only
+    # file, as `open(path, "w")` did, and leaves its mode; any other process
+    # gets the same bad_output bytes as before
+    path = tmp_path / "read-only.json"
+    path.write_bytes(b"x" * 20000)
+    path.chmod(0o444)
+    writable = os.access(path, os.W_OK)
+    code, stdout, stderr = run_cli(capsys, *CONSTRUCT_F3, "--output", str(path))
+    if writable:
+        assert code == EXIT_OK
+        assert path.read_text() == stdout
+        assert path.stat().st_mode & 0o777 == 0o444
+    else:
+        assert code == EXIT_PRECONDITION
+        want_stdout, want_line = bad_output_bytes(
+            str(path), f"[Errno 13] Permission denied: '{path}'"
+        )
+        assert stdout == want_stdout
+        assert stderr.splitlines()[-1] == want_line
+        assert path.read_bytes() == b"x" * 20000
+
+
+def test_output_is_opened_without_truncation(tmp_path, capsys, monkeypatch):
+    # O_TRUNC on a file written shortly before waits for the write-back of
+    # its previous contents, longer than a whole construction
+    calls = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        calls.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "f3.code.json"
+    out.write_bytes(b"x" * 20000)
+    for argv in (CONSTRUCT_F3, ("export", "--input", str(out))):
+        assert run_cli(capsys, *argv, "--output", str(out))[0] == EXIT_OK
+    assert [path for path, _ in calls] == [str(out)] * 2
+    for _, flags in calls:
+        assert flags & os.O_TRUNC == 0
+        assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FERMAT3_CONSTRUCT_SHA256
+
+
+# ---------------------------------------------------------------------------
 # the process entry point of `python -m orbitcodes` and the `orbitcodes` script
 
 # the sha256 that tests/test_golden.py pins for construct fermat q=3

@@ -279,6 +279,13 @@ def test_tables_match_the_candidate_scan_on_every_field_up_to_order_2_12():
         assert spec._tables == oracle_tables(spec), (p, k)
 
 
+def test_tables_match_the_candidate_scan_on_gf_2_14():
+    # past the range above: g = 1 + x + x^2 (encoding 7) has three nonzero
+    # terms, and the product lists its 16,383 powers
+    spec = make_field(2, 14)
+    assert spec._tables == oracle_tables(spec)
+
+
 def oracle_matvec(spec, rows, xs):
     """Each entry sum(r[j] * xs[j]) as coefficient tuples, from oracle products."""
     p = spec.p
