@@ -300,7 +300,8 @@ def _scan_distance(code: EvalCode) -> int:
             raise CheckFailure(CheckReport("distance_bound", False, {"weight": w, "bound": bound}))
         return w
 
-    add = [[spec.add(a, b) for b in range(q)] for a in range(q)]
+    # add[a][b] is a + b; a row is built when an acc value a first needs it
+    add = _Memo(lambda a: [spec.add(a, b) for b in range(q)])
     # level 0 has no nonzero coefficient before it, so it takes only 0 and 1
     scaled = [
         [spec.scale(s, row) if s else (0,) * n for s in range(q if level else 2)]
@@ -341,35 +342,35 @@ def _zero_cells(spec: FieldSpec, add, r: Sequence[int], l: Sequence[int]) -> lis
     from acc value to the cells s2*q + s where acc + s2*r[j] + s*l[j] is
     zero.  Positions with the same pair share one table.  A zero pair maps
     acc value 0 to the sentinel q*q (zero in every cell) and any other value
-    to no cell."""
+    to no cell.
+
+    The cells are those of a line s = b + c*s2 or of a row s2 = b, and each
+    cell tuple is made once, when a table first needs it, and shared by
+    every table that meets it; a scan which reads few cells, as a rank-2
+    code over a large field does, never makes q^2 of them."""
     q = spec.order
-    ints = list(range(q * q))  # every cell tuple shares these int objects
-    offsets = ints[::q]  # s2*q for each s2
+    offsets = range(0, q * q, q)  # s2*q for each s2
     mul = spec.mul
-    multiples = {0: (0,) * q}  # c -> c*s2 for each s2, shared by the pairs
+    steps = _Memo(lambda c: spec.scale(c, range(q)) if c else (0,) * q)  # c*s2 for each s2
+
+    def line(cb):
+        c, b = cb
+        return tuple(map(operator.add, offsets, map(add[b].__getitem__, steps[c])))
+
+    lines = _Memo(line)
+    rows = _Memo(lambda s2: tuple(range(s2 * q, (s2 + 1) * q)))
 
     def table(rj: int, lj: int) -> _Memo:
         if lj:
             # s = u*acc + (u*rj)*s2 with u = -1/lj
             u = spec.neg(spec.inv(lj))
             c = mul(u, rj)
-            if c not in multiples:
-                multiples[c] = spec.scale(c, range(q))
-            steps = multiples[c]
-
-            def cells_of(a):
-                flat = map(operator.add, offsets, map(add[mul(u, a)].__getitem__, steps))
-                return tuple(map(ints.__getitem__, flat))
-        elif rj:
+            return _Memo(lambda a: lines[c, mul(u, a)])
+        if rj:
             u = spec.neg(spec.inv(rj))  # s2 = -acc/rj, any s
-
-            def cells_of(a):
-                s2 = mul(u, a)
-                return tuple(ints[s2 * q:(s2 + 1) * q])
-        else:
-            every = (q * q,)
-            return _Memo(lambda a: () if a else every)
-        return _Memo(cells_of)
+            return _Memo(lambda a: rows[mul(u, a)])
+        every = (q * q,)
+        return _Memo(lambda a: () if a else every)
 
     tables = {pair: table(*pair) for pair in set(zip(r, l))}
     return [tables[pair] for pair in zip(r, l)]

@@ -36,7 +36,7 @@ meets it; `distance` loads `code_analysis` only when it does not apply.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
 
@@ -130,11 +130,6 @@ class EvalBasis(_Value):
             if any(x < 0 for e in f for x in e):
                 raise ValueError("basis form exponents must be nonnegative")
         self._init(forms, degree, n_coords)
-
-    def evaluate(self, form: Poly, pt: ProjPoint) -> FieldElement:
-        terms = tuple((e, c.enc) for e, c in form.items())
-        chart = tuple(c.enc for c in pt.dehomogenized())
-        return FieldElement(pt.spec, poly_eval(terms, pt.spec, chart))
 
 
 class EvalCode(_Value):
@@ -515,15 +510,20 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
 
 
 def _assemble_code(inst: Instance, S, basis: EvalBasis) -> EvalCode:
+    """The code of the basis forms evaluated on S, one row per form.  Each
+    point's affine chart (last coordinate 1) and each form's terms are read
+    once, and the rows stay encodings up to the `EvalCode` edge."""
     if any(not p.key[-1] for p in S):
         raise PreconditionError(
             "unsupported_basis",
             "evaluation set touches the hyperplane at infinity; functions are not regular there",
         )
-    coerce = _ground_coercion(inst.ground, inst.working)
+    spec, ground = inst.working, inst.ground
+    charts = [spec.scale(spec.inv(p.key[-1]), p.key) for p in S]
     rows = []
     for form in basis.forms:
-        row = tuple(coerce(basis.evaluate(form, p)) for p in S)
+        terms = tuple((e, c.enc) for e, c in form.items())
+        row = _to_ground(inst, (poly_eval(terms, spec, x) for x in charts))
         if not any(row):
             raise CheckFailure(
                 CheckReport(
@@ -532,35 +532,26 @@ def _assemble_code(inst: Instance, S, basis: EvalBasis) -> EvalCode:
                     {"reason": "a basis function vanishes on all of S"},
                 )
             )
-        rows.append(row)
+        rows.append(tuple([FieldElement(ground, v) for v in row]))
     bound = len(S) - inst.m * inst.groups[0].order
-    return EvalCode(inst.ground, tuple(S), tuple(rows), bound)
+    return EvalCode(ground, tuple(S), tuple(rows), bound)
 
 
-def _ground_coercion(ground: FieldSpec, working: FieldSpec):
-    """Map working-field values into the ground field through the section
-    of the canonical embedding, which refuses every value outside its
-    image, the ground field."""
-    if ground == working:
-        return lambda v: v
-    emb = embedding(ground, working)
-
-    def coerce(v: FieldElement) -> FieldElement:
+def _to_ground(inst: Instance, values: Iterable[int]) -> tuple[int, ...]:
+    """Working-field encodings as ground-field encodings, through the
+    section of the canonical embedding; the report names the first value
+    outside the ground field, and no value after it is read."""
+    if inst.ground == inst.working:
+        return tuple(values)
+    lift = embedding(inst.ground, inst.working).section_enc
+    row = []
+    for v in values:
         try:
-            return emb.section(v)
+            row.append(lift(v))
         except ValueError:
-            raise CheckFailure(
-                CheckReport(
-                    "ground_coercion",
-                    False,
-                    {
-                        "reason": "evaluation leaves the ground field",
-                        "value": v.enc,
-                    },
-                )
-            ) from None
-
-    return coerce
+            report = {"reason": "evaluation leaves the ground field", "value": v}
+            raise CheckFailure(CheckReport("ground_coercion", False, report)) from None
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +699,14 @@ def _plane_distance(inst: Instance, code: EvalCode, t: int) -> int | None:
     lines = sorted(c for c, count in Counter(ys).items() if count == d)[:t]
     if len(lines) < t:
         return None
-    coerce = _ground_coercion(inst.ground, spec)
     word = []
+    for y in ys:
+        value = 1
+        for c in lines:
+            value = spec.mul(value, spec.add(y, spec.neg(c)))
+        word.append(value)
     try:
-        for y in ys:
-            value = 1
-            for c in lines:
-                value = spec.mul(value, spec.add(y, spec.neg(c)))
-            word.append(coerce(FieldElement(spec, value)).enc)
+        word = _to_ground(inst, word)
     except CheckFailure:  # the witness leaves the ground field
         return None
     _, rref, pivots = code.reduced

@@ -41,12 +41,11 @@ MAX_ORDER = 2**16
 
 def check_order(base: int, degree: int):
     """Refuse a field of order base**degree above MAX_ORDER, before any work
-    that grows with base or degree; bases below 2 and degrees below 1 are
-    left to the checks that name them."""
+    that grows with base or degree; a base below 2 is left to the check
+    that names it.  Every caller refuses a degree below 1 first, so each
+    base that passes with its degree is at most MAX_ORDER."""
     # base**degree >= 2**degree, so a long degree is refused without the power
-    if base >= 2 and degree >= 1 and (
-        degree >= MAX_ORDER.bit_length() or base**degree > MAX_ORDER
-    ):
+    if base >= 2 and (degree >= MAX_ORDER.bit_length() or base**degree > MAX_ORDER):
         raise PreconditionError(
             "order_overflow",
             f"field order {base}^{degree} exceeds {MAX_ORDER}",
@@ -55,33 +54,19 @@ def check_order(base: int, degree: int):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """By trial division (`_prime_factors`): called after `check_order`, so
+    on n <= MAX_ORDER."""
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q as p**s with p prime, or raise PreconditionError."""
-    if q >= 2:
-        for p in range(2, q + 1):
-            if p * p > q:
-                p = q
-            if q % p == 0:
-                s = 0
-                n = q
-                while n % p == 0:
-                    n //= p
-                    s += 1
-                if n == 1 and is_prime(p):
-                    return p, s
-                break
+    """Factor q as p**s with p prime, or raise PreconditionError; called
+    after `check_order`, like `is_prime`."""
+    if q >= 2 and len(factors := _prime_factors(q)) == 1:
+        p, s = factors[0], 1
+        while p**s < q:
+            s += 1
+        return p, s
     raise PreconditionError("not_prime_power", f"{q} is not a prime power")
 
 
@@ -190,10 +175,12 @@ class FieldSpec(_Value):
     _fields = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        if k < 1:  # before any work that grows with p
+            raise ValueError("modulus length must be k+1")
         check_order(p, k)
         if not is_prime(p):
             raise PreconditionError("not_prime", f"{p} is not prime")
-        if k < 1 or len(modulus) != k + 1:
+        if len(modulus) != k + 1:
             raise ValueError("modulus length must be k+1")
         if any(not (0 <= c < p) for c in modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
@@ -423,11 +410,11 @@ def make_field(p: int, k: int) -> FieldSpec:
     lexicographically smallest.  Found by exhaustive scan, which is the
     point: the choice is reproducible without any table.
     """
+    if k < 1:
+        raise PreconditionError("bad_degree", "extension degree must be >= 1")
     check_order(p, k)
     if not is_prime(p):
         raise PreconditionError("not_prime", f"{p} is not prime")
-    if k < 1:
-        raise PreconditionError("bad_degree", "extension degree must be >= 1")
     for lower in itertools.product(*(range(p) for _ in range(k))):
         coeffs = tuple(lower) + (1,)
         if _is_irreducible(coeffs, p):
@@ -476,17 +463,20 @@ class Embedding(_Value):
         return _eval_poly_at(a.coeffs, self.image_of_generator)
 
     @cached_property
-    def _section(self) -> dict[int, FieldElement]:
-        return {self.apply(a).enc: a for a in self.src.elements()}
+    def _section(self) -> dict[int, int]:
+        return {self.apply(a).enc: a.enc for a in self.src.elements()}
+
+    def section_enc(self, e: int) -> int:
+        """`section` on encodings; raises ValueError if e is not in the image."""
+        if e not in self._section:
+            raise ValueError(f"{self.dst}[{e}] is not in the image of {self.src}")
+        return self._section[e]
 
     def section(self, b: FieldElement) -> FieldElement:
         """Preimage of b under the embedding; raises if b is not in the image."""
         if b.spec != self.dst:
             raise ValueError("element does not live in the destination field")
-        try:
-            return self._section[b.enc]
-        except KeyError:
-            raise ValueError(f"{b!r} is not in the image of {self.src}") from None
+        return FieldElement(self.src, self.section_enc(b.enc))
 
 
 def _eval_poly_at(coeffs: tuple[int, ...], x: FieldElement) -> FieldElement:

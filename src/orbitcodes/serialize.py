@@ -96,7 +96,7 @@ def result_to_dict(result: ConstructionResult) -> dict:
                 "k_nominal": len(code.matrix),
                 "distance_bound": code.distance_bound,
                 "distance_exact": None,
-                "matrix": [[c.enc for c in row] for row in code.matrix],
+                "matrix": [list(row) for row in code.encodings],
             }
         )
     return out
@@ -145,7 +145,11 @@ def curve_from_dict(d: dict, field: FieldSpec) -> PlaneCurve:
 
 
 def map_from_list(flat, field: FieldSpec, n: int) -> ProjMap:
+    """The n x n map of a row-major list of n*n encodings; `ProjMap`
+    refuses a shorter list, and an entry past the n*n-th is refused here."""
     vals = [field.from_enc(_typed(x, int)) for x in flat]
+    if len(vals) > n * n:
+        raise ValueError(f"matrix must be square, {n}x{n}: got {len(vals)} entries")
     rows = tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n))
     return ProjMap(rows, field)
 

@@ -283,6 +283,11 @@ BAD_MAPS_AND_POINTS = {
             "groups": [{"generators": [[999, 0, 0, 1]]}, {"generators": [[1, 1, 0, 1]]}],
         },
     ),
+    # every entry is in GF(3), so only the count is wrong
+    "nine_entry_map_on_the_line": (
+        "matrix must be square, 2x2: got 9 entries",
+        {"groups": [{"generators": [[2, 0, 0, 1, 2, 2, 2, 2, 2]]}, {"generators": [[2, 2, 0, 1]]}]},
+    ),
     "all_zero_map": (
         "projective map must be invertible",
         {"groups": [{"generators": [[0, 0, 0, 0]]}, {"generators": [[2, 2, 0, 1]]}]},
@@ -417,6 +422,17 @@ def test_field_above_the_table_cap_exits_2_at_once(family, q):
     res = run_entry_point("construct", "--family", family, "--q", str(q), timeout=10)
     assert res.returncode == EXIT_PRECONDITION
     assert json.loads(res.stdout)["error"] == "order_overflow"
+
+
+def test_a_field_of_degree_zero_exits_2_at_once(tmp_path):
+    # k = 0 is refused before p, the prime 2^61 - 1, is tested by trial
+    # division; a fresh process, so that a spin meets the timeout
+    doc = dict(AFFINE_F3_INSTANCE, ground_field={"p": 2**61 - 1, "k": 0, "modulus": [1]})
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_entry_point("construct", "--family", "custom", "--input", str(path), timeout=10)
+    assert res.returncode == EXIT_PRECONDITION
+    assert json.loads(res.stdout)["error"] == "bad_input"
 
 
 # the stdout of closure_cap_exceeded, the same document for every command;

@@ -15,6 +15,7 @@ generator or on points that hold no frame.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -469,6 +470,28 @@ def test_scan_matches_full_enumeration_on_builtins(built):
         for bound in (d + 1, code.n + 1):
             rep = assert_distance_matches_oracle(with_bound(code, bound))
             assert rep.name == "distance_bound" and not rep.passed
+
+
+def rank_two_code(field, n):
+    """[n, 2, n - 1]: the values of 1 and x at the n points (1 : x), x = 1..n."""
+    pts = tuple(point(field, 1, x) for x in range(1, n + 1))
+    rows = ((field.one(),) * n, tuple(field.from_enc(x) for x in range(1, n + 1)))
+    return EvalCode(field, pts, rows, n - 1)
+
+
+def test_rank_two_scan_over_a_large_field_needs_no_q_squared_table():
+    # 4,097 scalar classes over GF(2^12); a q x q addition table and q^2
+    # shared cell ints would take over 700 MB, the rows the scan reads a
+    # few MB
+    code = rank_two_code(make_field(2, 12), 40)
+    code.reduced  # the field tables and the row reduction come first
+    tracemalloc.start()
+    try:
+        assert min_distance_exact(code) == 39
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

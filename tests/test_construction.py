@@ -32,7 +32,8 @@ from orbitcodes import (
 )
 from orbitcodes import construction
 from orbitcodes.construction import Divisor, check_curve_preservation
-from orbitcodes.gf import prime_power
+from orbitcodes.gf import FieldElement, embedding, prime_power
+from orbitcodes.geometry import poly_eval
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +478,43 @@ def test_custom_instance_coerces_to_subfield_ground():
     assert res.passed
     assert res.code.field == make_field(3, 1)
     assert (res.code.n, res.code.rank) == (3, 3)
+
+
+def oracle_code_rows(inst, S, basis):
+    """The code rows as the per-entry evaluation built them before the
+    matrix was built on encodings: each entry rebuilds its form's terms and
+    its point's chart, and a value is mapped into a smaller ground field
+    through `Embedding.section`."""
+    emb = None if inst.ground == inst.working else embedding(inst.ground, inst.working)
+    rows = []
+    for form in basis.forms:
+        row = []
+        for pt in S:
+            terms = tuple((e, c.enc) for e, c in form.items())
+            chart = tuple(c.enc for c in pt.dehomogenized())
+            value = FieldElement(pt.spec, poly_eval(terms, pt.spec, chart))
+            row.append(value if emb is None else emb.section(value))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("working", [(3, 1), (3, 2), (3, 4)], ids=["F3", "F9", "F81"])
+def test_code_rows_match_the_per_entry_evaluation_on_a_subfield(working):
+    inst = _affine_f3_line_instance(make_field(*working))
+    res = run_construction(inst)
+    basis = build_basis(inst, res.divisor)
+    assert res.code.matrix == oracle_code_rows(inst, res.points, basis)
+
+
+def test_code_rows_match_the_per_entry_evaluation_on_builtins(built):
+    for (family, q), res in built.items():
+        inst = res.instance
+        for m in (1, 2):
+            if m != inst.m:
+                inst = dataclasses.replace(inst, m=m)
+                res = run_construction(inst)
+            basis = build_basis(inst, res.divisor)
+            assert res.code.matrix == oracle_code_rows(inst, res.points, basis), (family, q, m)
 
 
 def test_ground_coercion_failure_signals_nonrational_data():

@@ -14,7 +14,8 @@ import pytest
 
 from orbitcodes import PreconditionError, embedding, frobenius, make_field, root_of_unity
 from orbitcodes.autgroup import _column_logs, _product_logs
-from orbitcodes.gf import MAX_ORDER, FieldSpec, _poly_mod, is_prime
+from orbitcodes import gf
+from orbitcodes.gf import MAX_ORDER, FieldSpec, _poly_mod, is_prime, prime_power
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
 
@@ -115,6 +116,66 @@ def test_field_above_the_table_cap_is_refused_first(p, k):
 
 def test_table_cap_admits_its_own_order():
     assert make_field(2, 16).order == MAX_ORDER == 2**16
+
+
+@pytest.mark.parametrize("p", [3, 4, 2**61 - 1])
+def test_a_degree_below_1_is_refused_before_p_is_tested(p, monkeypatch):
+    # 2^61 - 1 is prime: trial division up to its square root would spin
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran before the degree was checked")
+
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="modulus length must be k"):
+            FieldSpec(p, k, (1,))
+        with pytest.raises(PreconditionError) as exc:
+            make_field(p, k)
+        assert exc.value.kind == "bad_degree"
+
+
+def oracle_is_prime(n):
+    """Odd trial division, as `is_prime` ran before it was read from
+    `_prime_factors`."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def oracle_prime_power(q):
+    """(p, s) with q = p**s, or None: the scan `prime_power` ran before it
+    was read from `_prime_factors`."""
+    if q >= 2:
+        for p in range(2, q + 1):
+            if p * p > q:
+                p = q
+            if q % p == 0:
+                s = 0
+                n = q
+                while n % p == 0:
+                    n //= p
+                    s += 1
+                if n == 1 and oracle_is_prime(p):
+                    return p, s
+                break
+    return None
+
+
+def test_primes_and_prime_powers_match_the_old_loops_below_2_17():
+    for n in range(-2, 2**17):
+        assert is_prime(n) == oracle_is_prime(n), n
+        try:
+            got = prime_power(n)
+        except PreconditionError as exc:
+            assert exc.kind == "not_prime_power"
+            got = None
+        assert got == oracle_prime_power(n), n
 
 
 def test_bad_modulus_rejected():
@@ -512,9 +573,12 @@ def test_embedding_section_roundtrip():
     emb = embedding(F4, F16)
     for a in F4.elements():
         assert emb.section(emb.apply(a)) == a
+        assert emb.section_enc(emb.apply(a).enc) == a.enc
     outside = next(b for b in F16.elements() if frobenius(b, 4) != b)
     with pytest.raises(ValueError):
         emb.section(outside)
+    with pytest.raises(ValueError):
+        emb.section_enc(outside.enc)
 
 
 def test_embedding_incompatible_fields():

@@ -47,7 +47,8 @@ import json
 
 import pytest
 
-from orbitcodes import builtin_instance, cli, min_distance_exact, run_construction, serialize
+from orbitcodes import builtin_instance, cli, make_field, min_distance_exact, run_construction, serialize
+from orbitcodes.autgroup import builtin_generators
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK
 
 GOLDEN = {
@@ -175,3 +176,69 @@ def test_failure_report_matches_golden(tmp_path, capsys, command, case):
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
     assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == FAILURE_GOLDEN[(command, case)]
+
+
+# A ground field that is a proper subfield of the working field: the one
+# path where each code value is mapped into the ground field through the
+# section of the canonical embedding.  "affine" is the line x -> -x,
+# x -> 2 - x instance of `tests/test_cli.py` with working field GF(9),
+# whose values all land in GF(3); "projline" is the projline q=9 pair of
+# groups over working GF(9) with ground GF(3), Q = (1:0) and Q' = (1:1),
+# whose basis takes the value 6 outside GF(3), so the ground_coercion
+# check fails.  Recorded on the commit before the code matrix was built
+# on encodings: (stdout sha256, exit code).
+F3_FIELD = {"p": 3, "k": 1, "modulus": [0, 1]}
+F9_FIELD = {"p": 3, "k": 2, "modulus": [1, 0, 1]}
+SUBFIELD_DOCS = {
+    "affine": {
+        "groups": [{"label": "G1", "generators": [[2, 0, 0, 1]]},
+                   {"label": "G2", "generators": [[2, 2, 0, 1]]}],
+        "Qprime": [0, 1],
+    },
+    "projline": {
+        "groups": [{"label": "G1", "generators": [[1, 0, 0, 6]]},
+                   {"label": "G2", "generators": [[1, 8, 0, 6]]}],
+        "Qprime": [1, 1],
+    },
+}
+SUBFIELD_GOLDEN = {
+    ("construct", "affine"): (
+        "3b24f6f0a86117126eece7d9dd8af2cbbcee3ec0de5ffa93dad762a08b65d980", EXIT_OK
+    ),
+    ("verify", "affine"): (
+        "ef892374e8fa4b28c586506d07c0abdc91e33e4f4b55649547dba9f5ed52bc57", EXIT_OK
+    ),
+    ("construct", "projline"): (
+        "e04df5778b3bd922b107aaf80a3481a7694e33269283b118f5b0bb78f2bc54c3", EXIT_CHECK_FAILED
+    ),
+    ("verify", "projline"): (
+        "ce18cf4af42222ee1dd7e43ce5ff688f57d76056ba22c5c32e59b01ec92cd1e0", EXIT_CHECK_FAILED
+    ),
+}
+
+
+def test_projline_subfield_groups_are_the_builtin_ones():
+    gens = builtin_generators("projline", 9, make_field(3, 2))
+    assert [[serialize.map_to_list(g) for g in grp] for grp in gens] == [
+        g["generators"] for g in SUBFIELD_DOCS["projline"]["groups"]
+    ]
+
+
+@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN), ids="-".join)
+def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
+    doc = {
+        "schema": "orbitcodes.instance.v1",
+        "ground_field": F3_FIELD,
+        "working_field": F9_FIELD,
+        "curve": {"coords": 2, "terms": []},
+        "Q": [1, 0],
+        "m": 1,
+        "condition_a_holds": True,
+        **SUBFIELD_DOCS[case],
+    }
+    path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, "--family", "custom", "--input", str(path), "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert out.read_text() == stdout
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == SUBFIELD_GOLDEN[(command, case)]
