@@ -8,9 +8,9 @@ faithfully into the code's permutation automorphism group.  The code,
 rank and proves the distance from the geometry where it can
 (`certified_distance`).  So `construct` and `verify` never load this
 module, and `distance` loads it only when that proof does not apply.
-Every method here reads the code's one reduction, `EvalCode.reduced`,
-which also gives its rank, on rows of canonical encodings;
-`EvalCode.matrix` keeps the field elements as the public view.
+Every method here reads the code's rows of canonical encodings,
+`EvalCode.encodings`, which the code stores, and its one reduction of
+them, `EvalCode.reduced`; `EvalCode.matrix` is a field-element view.
 
 The faithful-action certificate reads the generators' permutations and
 looks for one projective frame in the evaluation set (see

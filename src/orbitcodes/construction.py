@@ -135,39 +135,38 @@ class EvalBasis(_Value):
 class EvalCode(_Value):
     """A linear code presented by evaluations of functions at ordered points.
 
-    `matrix` holds one row per nominal function (there may be more rows than
-    the rank); `distance_bound` is the designed lower bound on the minimum
-    distance.  The rank, the code dimension, is read from the one row
-    reduction of the matrix, `reduced`.
+    `encodings` holds one row of encodings per nominal function (there may
+    be more rows than the rank) and `matrix` is their field-element view;
+    `distance_bound` is the designed lower bound on the minimum distance.
+    The rank, the code dimension, is read from their one reduction, `reduced`.
     """
 
-    _fields = ("field", "points", "matrix", "distance_bound")
+    _fields = ("field", "points", "encodings", "distance_bound")
 
     def __init__(
         self,
         field: FieldSpec,
         points: tuple[ProjPoint, ...],
-        matrix: tuple[tuple[FieldElement, ...], ...],
+        encodings: tuple[tuple[int, ...], ...],
         distance_bound: int,
     ):
         n = len(points)
-        if any(len(row) != n for row in matrix):
+        if any(len(row) != n for row in encodings):
             raise ValueError("matrix rows must match the number of points")
-        if any(c.spec != field for row in matrix for c in row):
+        if any(row and (min(row) < 0 or max(row) >= field.order) for row in encodings):
             raise ValueError("matrix entries must live in the code field")
-        if len(matrix) > n:
+        if len(encodings) > n:
             raise ValueError("need nominal rows <= length")
-        self._init(field, points, matrix, distance_bound)
+        self._init(field, points, encodings, distance_bound)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     @cached_property
-    def encodings(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of `matrix` as tuples of canonical encodings, the form
-        the row reduction and the distance scan work on."""
-        return tuple(tuple(c.enc for c in row) for row in self.matrix)
+    def matrix(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The rows of `encodings` as field elements."""
+        return tuple(tuple(FieldElement(self.field, v) for v in row) for row in self.encodings)
 
     @cached_property
     def reduced(self):
@@ -477,7 +476,7 @@ def check_curve_preservation(inst: Instance) -> CheckReport:
 # basis synthesis and the generator matrix
 
 
-def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
+def build_basis(inst: Instance, D: Divisor, n: int) -> EvalBasis:
     """Monomial basis of L(m*D) for the supported divisor shape, D
     supported on the whole line section (`line_section_points`).
 
@@ -485,9 +484,12 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
     chart, written as forms X^i Y^j Z^(m-i-j); on the line, whose section
     is the one point (1:0), it is s^i t^(m'-i) with m' = deg(m*D).  Other
     shapes must come with explicit functions; the code dimension is always
-    the evaluation rank, never the nominal count.
+    the evaluation rank, never the nominal count.  A basis of more forms
+    than the n evaluation points fails the `injectivity` check, counted
+    before any form is listed.
     """
     if inst.functions is not None:
+        _check_basis_fits(len(inst.functions), n)
         return EvalBasis(inst.functions, inst.curve.n_coords)
     plane = inst.curve.n_coords == 3
     if D.points() != inst.curve.line_section_points(inst.working):
@@ -498,6 +500,7 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
     one = inst.working.one()
     if plane:
         m = inst.m
+        _check_basis_fits((m + 1) * (m + 2) // 2, n)
         forms = []
         for total in range(m + 1):
             for j in range(total + 1):
@@ -505,20 +508,30 @@ def build_basis(inst: Instance, D: Divisor) -> EvalBasis:
                 forms.append({(i, j, m - total): one})
         return EvalBasis(tuple(forms), 3)
     mprime = inst.m * D.degree
+    _check_basis_fits(mprime + 1, n)
     forms = [{(i, mprime - i): one} for i in range(mprime + 1)]
     return EvalBasis(tuple(forms), 2)
+
+
+def _check_basis_fits(functions: int, n: int):
+    """Refuse more basis functions than evaluation points: their evaluation
+    cannot be injective, and `EvalCode` takes no more rows than points."""
+    if functions > n:
+        report = {"reason": "more basis functions than evaluation points",
+                  "functions": functions, "points": n}
+        raise CheckFailure(CheckReport("injectivity", False, report))
 
 
 def _assemble_code(inst: Instance, S, basis: EvalBasis) -> EvalCode:
     """The code of the basis forms evaluated on S, one row per form.  Each
     point's affine chart (last coordinate 1) and each form's terms are read
-    once, and the rows stay encodings up to the `EvalCode` edge."""
+    once, and the rows stay encodings into the `EvalCode`."""
     if any(not p.key[-1] for p in S):
         raise PreconditionError(
             "unsupported_basis",
             "evaluation set touches the hyperplane at infinity; functions are not regular there",
         )
-    spec, ground = inst.working, inst.ground
+    spec = inst.working
     charts = [spec.scale(spec.inv(p.key[-1]), p.key) for p in S]
     rows = []
     for form in basis.forms:
@@ -532,9 +545,9 @@ def _assemble_code(inst: Instance, S, basis: EvalBasis) -> EvalCode:
                     {"reason": "a basis function vanishes on all of S"},
                 )
             )
-        rows.append(tuple([FieldElement(ground, v) for v in row]))
+        rows.append(row)
     bound = len(S) - inst.m * inst.groups[0].order
-    return EvalCode(ground, tuple(S), tuple(rows), bound)
+    return EvalCode(inst.ground, tuple(S), tuple(rows), bound)
 
 
 def _to_ground(inst: Instance, values: Iterable[int]) -> tuple[int, ...]:
@@ -638,7 +651,7 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
         return result()
 
     try:
-        code = _assemble_code(inst, S, build_basis(inst, D))
+        code = _assemble_code(inst, S, build_basis(inst, D, len(S)))
     except CheckFailure as exc:
         reports.append(exc.report)
     return result()
@@ -671,7 +684,7 @@ def certified_distance(result: ConstructionResult) -> int | None:
     `code_analysis` then decides the distance and makes any failure report.
     """
     code = result.code
-    t = build_basis(result.instance, result.divisor).degree
+    t = build_basis(result.instance, result.divisor, code.n).degree
     if result.instance.curve.n_coords == 2:
         d = code.n - t if code.rank == t + 1 else None
     else:

@@ -93,7 +93,7 @@ def result_to_dict(result: ConstructionResult) -> dict:
             {
                 "n": code.n,
                 "k": code.rank,
-                "k_nominal": len(code.matrix),
+                "k_nominal": len(code.encodings),
                 "distance_bound": code.distance_bound,
                 "distance_exact": None,
                 "matrix": [list(row) for row in code.encodings],

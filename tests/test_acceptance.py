@@ -218,10 +218,8 @@ def test_criterion_8_property_suites(built):
     # the weight >= bound assertion is live inside every distance scan:
     # an inflated bound must abort the scan
     F5 = make_field(5, 1)
-    one, zero = F5.one(), F5.zero()
     pts = (point(F5, 0, 1), point(F5, 1, 1), point(F5, 1, 2))
-    rows = ((one, one, one), (zero, one, F5.from_int(2)))
-    inflated = EvalCode(F5, pts, rows, distance_bound=3)
+    inflated = EvalCode(F5, pts, ((1, 1, 1), (0, 1, 2)), distance_bound=3)
     with pytest.raises(CheckFailure):
         min_distance_exact(inflated)
 

@@ -151,8 +151,8 @@ def test_a_witness_of_weight_zero_proves_nothing():
     keep = [j for j, pt in enumerate(res.points)
             if spec.mul(pt.key[1], spec.inv(pt.key[2])) == c]
     points = tuple(res.points[j] for j in keep)
-    matrix = tuple(tuple(row[j] for j in keep) for row in code.matrix)
-    cut = EvalCode(spec, points, matrix, 0)
+    rows = tuple(tuple(row[j] for j in keep) for row in code.encodings)
+    cut = EvalCode(spec, points, rows, 0)
     assert (cut.n, cut.rank) == (4, 2)
     fake = ConstructionResult(res.instance, res.reports, res.divisor, points,
                               res.joint_order, cut)

@@ -393,7 +393,7 @@ def test_mistyped_number_or_flag_is_bad_input(tmp_path, capsys, command, case):
 
 def test_explicit_functions_of_the_automatic_basis_give_the_same_code(tmp_path, capsys):
     inst = serialize.instance_from_dict(AFFINE_F3_INSTANCE)
-    basis = construction.build_basis(inst, construction.build_divisor(inst))
+    basis = construction.build_basis(inst, construction.build_divisor(inst), 3)
     functions = [serialize.poly_to_list(f) for f in basis.forms]
     stdouts = []
     for doc in (AFFINE_F3_INSTANCE, dict(AFFINE_F3_INSTANCE, functions=functions)):

@@ -295,7 +295,7 @@ def test_condition_d_rejects_small_orbit():
 
 def test_fermat_m1_basis_is_z_x_y(built):
     res = built[("fermat", 3)]
-    basis = build_basis(res.instance, res.divisor)
+    basis = build_basis(res.instance, res.divisor, res.code.n)
     assert basis.degree == 1
     assert [sorted(f.items()) for f in basis.forms] == [
         [((0, 0, 1), res.instance.working.one())],
@@ -307,7 +307,7 @@ def test_fermat_m1_basis_is_z_x_y(built):
 def test_fermat_m2_basis_has_six_monomials():
     inst = builtin_instance("fermat", 3, m=2)
     D = build_divisor(inst)
-    basis = build_basis(inst, D)
+    basis = build_basis(inst, D, 16)
     assert basis.degree == 2
     assert len(basis.forms) == 6
     exps = [next(iter(f)) for f in basis.forms]
@@ -316,10 +316,27 @@ def test_fermat_m2_basis_has_six_monomials():
 
 def test_projline_basis_monomials(built):
     res = built[("projline", 5)]
-    basis = build_basis(res.instance, res.divisor)
+    basis = build_basis(res.instance, res.divisor, res.code.n)
     assert basis.degree == 2
     exps = [next(iter(f)) for f in basis.forms]
     assert exps == [(0, 2), (1, 1), (2, 0)]  # t^2, st, s^2
+
+
+@pytest.mark.parametrize("family,q,m,forms", [("fermat", 3, 5, 21), ("fermat", 3, 10**7, None),
+                                              ("projline", 5, 3, 7), ("projline", 5, 10**7, None)])
+def test_a_basis_with_more_forms_than_points_fails_before_it_is_listed(built, family, q, m, forms):
+    # (m+1)(m+2)/2 forms on the plane, m*deg(D) + 1 on the line; at
+    # m = 10^7 listing them would not fit in memory
+    res = built[(family, q)]
+    inst = dataclasses.replace(res.instance, m=m)
+    n, degree = res.code.n, res.divisor.degree
+    want = (m + 1) * (m + 2) // 2 if family == "fermat" else m * degree + 1
+    with pytest.raises(CheckFailure) as exc:
+        build_basis(inst, res.divisor, n)
+    assert exc.value.report == CheckReport("injectivity", False, {
+        "reason": "more basis functions than evaluation points", "functions": want, "points": n})
+    if forms is not None:  # with a point for each form, every form is listed
+        assert len(build_basis(inst, res.divisor, want).forms) == forms == want
 
 
 def test_unsupported_divisor_shape_needs_explicit_functions():
@@ -334,7 +351,7 @@ def test_unsupported_divisor_shape_needs_explicit_functions():
     inst = Instance(line, (g1, g2), point(F5, 1, 0), point(F5, 0, 1), F5, F5)
     wrong = Divisor(((point(F5, 0, 1), 2),), F5, True)
     with pytest.raises(PreconditionError) as exc:
-        build_basis(inst, wrong)
+        build_basis(inst, wrong, 2)
     assert exc.value.kind == "unsupported_basis"
 
 
@@ -502,7 +519,7 @@ def oracle_code_rows(inst, S, basis):
 def test_code_rows_match_the_per_entry_evaluation_on_a_subfield(working):
     inst = _affine_f3_line_instance(make_field(*working))
     res = run_construction(inst)
-    basis = build_basis(inst, res.divisor)
+    basis = build_basis(inst, res.divisor, res.code.n)
     assert res.code.matrix == oracle_code_rows(inst, res.points, basis)
 
 
@@ -513,8 +530,39 @@ def test_code_rows_match_the_per_entry_evaluation_on_builtins(built):
             if m != inst.m:
                 inst = dataclasses.replace(inst, m=m)
                 res = run_construction(inst)
-            basis = build_basis(inst, res.divisor)
+            basis = build_basis(inst, res.divisor, res.code.n)
             assert res.code.matrix == oracle_code_rows(inst, res.points, basis), (family, q, m)
+
+
+def test_the_code_path_builds_no_field_element(monkeypatch):
+    """On bf q=4 the rows stay encodings from the basis to the code
+    document, the distance and the faithful-action certificate; `matrix`
+    is the one place they become field elements."""
+    from orbitcodes import serialize
+    from orbitcodes.code_analysis import min_distance_exact, verify_faithful
+
+    inst = builtin_instance("bf", 4)
+    res = run_construction(inst)
+    basis = build_basis(inst, res.divisor, res.code.n)
+    joint = inst.joint_group()
+    made = []
+    init = FieldElement.__init__
+
+    def counted(self, spec, enc):
+        made.append(enc)
+        init(self, spec, enc)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    code = construction._assemble_code(inst, res.points, basis)
+    serialize.result_to_dict(construction.ConstructionResult(
+        inst, res.reports, res.divisor, res.points, res.joint_order, code))
+    assert min_distance_exact(code) == 1200
+    assert verify_faithful(joint, code.points, code).passed
+    assert made == []
+    monkeypatch.undo()
+    assert code.encodings == res.code.encodings
+    assert code.matrix == tuple(
+        tuple(FieldElement(code.field, v) for v in row) for row in code.encodings)
 
 
 def test_ground_coercion_failure_signals_nonrational_data():

@@ -44,12 +44,19 @@ together they are the check that a change does the same work.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from orbitcodes import builtin_instance, cli, make_field, min_distance_exact, run_construction, serialize
 from orbitcodes.autgroup import builtin_generators
 from orbitcodes.cli import EXIT_CHECK_FAILED, EXIT_OK
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN = {
     ("construct", "fermat", 3, 1): "91c78de2d60b2cfd5647ed7b3b8b05711726520f1b6c1cd057199b3675eec0ad",
@@ -242,3 +249,93 @@ def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
     assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == SUBFIELD_GOLDEN[(command, case)]
+
+
+# Bases that outgrow the evaluation set.  Each document is the GF(3) line
+# instance of `tests/test_cli.py` (the pair x -> -x, x -> 2 - x, whose S
+# has 3 points), grown: "three_groups" appends the group of x -> 2x + 1
+# and sets m = 2, so the basis of L(2D) has 5 forms; "functions" gives the
+# five forms s^i t^(4-i) explicitly; "huge_m" is "three_groups" at
+# m = 10^7, whose 2*10^7 + 1 forms are counted, never listed.  Each fails
+# the injectivity check, exit 1, from construct and verify alike.  The
+# commit before that check ended the first two in a ValueError traceback,
+# and the third listed its forms until memory ran out (a MemoryError under
+# `ulimit -v 2000000`), so these pins are the check's own bytes, recorded
+# on the change that made it: (stdout sha256, exit code).
+LINE_DOC = {
+    "schema": "orbitcodes.instance.v1",
+    "ground_field": F3_FIELD,
+    "working_field": F3_FIELD,
+    "curve": {"coords": 2, "terms": []},
+    "groups": [{"label": "G1", "generators": [[2, 0, 0, 1]]},
+               {"label": "G2", "generators": [[2, 2, 0, 1]]}],
+    "Q": [1, 0],
+    "Qprime": [0, 1],
+    "m": 1,
+    "condition_a_holds": True,
+}
+THIRD_GROUP = {"label": "G3", "generators": [[2, 1, 0, 1]]}
+OVERSIZED_DOCS = {
+    "three_groups": {**LINE_DOC, "groups": LINE_DOC["groups"] + [THIRD_GROUP], "m": 2},
+    "functions": {**LINE_DOC, "functions": [[[[i, 4 - i], 1]] for i in range(5)]},
+    "huge_m": {**LINE_DOC, "groups": LINE_DOC["groups"] + [THIRD_GROUP], "m": 10**7},
+}
+OVERSIZED_GOLDEN = {
+    ("construct", "three_groups"): (
+        "1f1bea29354933a52ccef1841f411b9cb6e53c9aac5e767618243588078fd5c4", EXIT_CHECK_FAILED
+    ),
+    ("verify", "three_groups"): (
+        "0d8098677172a3e77abd288ad946e87a8a1366e2b184220b0967062d6144aca8", EXIT_CHECK_FAILED
+    ),
+    ("construct", "functions"): (
+        "1f1bea29354933a52ccef1841f411b9cb6e53c9aac5e767618243588078fd5c4", EXIT_CHECK_FAILED
+    ),
+    ("verify", "functions"): (
+        "4499ce80e878c192c2207455fde69db0c8f6a2f6102d047e2e52fab5fabf1f8f", EXIT_CHECK_FAILED
+    ),
+    ("construct", "huge_m"): (
+        "c05c97bf581b9cef8cb04ecc62cb2140635137e9e36d457b4d5a685fbef421e7", EXIT_CHECK_FAILED
+    ),
+    ("verify", "huge_m"): (
+        "4e949281254bc8423bfe705be7ed9eec183aef2495fb7ffc5dccf411c677b07e", EXIT_CHECK_FAILED
+    ),
+}
+
+OVERSIZED_IDS = ["-".join(key) for key in sorted(OVERSIZED_GOLDEN)]
+
+
+def oversized_args(tmp_path, command, case):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(OVERSIZED_DOCS[case]))
+    return [command, "--family", "custom", "--input", str(path)]
+
+
+@pytest.mark.parametrize("command,case", sorted(OVERSIZED_GOLDEN), ids=OVERSIZED_IDS)
+def test_oversized_basis_matches_golden(tmp_path, capsys, command, case):
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(oversized_args(tmp_path, command, case) + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stdout = capsys.readouterr().out
+    assert out.read_text() == stdout
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == OVERSIZED_GOLDEN[(command, case)]
+    report = json.loads(stdout)
+    assert report["schema"] == "orbitcodes.verify.v1"
+    assert report["checks"][-1]["name"] == "injectivity"
+    assert peak < 16 * 2**20  # no form of the basis is listed
+
+
+@pytest.mark.parametrize("command,case", sorted(OVERSIZED_GOLDEN), ids=OVERSIZED_IDS)
+def test_oversized_basis_process_matches_golden(tmp_path, command, case):
+    res = subprocess.run(
+        [sys.executable, "-m", "orbitcodes", *oversized_args(tmp_path, command, case)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=10,
+    )
+    assert b"Traceback" not in res.stderr
+    want = OVERSIZED_GOLDEN[(command, case)]
+    assert (hashlib.sha256(res.stdout).hexdigest(), res.returncode) == want

@@ -1,8 +1,12 @@
-"""A seeded fuzz test of the instance.v1 reader: valid custom instances with
-small numbers or other JSON values put in place of values, keys deleted
-and values nested one level deeper must give an exit status of 0, 1 or 2
-and a JSON document on stdout, never an exception out of `cli.main`.
-300 examples reach all three statuses."""
+"""A seeded fuzz test of the instance.v1 reader.  A valid custom instance
+may first grow: a copy of one of its groups appended, explicit monomial
+functions added, or m raised, up to 10^7, so that a basis can outgrow
+the evaluation set.  The
+grown document runs as it is, or with small numbers or other JSON values
+put in place of values, keys deleted and values nested one level deeper.
+Each must give an exit status of 0, 1 or 2 and the document of that
+status on stdout, never an exception out of `cli.main`.  300 examples
+reach all three statuses, and a basis with more forms than points."""
 
 import contextlib
 import copy
@@ -78,9 +82,36 @@ def paths(value, prefix=()):
         yield from paths(child, prefix + (key,))
 
 
+def monomials(coords: int, degree: int):
+    """The exponent lists of every monomial of `degree` in `coords` variables."""
+    if coords == 1:
+        return [[degree]]
+    return [[i] + rest for i in range(degree + 1) for rest in monomials(coords - 1, degree - i)]
+
+
+def grow(draw, doc, growth):
+    if growth == "group":  # a copy, which the value changes below may alter
+        gens = copy.deepcopy(draw(st.sampled_from([g["generators"] for g in doc["groups"]])))
+        doc["groups"].append({"label": f"G{len(doc['groups']) + 1}", "generators": gens})
+    elif growth == "functions":
+        exps = monomials(doc["curve"]["coords"], draw(st.integers(0, 5)))
+        count = draw(st.integers(1, 20))
+        doc["functions"] = [[[exps[i % len(exps)], 1]] for i in range(count)]
+    else:
+        doc["m"] = draw(st.integers(2, 6) | st.just(10**7))
+
+
+@st.composite
+def grown_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for growth in draw(st.lists(st.sampled_from(["group", "functions", "m"]), max_size=3)):
+        grow(draw, doc, growth)
+    return doc
+
+
 @st.composite
 def mutated_documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    doc = draw(grown_documents())
     for _ in range(draw(st.integers(1, 3))):
         # a wrong schema is refused before anything else is read
         found = [path for path in paths(doc) if path != ("schema",)]
@@ -105,7 +136,7 @@ def mutated_documents(draw):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=mutated_documents())
+@given(doc=grown_documents() | mutated_documents())
 def test_a_mutated_instance_exits_0_1_or_2(tmp_path, doc):
     path, output = tmp_path / "inst.json", tmp_path / "out.json"
     path.write_text(json.dumps(doc))
@@ -115,5 +146,6 @@ def test_a_mutated_instance_exits_0_1_or_2(tmp_path, doc):
                            "--output", str(output)])
     assert status in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_PRECONDITION)
     report = json.loads(stdout.getvalue())
-    if status == cli.EXIT_PRECONDITION:
-        assert report["schema"] == "orbitcodes.error.v1"
+    want = {cli.EXIT_OK: "orbitcodes.code.v1", cli.EXIT_CHECK_FAILED: "orbitcodes.verify.v1",
+            cli.EXIT_PRECONDITION: "orbitcodes.error.v1"}[status]
+    assert report["schema"] == want

@@ -11,7 +11,10 @@ from closures without the dataclass's identity and generator checks.  The
 `EvalCode` and `EvalBasis` oracles take no rank, exact distance or basis
 degree, the values those classes stopped taking: a code reads its rank
 from its own row reduction, and a basis takes the degree of its first
-nonzero form.
+nonzero form.  The `EvalCode` oracle takes rows of encodings, as the class
+now stores them, in place of rows of field elements, and checks each entry
+against the field order where the class checks each row's least and
+greatest entry; its error texts are those of the element check.
 """
 
 import dataclasses
@@ -127,16 +130,16 @@ class AutGroup:
 class EvalCode:
     field: gf.FieldSpec
     points: tuple
-    matrix: tuple
+    encodings: tuple
     distance_bound: int
 
     def __post_init__(self):
         n = len(self.points)
-        if any(len(row) != n for row in self.matrix):
+        if any(len(row) != n for row in self.encodings):
             raise ValueError("matrix rows must match the number of points")
-        if any(c.spec != self.field for row in self.matrix for c in row):
+        if any(not 0 <= e < self.field.order for row in self.encodings for e in row):
             raise ValueError("matrix entries must live in the code field")
-        if len(self.matrix) > n:
+        if len(self.encodings) > n:
             raise ValueError("need nominal rows <= length")
 
 
@@ -213,6 +216,7 @@ def cases():
     F3, F9, F4 = gf.make_field(3, 1), gf.make_field(3, 2), gf.make_field(2, 2)
     inst, res = built()
     code = res.code
+    rows = code.encodings
     curve = inst.curve
     G1, G2 = inst.groups
     root = gf.embedding(F3, F9).image_of_generator
@@ -240,11 +244,13 @@ def cases():
           (G1.generators, G1.elements[:1] + G1.elements[:0:-1], "")],
          []),
         (construction.EvalCode, EvalCode,
-         [(code.field, code.points, code.matrix, code.distance_bound),
-          (code.field, code.points, code.matrix[:1], 4)],
-         [(code.field, code.points[1:], code.matrix, code.distance_bound),
-          (F3, code.points, code.matrix, code.distance_bound),
-          (code.field, code.points[:2], tuple(row[:2] for row in code.matrix), 0)]),
+         [(code.field, code.points, rows, code.distance_bound),
+          (code.field, code.points, rows[:1], 4)],
+         [(code.field, code.points[1:], rows, code.distance_bound),
+          (F3, code.points, rows, code.distance_bound),
+          (code.field, code.points, ((9,) + rows[0][1:],) + rows[1:], 0),
+          (code.field, code.points, ((-1,) + rows[0][1:],) + rows[1:], 0),
+          (code.field, code.points[:2], tuple(row[:2] for row in rows), 0)]),
         (code_analysis.CoordPermutation, CoordPermutation,
          [((0, 1, 2),), ((2, 0, 1),), ((),)],
          [((0, 0),), ((1, 2),)]),
@@ -333,9 +339,10 @@ def test_cached_values_stay_off_equality():
     assert inst.curve.rational_points(inst.working) and fresh == inst.curve
     assert hash(fresh) == hash(inst.curve) and repr(fresh) == repr(inst.curve)
     code = res.code
-    twin = construction.EvalCode(code.field, code.points, code.matrix, code.distance_bound)
-    assert code.reduced and code.encodings and twin == code and repr(twin) == repr(code)
-    assert "reduced" not in vars(twin) and twin.rank == code.rank == 3
+    twin = construction.EvalCode(code.field, code.points, code.encodings, code.distance_bound)
+    assert code.reduced and code.matrix and twin == code and repr(twin) == repr(code)
+    assert "reduced" not in vars(twin) and "matrix" not in vars(twin)
+    assert twin.rank == code.rank == 3
 
 
 def test_instance_is_the_only_dataclass():
