@@ -35,7 +35,7 @@ _EXPORTS = {
         "rank_and_rref", "run_construction",
     ),
 }
-_SUBMODULES = (*_EXPORTS, "serialize", "cli")
+_SUBMODULES = (*_EXPORTS, "enumeration", "serialize", "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

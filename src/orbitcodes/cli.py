@@ -32,15 +32,15 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .errors import CheckFailure, OrbitCodesError, PreconditionError, dumps
+from .errors import CheckFailure, OrbitCodesError, PreconditionError, dumps, report_to_dict
 
-# The math (construction, serialize) is imported in the command path, after
-# the usage checks and export, and json where a document is read or written,
-# so that --help, a usage error, export and `import orbitcodes.cli` load
-# none of the math.
-# code_analysis is imported only where it runs: by automorphisms, and by
-# distance when the geometry does not prove the distance
-# (`construction.certified_distance`).
+# The math (construction) is imported in the command path, after the usage
+# checks and export, and json where a document is read or written, so that
+# --help, a usage error, export and `import orbitcodes.cli` load none of the
+# math.  The other modules are imported only where they run: serialize by
+# construct, distance and a custom instance; code_analysis by automorphisms;
+# code_analysis and enumeration by distance when the geometry does not prove
+# the distance (`construction.certified_distance`).
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,8 +120,7 @@ def run(ns) -> int:
         return _dispatch(ns)
     except CheckFailure as exc:
         _say(f"check failed: {exc}")
-        doc = {"schema": "orbitcodes.verify.v1", "passed": False, "checks": [exc.report.as_dict()]}
-        return _report(doc, ns.output, EXIT_CHECK_FAILED)
+        return _report(report_to_dict([exc.report], {}), ns.output, EXIT_CHECK_FAILED)
     except PreconditionError as exc:
         return _fail(exc, ns.output)
     except OrbitCodesError as exc:
@@ -176,7 +175,6 @@ def _dispatch(ns) -> int:
         _say(f"re-serialized {doc['schema']} document")
         return EXIT_OK
 
-    from . import serialize
     from .construction import certified_distance, run_construction
 
     inst = _load_instance(ns)
@@ -187,10 +185,12 @@ def _dispatch(ns) -> int:
     if ns.command == "verify":
         for rep in result.reports:
             _say(f"  [{'pass' if rep.passed else 'FAIL'}] {rep.name}")
-        _emit(serialize.report_to_dict(result.reports, meta), ns.output)
+        _emit(report_to_dict(result.reports, meta), ns.output)
         return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
     if ns.command == "construct":
+        from .serialize import result_to_dict
+
         code = result.code
         _say(
             f"constructed [{code.n}, {code.rank}, >={code.distance_bound}]_"
@@ -198,11 +198,13 @@ def _dispatch(ns) -> int:
         )
         q_part = "" if inst.q is None else f"_q{inst.q}"
         output = ns.output or f"{inst.family}{q_part}_m{inst.m}.code.json"
-        _emit(serialize.result_to_dict(result), output)
+        _emit(result_to_dict(result), output)
         _say(f"wrote {output}")
         return EXIT_OK
 
     if ns.command == "distance":
+        from .serialize import result_to_dict
+
         d = certified_distance(result)
         if d is None:
             from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
@@ -211,7 +213,7 @@ def _dispatch(ns) -> int:
             # min_distance_exact raises CheckFailure on any weight below the bound
             d = min_distance_exact(result.code, guard)
         _say(f"exact minimum distance {d}, designed bound {result.code.distance_bound} (met)")
-        doc = serialize.result_to_dict(result)
+        doc = result_to_dict(result)
         doc["distance_exact"] = d
         _emit(doc, ns.output)
         return EXIT_OK
@@ -225,7 +227,7 @@ def _dispatch(ns) -> int:
             f"faithful action: {'yes' if rep.passed else 'NO'}; "
             f"group order {joint.order}, image order {rep.details.get('image_order')}"
         )
-        doc = serialize.report_to_dict([rep], meta)
+        doc = report_to_dict([rep], meta)
         doc["joint_group_order"] = joint.order
         _emit(doc, ns.output)
         return EXIT_OK if rep.passed else EXIT_CHECK_FAILED

@@ -21,16 +21,17 @@ support of D taken once), the code is L((m*e) * D0) with bound
 The code value, `EvalCode`, the exact row reduction that gives its rank,
 `rank_and_rref`, and the membership test `in_row_space` are defined here
 rather than in `code_analysis`, so that `construct` and `verify` do not
-load the distance and faithful-action module.  A code is built without its
-rank: `EvalCode.rank` reads the code's one reduction, made on first use, so
-`verify`, which reports no rank, reduces nothing.  The package exports
-`EvalCode` and `rank_and_rref` from here, and `code_analysis` imports all
-three.
+load the distance and faithful-action modules.  A code is built without
+its rank: `EvalCode.rank` reads the code's one reduction, made on first
+use, so `verify`, which reports no rank, reduces nothing.  The package
+exports `EvalCode` and `rank_and_rref` from here, and `code_analysis` and
+`enumeration` import them.
 
 `certified_distance` proves the minimum distance from the geometry, with
 no enumeration, when the bound is the root count on P^1 or Bezout's
 theorem on a certified-smooth diagonal curve, and a witness codeword
-meets it; `distance` loads `code_analysis` only when it does not apply.
+meets it; `distance` loads `code_analysis` and `enumeration` only when it
+does not apply.
 """
 
 from __future__ import annotations
@@ -371,7 +372,9 @@ def check_condition_d(inst: Instance, D: Divisor):
     With two groups the size clause is #S >= |G1|+1 when m = 1 and
     m*|G1| < #S in general; with more groups it asks for one pair (i, j)
     with trivial intersection whose two-group orbit of Q' already has more
-    than |G_i| points.  Returns (S, report).
+    than |G_i| points, and for m > 1 also m*|G1| < #S, so that the
+    designed bound #S - m*|G1| is positive for any number of groups.
+    Returns (S, report).
     """
     joint = inst.joint_group()
     S = joint.orbit(inst.Qprime)
@@ -427,8 +430,11 @@ def check_condition_d(inst: Instance, D: Divisor):
             "variant": "many_groups_pair",
             "orbit_size": len(S),
             "designated_pair": pair,
-            "passed": size_ok,
         }
+        if inst.m > 1:  # at m = 1 the pair's orbit in S has more than |G_i| = |G1| points
+            size_ok = size_ok and inst.m * g1 < len(S)
+            size_detail["scaled_degree"] = inst.m * g1
+        size_detail["passed"] = size_ok
     clauses.append(size_detail)
 
     passed = all(c["passed"] for c in clauses)
@@ -681,7 +687,7 @@ def certified_distance(result: ConstructionResult) -> int | None:
         n - t*d (`_plane_distance`).
     None when a hypothesis fails, when no witness is found, or when the
     proved distance is below max(designed bound, 1); the enumeration of
-    `code_analysis` then decides the distance and makes any failure report.
+    `enumeration` then decides the distance and makes any failure report.
     """
     code = result.code
     t = build_basis(result.instance, result.divisor, code.n).degree

@@ -1,5 +1,5 @@
-"""Exceptions, check reports and the canonical JSON text, shared across
-the package."""
+"""Exceptions, check reports, the check-report document and the canonical
+JSON text, shared across the package."""
 
 from __future__ import annotations
 
@@ -39,6 +39,18 @@ class CheckReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def report_to_dict(reports, meta: dict) -> dict:
+    """The orbitcodes.verify.v1 document of `reports`, with the keys of
+    `meta` added."""
+    out = {
+        "schema": "orbitcodes.verify.v1",
+        "passed": all(r.passed for r in reports),
+        "checks": [r.as_dict() for r in reports],
+    }
+    out.update(meta)
+    return out
 
 
 class OrbitCodesError(Exception):

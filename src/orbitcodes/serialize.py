@@ -10,7 +10,9 @@ byte-identical files.
 Schemas:
   orbitcodes.instance.v1  input description of a custom instance
   orbitcodes.code.v1      constructed code with checks and metadata
-  orbitcodes.verify.v1    check reports only
+  orbitcodes.verify.v1    check reports only, written by
+                          `errors.report_to_dict`, so that `verify` and
+                          `automorphisms` load no serialization module
 """
 
 from __future__ import annotations
@@ -99,16 +101,6 @@ def result_to_dict(result: ConstructionResult) -> dict:
                 "matrix": [list(row) for row in code.encodings],
             }
         )
-    return out
-
-
-def report_to_dict(reports, meta: dict) -> dict:
-    out = {
-        "schema": "orbitcodes.verify.v1",
-        "passed": all(r.passed for r in reports),
-        "checks": [r.as_dict() for r in reports],
-    }
-    out.update(meta)
     return out
 
 

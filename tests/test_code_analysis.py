@@ -38,7 +38,7 @@ from orbitcodes import (
     run_construction,
     verify_faithful,
 )
-from orbitcodes import code_analysis
+from orbitcodes import code_analysis, enumeration
 from orbitcodes.autgroup import find_frame
 from orbitcodes.code_analysis import DEFAULT_MESSAGE_GUARD, in_row_space
 from orbitcodes.geometry import projective_reps
@@ -271,7 +271,7 @@ def test_distance_guard_counts_bz_during_the_run(built):
     # with the designed bound 1 the estimate is the 5 rows of the first set,
     # but d = 5 takes BZ to w = 4 on that set: 5 + 80 + 640 + 2560 codewords
     loose = with_bound(built[("projline", 9)].code, 1)
-    sets, estimate = code_analysis._information_sets(loose, 7381)
+    sets, estimate = enumeration._information_sets(loose, 7381)
     assert ([r for _, r in sets], estimate) == ([5], 5)
     for guard, formed in [(169, 725), (3284, 3285)]:
         with pytest.raises(PreconditionError) as exc:
@@ -494,7 +494,7 @@ def test_rank_two_scan_over_a_large_field_needs_no_q_squared_table():
 
 def bz_on_every_set(code, budget=DEFAULT_MESSAGE_GUARD):
     """BZ on all the greedy information sets, whatever their cost."""
-    return code_analysis._bz_distance(code, list(code_analysis._greedy_sets(code)), budget)
+    return enumeration._bz_distance(code, list(enumeration._greedy_sets(code)), budget)
 
 
 def assert_bz_matches_oracle(code):
@@ -515,13 +515,13 @@ def methods_taken(code, monkeypatch, **kwargs):
     """The distance and the methods `min_distance_exact` ran, in order."""
     taken = []
     for name in ("_scan_distance", "_bz_distance"):
-        fn = getattr(code_analysis, name)
+        fn = getattr(enumeration, name)
 
         def spy(*args, fn=fn, name=name):
             taken.append(name.strip("_").split("_")[0])
             return fn(*args)
 
-        monkeypatch.setattr(code_analysis, name, spy)
+        monkeypatch.setattr(enumeration, name, spy)
     return distance_or_report(lambda c: min_distance_exact(c, **kwargs), code), taken
 
 
@@ -544,7 +544,7 @@ def test_greedy_sets_are_disjoint_and_systematic():
     F4 = make_field(2, 2)
     for code in [random_code(random.Random(seed), F4) for seed in range(40)]:
         k, n, used = code.rank, code.n, set()
-        for rows, r in code_analysis._greedy_sets(code):
+        for rows, r in enumeration._greedy_sets(code):
             # the rows span the code and are systematic: each row i has a
             # column e_i, and the first unused one is its new pivot if any
             assert rank_and_rref(F4, rows)[0] == k
@@ -567,7 +567,7 @@ def test_bz_matches_full_enumeration_on_random_codes(p, k):
     for _ in range(60):
         code = random_code(rng, field)
         assert isinstance(assert_bz_matches_oracle(code), int)
-        partial += any(r < code.rank for _, r in code_analysis._greedy_sets(code))
+        partial += any(r < code.rank for _, r in enumeration._greedy_sets(code))
         bounded = with_bound(code, rng.randint(0, code.n + 1))
         failures += isinstance(assert_bz_matches_oracle(bounded), CheckReport)
     assert partial and 0 < failures < 60
@@ -607,7 +607,7 @@ def test_choice_matches_scan_and_full_enumeration(p, k, monkeypatch):
         for bound in (0, d, d + 1, d + 3):
             bounded = with_bound(code, bound)
             want = d if bound <= d else distance_or_report(oracle_min_distance_exact, bounded)
-            assert distance_or_report(code_analysis._scan_distance, bounded) == want
+            assert distance_or_report(enumeration._scan_distance, bounded) == want
             got, taken = methods_taken(bounded, monkeypatch)
             assert got == want
             seen.add(taken[0])
@@ -629,7 +629,7 @@ def test_bz_catches_up_the_lower_weights_of_a_partial_set():
         (2, 0, 0, 1, 0, 1, 0, 1, 0),
     ]
     code = code_of(F4, rows, distance_bound=0)
-    assert [r for _, r in code_analysis._greedy_sets(code)] == [5, 3, 1]
+    assert [r for _, r in enumeration._greedy_sets(code)] == [5, 3, 1]
     assert assert_bz_matches_oracle(code) == 3
 
 
@@ -645,7 +645,7 @@ def test_bz_on_partial_sets_and_zero_columns(rows, rank, ranks, d):
     F2 = make_field(2, 1)
     code = code_of(F2, rows, distance_bound=0)
     assert code.rank == rank
-    assert [r for _, r in code_analysis._greedy_sets(code)] == ranks
+    assert [r for _, r in enumeration._greedy_sets(code)] == ranks
     assert assert_bz_matches_oracle(code) == d
     for bound in (d, d + 1):
         assert_bz_matches_oracle(with_bound(code, bound))

@@ -123,6 +123,24 @@ def test_condition_d_with_three_groups_takes_the_first_good_pair():
     assert not res.reports[-1].passed and res.code is None
 
 
+@pytest.mark.parametrize("m,passed", [(3, True), (4, False)])
+def test_condition_d_with_three_groups_keeps_the_designed_bound_positive(m, passed):
+    # the designed bound #S - m*|G1| = 16 - 4m is positive only below m = 4,
+    # as the two-group clause m*|G1| < #S asks; the pair alone passes at m = 4
+    inst = dataclasses.replace(_fermat3_with_third_group(), m=m)
+    D = run_construction(builtin_instance("fermat", 3)).divisor
+    _, rep = check_condition_d(inst, D)
+    assert rep.passed == passed
+    assert rep.details["clauses"][-1] == {
+        "clause": "orbit_size",
+        "variant": "many_groups_pair",
+        "orbit_size": 16,
+        "designated_pair": [0, 1],
+        "scaled_degree": 4 * m,
+        "passed": passed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # divisors / condition (c)
 
@@ -394,6 +412,7 @@ def test_one_row_reduction_per_code(monkeypatch):
     # analyses read one reduction, and the verify path, which reports no
     # rank, makes none
     from orbitcodes import min_distance_exact, serialize, verify_faithful
+    from orbitcodes.errors import report_to_dict
 
     calls = []
     reduce = construction.rank_and_rref
@@ -409,14 +428,14 @@ def test_one_row_reduction_per_code(monkeypatch):
 
     calls.clear()  # verify
     res = run_construction(builtin_instance("fermat", 3), strict=False)
-    serialize.report_to_dict(res.reports, {})
+    report_to_dict(res.reports, {})
     assert res.passed and calls == []
 
     calls.clear()  # automorphisms
     inst = builtin_instance("fermat", 3)
     res = run_construction(inst)
     rep = verify_faithful(inst.joint_group(), res.points, res.code)
-    serialize.report_to_dict([rep], {})
+    report_to_dict([rep], {})
     assert rep.passed and len(calls) == 1
 
 

@@ -151,7 +151,7 @@ FAILURE_GOLDEN = {
 }
 
 
-def fermat3_instance_doc(case):
+def fermat3_instance_doc(case=None):
     inst = builtin_instance("fermat", 3)
     doc = {
         "schema": "orbitcodes.instance.v1",
@@ -170,12 +170,13 @@ def fermat3_instance_doc(case):
     }
     if case == "g2_shear":
         doc["groups"][1]["generators"].append(SHEAR)
-    else:
+    elif case == "y_plus_z":
         doc["functions"] = [Y_PLUS_Z]
     return doc
 
 
-@pytest.mark.parametrize("command,case", sorted(FAILURE_GOLDEN), ids="-".join)
+@pytest.mark.parametrize("command,case", sorted(FAILURE_GOLDEN),
+                         ids=map("-".join, sorted(FAILURE_GOLDEN)))
 def test_failure_report_matches_golden(tmp_path, capsys, command, case):
     path, out = tmp_path / "inst.json", tmp_path / "out.json"
     path.write_text(json.dumps(fermat3_instance_doc(case)))
@@ -231,7 +232,8 @@ def test_projline_subfield_groups_are_the_builtin_ones():
     ]
 
 
-@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN), ids="-".join)
+@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN),
+                         ids=map("-".join, sorted(SUBFIELD_GOLDEN)))
 def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
     doc = {
         "schema": "orbitcodes.instance.v1",
@@ -251,17 +253,26 @@ def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
     assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == SUBFIELD_GOLDEN[(command, case)]
 
 
-# Bases that outgrow the evaluation set.  Each document is the GF(3) line
-# instance of `tests/test_cli.py` (the pair x -> -x, x -> 2 - x, whose S
-# has 3 points), grown: "three_groups" appends the group of x -> 2x + 1
-# and sets m = 2, so the basis of L(2D) has 5 forms; "functions" gives the
-# five forms s^i t^(4-i) explicitly; "huge_m" is "three_groups" at
-# m = 10^7, whose 2*10^7 + 1 forms are counted, never listed.  Each fails
-# the injectivity check, exit 1, from construct and verify alike.  The
-# commit before that check ended the first two in a ValueError traceback,
-# and the third listed its forms until memory ran out (a MemoryError under
-# `ulimit -v 2000000`), so these pins are the check's own bytes, recorded
-# on the change that made it: (stdout sha256, exit code).
+# Codes that cannot fit their evaluation set: (stdout sha256, exit code).
+# The first three documents are the GF(3) line instance of
+# `tests/test_cli.py` (the pair x -> -x, x -> 2 - x, whose S has 3
+# points), grown: "three_groups" appends the group of x -> 2x + 1 and sets
+# m = 2, so the basis of L(2D) has 5 forms; "functions" gives the five
+# forms s^i t^(4-i) explicitly; "huge_m" is "three_groups" at m = 10^7.
+# The commit before the injectivity check ended the first two in a
+# ValueError traceback, and listed the 2*10^7 + 1 forms of the third until
+# memory ran out (a MemoryError under `ulimit -v 2000000`).  "functions"
+# fails that check, exit 1, from construct and verify alike; its pins are
+# the check's own bytes, recorded on the change that made it.  The
+# three-group documents fail condition_d instead, before any form is
+# counted (#S = 3 against m*|G1| = 4 and 2*10^7): for m > 1 its
+# many-groups size clause asks m*|G1| < #S, as the two-group clause does.
+# They were re-pinned on the change that added that requirement.
+# "fermat_three_groups" is the built-in fermat q=3 instance with G2
+# appended again as a third group and m = 4: #S = 16 = m*|G1|, so the
+# designed bound would be 0.  The commit before that requirement built it
+# as a [16, 13, >=0]_9 code, exit 0, and `distance` printed "designed
+# bound 0 (met)"; its pins were recorded on the change.
 LINE_DOC = {
     "schema": "orbitcodes.instance.v1",
     "ground_field": F3_FIELD,
@@ -280,12 +291,19 @@ OVERSIZED_DOCS = {
     "functions": {**LINE_DOC, "functions": [[[[i, 4 - i], 1]] for i in range(5)]},
     "huge_m": {**LINE_DOC, "groups": LINE_DOC["groups"] + [THIRD_GROUP], "m": 10**7},
 }
+FERMAT3_DOC = fermat3_instance_doc()
+OVERSIZED_DOCS["fermat_three_groups"] = {
+    **FERMAT3_DOC, "groups": FERMAT3_DOC["groups"] + [FERMAT3_DOC["groups"][1]], "m": 4,
+}
+# the check each document fails
+OVERSIZED_FAILS = {"three_groups": "condition_d", "functions": "injectivity",
+                   "huge_m": "condition_d", "fermat_three_groups": "condition_d"}
 OVERSIZED_GOLDEN = {
     ("construct", "three_groups"): (
-        "1f1bea29354933a52ccef1841f411b9cb6e53c9aac5e767618243588078fd5c4", EXIT_CHECK_FAILED
+        "470ddf45a1fe0024954d300302ac9713a224f30658825f3e0b4e301def2b257e", EXIT_CHECK_FAILED
     ),
     ("verify", "three_groups"): (
-        "0d8098677172a3e77abd288ad946e87a8a1366e2b184220b0967062d6144aca8", EXIT_CHECK_FAILED
+        "d8a851471fda15302115518789769b87ed4575bba1e4338ff3193db95e33d830", EXIT_CHECK_FAILED
     ),
     ("construct", "functions"): (
         "1f1bea29354933a52ccef1841f411b9cb6e53c9aac5e767618243588078fd5c4", EXIT_CHECK_FAILED
@@ -294,10 +312,19 @@ OVERSIZED_GOLDEN = {
         "4499ce80e878c192c2207455fde69db0c8f6a2f6102d047e2e52fab5fabf1f8f", EXIT_CHECK_FAILED
     ),
     ("construct", "huge_m"): (
-        "c05c97bf581b9cef8cb04ecc62cb2140635137e9e36d457b4d5a685fbef421e7", EXIT_CHECK_FAILED
+        "bd20adb2036848a7acf281c42f29721c1beead47e72ab99984a2a33e2bebeee0", EXIT_CHECK_FAILED
     ),
     ("verify", "huge_m"): (
-        "4e949281254bc8423bfe705be7ed9eec183aef2495fb7ffc5dccf411c677b07e", EXIT_CHECK_FAILED
+        "0e44c8563f78a5628f74f9c770e783117a86572d504a71280a754c764fbd090f", EXIT_CHECK_FAILED
+    ),
+    ("construct", "fermat_three_groups"): (
+        "cbab90516b5177eba42a3ee68a6fbeafd8d34850d0b208add23aba3507c61f03", EXIT_CHECK_FAILED
+    ),
+    ("verify", "fermat_three_groups"): (
+        "81e2aca34289e784975c905b45dba25a854a1bf7774a08286c10a5d3aa9d1695", EXIT_CHECK_FAILED
+    ),
+    ("distance", "fermat_three_groups"): (
+        "cbab90516b5177eba42a3ee68a6fbeafd8d34850d0b208add23aba3507c61f03", EXIT_CHECK_FAILED
     ),
 }
 
@@ -324,7 +351,7 @@ def test_oversized_basis_matches_golden(tmp_path, capsys, command, case):
     assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == OVERSIZED_GOLDEN[(command, case)]
     report = json.loads(stdout)
     assert report["schema"] == "orbitcodes.verify.v1"
-    assert report["checks"][-1]["name"] == "injectivity"
+    assert report["checks"][-1]["name"] == OVERSIZED_FAILS[case]
     assert peak < 16 * 2**20  # no form of the basis is listed
 
 

@@ -5,6 +5,7 @@ keeps `dataclasses` off that path."""
 
 import hashlib
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -18,7 +19,8 @@ import pytest
 import orbitcodes
 from orbitcodes import cli, errors, serialize
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # sha256 of the help text at 80 columns, recorded before the CLI imported
 # its math on the command path; the same bytes on Python 3.10 to 3.13
@@ -45,6 +47,7 @@ HEAVY = {
     "orbitcodes.autgroup",
     "orbitcodes.construction",
     "orbitcodes.code_analysis",
+    "orbitcodes.enumeration",
     "orbitcodes.serialize",
     "dataclasses",
     "inspect",
@@ -119,26 +122,45 @@ def test_start_up_loads_no_math(argv, status, parsed):
 
 
 @pytest.mark.parametrize(
-    "command,family,q,analysis",
+    "command,family,q,analysis,enumeration,serialize",
     [
-        ("construct", "fermat", 3, False),
-        ("verify", "fermat", 3, False),
-        ("distance", "fermat", 3, False),  # the geometry proves the distance
-        ("distance", "bf", 2, True),  # a singular curve: the distance is enumerated
-        ("automorphisms", "fermat", 3, True),
+        ("construct", "fermat", 3, False, False, True),
+        ("verify", "fermat", 3, False, False, False),
+        ("distance", "fermat", 3, False, False, True),  # the geometry proves the distance
+        ("distance", "bf", 2, True, True, True),  # a singular curve: the distance is enumerated
+        ("automorphisms", "fermat", 3, True, False, False),
     ],
     ids=["construct-False", "verify-False", "distance-False", "distance-True",
          "automorphisms-True"],
 )
 def test_code_analysis_loads_only_for_the_commands_that_run_it(tmp_path, command, family, q,
-                                                               analysis):
+                                                               analysis, enumeration, serialize):
     res = run_fresh("-m", "orbitcodes", command, "--family", family, "--q", str(q),
                     "--output", str(tmp_path / "out.json"))
     assert res.returncode == 0
     loaded = loaded_modules(res.stderr)
     assert "orbitcodes.construction" in loaded  # the listing works
     assert ("orbitcodes.code_analysis" in loaded) == analysis
+    assert ("orbitcodes.enumeration" in loaded) == enumeration
+    assert ("orbitcodes.serialize" in loaded) == serialize
     assert not loaded & PARSER
+
+
+def test_traced_enumeration_keeps_its_code_analysis_names(tmp_path):
+    # perfbench wraps `min_distance_exact` by its name in `code_analysis`,
+    # which forwards to `enumeration`: the span and its message count stay
+    out = tmp_path / "trace.json"
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(out), "bf2-m3", "--",
+         "distance", "--family", "bf", "--q", "2", "--m", "3", "--output",
+         str(tmp_path / "out.json")],
+        capture_output=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    trace = json.loads(out.read_text())
+    assert [s[0] for s in trace["spans"]].count("code_analysis.min_distance_exact") == 1
+    assert trace["counts"]["code_analysis.messages"] == 16**10 - 1  # [48, 10] over GF(16)
 
 
 def test_export_loads_no_math(tmp_path):
