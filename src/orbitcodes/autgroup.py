@@ -2,14 +2,16 @@
 
 Maps are invertible 2x2 or 3x3 matrices with the first nonzero entry (in
 row-major order) scaled to 1, held as the row-major tuple of the canonical
-encodings of that normalized matrix (`key`) with its FieldSpec, so set
+encodings of that normalized matrix (`key`) with its FieldSpec: a
+`gf._Value` compared on both and hashed on the key alone, so set
 membership and equality are exact int-tuple operations.  Each map also
-keeps the logarithms of its rows.  Composition and point images run one
-kernel, `_compose`: a point is a one-column matrix, so a map times a point,
-normalized, is the point's image.  That kernel, the determinant and the
-inverse read the field's tables and build no FieldElement; FieldElement
-stays at the API edge: ProjMap takes rows of elements and checks them, and
-`rows` gives them back.
+keeps its size and the logarithms of its rows, outside the comparison.
+Composition and point images run one kernel, `_compose`: a point is a
+one-column matrix, so a map times a point, normalized, is the point's
+image.  That kernel, the determinant and the inverse read the field's
+tables and build no FieldElement; FieldElement stays at the API edge:
+ProjMap takes rows of elements and checks them, and `rows` gives them
+back.
 
 Groups are stored as their full element sets.  Only `close` and
 `AutGroup.intersect` make one (calling `AutGroup` raises TypeError), so
@@ -129,12 +131,13 @@ def _compose(f: FieldSpec, rows, cols) -> tuple[int, ...]:
     return tuple([0 if x is None else exp[(x - lead) % m] for x in logs])
 
 
-class ProjMap:
+class ProjMap(_Value):
     """An element of PGL(2) or PGL(3): a matrix up to scalars, held as the
     row-major encodings `key` of its normalized form over `field`, with
     the `_row_logs` of that key, filled once, for `_compose`."""
 
     __slots__ = ("field", "n", "key", "_logs")
+    _fields = ("field", "key")
 
     def __init__(self, rows: tuple[tuple[FieldElement, ...], ...], field: FieldSpec):
         n = len(rows)
@@ -155,22 +158,17 @@ class ProjMap:
         return m
 
     def _set(self, field: FieldSpec, n: int, key: tuple[int, ...]):
-        for name, value in zip(self.__slots__, (field, n, key, _row_logs(field, n, key))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjMap is immutable")
+        self._init(field, key)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_logs", _row_logs(field, n, key))
 
     @property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
         f, n, key = self.field, self.n, self.key
         return tuple(tuple(FieldElement(f, c) for c in key[i : i + n]) for i in range(0, n * n, n))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjMap):
-            return NotImplemented
-        return self.key == other.key and self.field == other.field
-
+    # on the key alone, which equal maps share: hashing the field as well
+    # costs several times more, once per element of each `element_set`
     def __hash__(self) -> int:
         return hash(self.key)
 
@@ -258,12 +256,13 @@ class AutGroup(_Value):
     """A finite subgroup of PGL, stored as its full element set.
 
     `elements` is in deterministic insertion order (identity first, then
-    breadth-first products of generators); `element_set` backs membership.
-    Only `close` and `intersect` build one, through `_group`.
+    breadth-first products of generators); `element_set`, derived from it
+    and left out of comparisons, backs membership.  Only `close` and
+    `intersect` build one, through `_group`.
     """
 
     __slots__ = ("generators", "elements", "label", "element_set")
-    _fields = __slots__
+    _fields = ("generators", "elements", "label")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("an AutGroup is built only by close() or AutGroup.intersect()")
@@ -308,7 +307,8 @@ def _group(generators: tuple[ProjMap, ...], elements: tuple[ProjMap, ...], label
     """The group `elements`, unchecked: each element of the group that
     `generators` generate, listed once, the identity first."""
     grp = object.__new__(AutGroup)
-    grp._init(generators, elements, label, frozenset(elements))
+    grp._init(generators, elements, label)
+    object.__setattr__(grp, "element_set", frozenset(elements))
     return grp
 
 

@@ -72,25 +72,23 @@ class Divisor(_Value):
     """A finite multiset of curve points with positive multiplicities.
 
     `field_of_definition` is the smallest field in the coefficient tower
-    whose Frobenius leaves the support multiset invariant; `ground_rational`
-    records invariance under the instance's ground-field Frobenius.
+    whose Frobenius leaves the support multiset invariant.
     """
 
-    __slots__ = ("support", "field_of_definition", "ground_rational")
+    __slots__ = ("support", "field_of_definition")
     _fields = __slots__
 
     def __init__(
         self,
         support: tuple[tuple[ProjPoint, int], ...],
         field_of_definition: FieldSpec,
-        ground_rational: bool,
     ):
         if not support:
             raise ValueError("divisor must have nonempty support")
         if any(m < 1 for _, m in support):
             raise ValueError("multiplicities must be positive")
         support = tuple(sorted(support, key=lambda t: t[0].key))
-        self._init(support, field_of_definition, ground_rational)
+        self._init(support, field_of_definition)
 
     @property
     def degree(self) -> int:
@@ -116,7 +114,7 @@ class EvalBasis(_Value):
     nonzero form, evaluated in the affine chart where the last coordinate
     is 1 (division by that power of the last coordinate is understood)."""
 
-    __slots__ = ("forms", "degree", "n_coords")
+    __slots__ = ("forms", "degree")
     _fields = __slots__
 
     def __init__(self, forms: tuple[Poly, ...], n_coords: int):
@@ -130,7 +128,7 @@ class EvalBasis(_Value):
                 raise ValueError("basis form arity mismatch")
             if any(x < 0 for e in f for x in e):
                 raise ValueError("basis form exponents must be nonnegative")
-        self._init(forms, degree, n_coords)
+        self._init(forms, degree)
 
 
 class EvalCode(_Value):
@@ -337,8 +335,7 @@ def build_divisor(inst: Instance) -> Divisor:
                 )
             )
     fod = _field_of_definition(reference, inst.working)
-    ground_rational = inst.ground.k % fod.k == 0
-    if not ground_rational:
+    if inst.ground.k % fod.k:
         raise CheckFailure(
             CheckReport(
                 "rationality",
@@ -350,7 +347,7 @@ def build_divisor(inst: Instance) -> Divisor:
                 },
             )
         )
-    return Divisor(tuple(reference.items()), fod, ground_rational)
+    return Divisor(tuple(reference.items()), fod)
 
 
 def _field_of_definition(multiset: dict[ProjPoint, int], working: FieldSpec) -> FieldSpec:
@@ -639,13 +636,14 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
             "condition_c", True, {"degree": D.degree, "support_size": len(D.support), "e": D.e}
         )
     )
+    # build_divisor returns only divisors that the ground Frobenius fixes
     reports.append(
         CheckReport(
             "rationality",
             True,
             {
                 "field_of_definition": {"p": D.field_of_definition.p, "k": D.field_of_definition.k},
-                "ground_rational": D.ground_rational,
+                "ground_rational": True,
             },
         )
     )

@@ -2,11 +2,12 @@
 
 Points of P^1 and P^2 are held as normalized encoding tuples: the first
 nonzero coordinate is scaled to 1, and the point keeps the tuple of the
-canonical encodings of its coordinates (`key`) with its FieldSpec.  So
-equality and hashing are plain int-tuple operations, and the key gives a
-total order (the "canonical point order" used for evaluation sets and
-generator-matrix columns).  FieldElement stays at the API edge: ProjPoint
-takes elements and checks them, and `coords` gives them back.
+canonical encodings of its coordinates (`key`) with its FieldSpec.  A
+point is a `gf._Value` compared on its spec and key and hashed on its key
+alone, so equality and hashing are plain int-tuple operations, and the
+key gives a total order (the "canonical point order" used for evaluation
+sets and generator-matrix columns).  FieldElement stays at the API edge:
+ProjPoint takes elements and checks them, and `coords` gives them back.
 
 Curves are homogeneous polynomials kept as {exponent tuple: coefficient}
 maps.  P^1 is represented by the degenerate curve with no terms: every
@@ -132,11 +133,12 @@ def normalized(spec: FieldSpec, key: tuple[int, ...]) -> tuple[int, ...]:
     return key if pivot == 1 else spec.scale(spec.inv(pivot), key)
 
 
-class ProjPoint:
+class ProjPoint(_Value):
     """A point of P^1 or P^2, held as the normalized encoding tuple `key`
     (first nonzero coordinate 1) over the FieldSpec `spec`."""
 
     __slots__ = ("spec", "key")
+    _fields = __slots__
 
     def __init__(self, coords: tuple[FieldElement, ...]):
         if len(coords) not in (2, 3):
@@ -147,8 +149,7 @@ class ProjPoint:
         key = tuple(c.enc for c in coords)
         if not any(key):
             raise ValueError("projective point cannot be all zeros")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "key", normalized(spec, key))
+        self._init(spec, normalized(spec, key))
 
     @classmethod
     def from_key(cls, spec: FieldSpec, key: tuple[int, ...]) -> ProjPoint:
@@ -158,18 +159,12 @@ class ProjPoint:
         object.__setattr__(pt, "key", key)
         return pt
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
-
     @property
     def coords(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.spec, c) for c in self.key)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.key == other.key and self.spec == other.spec
-
+    # on the key alone, which equal points share: hashing the spec as well
+    # costs several times more
     def __hash__(self) -> int:
         return hash(self.key)
 

