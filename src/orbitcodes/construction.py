@@ -40,6 +40,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
+from itertools import combinations
 
 from .errors import CheckFailure, CheckReport, PreconditionError
 from .gf import (
@@ -297,15 +298,14 @@ def check_condition_b(inst: Instance) -> CheckReport:
     pair_results = []
     witness = None
     passed = False
-    for i in range(len(inst.groups)):
-        for j in range(i + 1, len(inst.groups)):
-            inter = inst.groups[i].intersect(inst.groups[j])
-            pair_results.append({"pair": [i, j], "intersection_order": inter.order})
-            if inter.order == 1:
-                passed = True
-            elif witness is None:
-                nontrivial = next(m for m in inter.elements if not m.is_identity())
-                witness = {"pair": [i, j], "element": list(nontrivial.key)}
+    for i, j in combinations(range(len(inst.groups)), 2):
+        inter = inst.groups[i].intersect(inst.groups[j])
+        pair_results.append({"pair": [i, j], "intersection_order": inter.order})
+        if inter.order == 1:
+            passed = True
+        elif witness is None:
+            nontrivial = next(m for m in inter.elements if not m.is_identity())
+            witness = {"pair": [i, j], "element": list(nontrivial.key)}
     details["pairs"] = pair_results
     return CheckReport("condition_b", passed, details, witness=None if passed else witness)
 
@@ -366,84 +366,45 @@ def check_condition_d(inst: Instance, D: Divisor):
     eligibility clauses: Q' ground-rational, Q' outside supp(D), and S
     large enough.
 
-    With two groups the size clause is #S >= |G1|+1 when m = 1 and
-    m*|G1| < #S in general; with more groups it asks for one pair (i, j)
-    with trivial intersection whose two-group orbit of Q' already has more
-    than |G_i| points, and for m > 1 also m*|G1| < #S, so that the
-    designed bound #S - m*|G1| is positive for any number of groups.
-    Returns (S, report).
+    The size clause is m*|G1| < #S, so that the designed bound #S - m*|G1|
+    is positive; with two groups at m = 1 its report names the threshold
+    |G1| + 1.  With more groups it also asks for one pair (i, j) whose
+    orbit of Q' has more than |G_i| points (`_pair_orbit_exceeds`), and at
+    m = 1 for that pair alone.  Returns (S, report).
     """
-    joint = inst.joint_group()
-    S = joint.orbit(inst.Qprime)
-    clauses = []
-    witness = None
-
-    ground_rational = _point_is_rational(inst.Qprime, inst.ground)
-    clauses.append({"clause": "qprime_rational", "passed": ground_rational})
-
-    supp = set(D.points())
-    outside = inst.Qprime not in supp
-    clauses.append({"clause": "qprime_outside_support", "passed": outside})
-
-    n_groups = len(inst.groups)
-    g1 = inst.groups[0].order
-    if n_groups == 2:
-        if inst.m == 1:
-            size_ok = len(S) >= g1 + 1
-            size_detail = {
-                "clause": "orbit_size",
-                "variant": "two_groups_unit_scale",
-                "orbit_size": len(S),
-                "threshold": g1 + 1,
-                "passed": size_ok,
-            }
-        else:
-            size_ok = inst.m * g1 < len(S)
-            size_detail = {
-                "clause": "orbit_size",
-                "variant": "two_groups_scaled",
-                "orbit_size": len(S),
-                "scaled_degree": inst.m * g1,
-                "passed": size_ok,
-            }
+    S = inst.joint_group().orbit(inst.Qprime)
+    n_groups, g1 = len(inst.groups), inst.groups[0].order
+    scaled = inst.m * g1
+    size = {"clause": "orbit_size", "orbit_size": len(S), "passed": scaled < len(S)}
+    if n_groups == 2 and inst.m == 1:
+        size.update(variant="two_groups_unit_scale", threshold=g1 + 1)
+    elif n_groups == 2:
+        size.update(variant="two_groups_scaled", scaled_degree=scaled)
     else:
-        pair = None
-        for i in range(n_groups):
-            for j in range(i + 1, n_groups):
-                if inst.groups[i].intersect(inst.groups[j]).order != 1:
-                    continue
-                sub = close(
-                    inst.groups[i].generators + inst.groups[j].generators,
-                    label=f"pair{i}{j}",
-                )
-                if len(sub.orbit(inst.Qprime)) >= inst.groups[i].order + 1:
-                    pair = [i, j]
-                    break
-            if pair:
-                break
-        size_ok = pair is not None
-        size_detail = {
-            "clause": "orbit_size",
-            "variant": "many_groups_pair",
-            "orbit_size": len(S),
-            "designated_pair": pair,
-        }
-        if inst.m > 1:  # at m = 1 the pair's orbit in S has more than |G_i| = |G1| points
-            size_ok = size_ok and inst.m * g1 < len(S)
-            size_detail["scaled_degree"] = inst.m * g1
-        size_detail["passed"] = size_ok
-    clauses.append(size_detail)
-
+        pairs = combinations(range(n_groups), 2)
+        pair = next(([i, j] for i, j in pairs if _pair_orbit_exceeds(inst, i, j)), None)
+        size.update(variant="many_groups_pair", designated_pair=pair)
+        if inst.m > 1:
+            size["scaled_degree"] = scaled
+        size["passed"] = pair is not None and (inst.m == 1 or size["passed"])
+    clauses = [
+        {"clause": "qprime_rational", "passed": _point_is_rational(inst.Qprime, inst.ground)},
+        {"clause": "qprime_outside_support", "passed": inst.Qprime not in D.points()},
+        size,
+    ]
     passed = all(c["passed"] for c in clauses)
-    if not passed:
-        witness = {"qprime": list(inst.Qprime.key)}
-    report = CheckReport(
-        "condition_d",
-        passed,
-        {"clauses": clauses, "orbit_size": len(S), "group_order": g1, "m": inst.m},
-        witness=witness,
-    )
-    return S, report
+    details = {"clauses": clauses, "orbit_size": len(S), "group_order": g1, "m": inst.m}
+    witness = None if passed else {"qprime": list(inst.Qprime.key)}
+    return S, CheckReport("condition_d", passed, details, witness=witness)
+
+
+def _pair_orbit_exceeds(inst: Instance, i: int, j: int) -> bool:
+    """Whether G_i and G_j intersect trivially and the group they generate
+    moves Q' through more than |G_i| points."""
+    if inst.groups[i].intersect(inst.groups[j]).order != 1:
+        return False
+    sub = close(inst.groups[i].generators + inst.groups[j].generators, label=f"pair{i}{j}")
+    return len(sub.orbit(inst.Qprime)) > inst.groups[i].order
 
 
 def _point_is_rational(pt: ProjPoint, ground: FieldSpec) -> bool:
@@ -604,61 +565,40 @@ def run_construction(inst: Instance, strict: bool = True) -> ConstructionResult:
     With strict=True the first failed check raises CheckFailure; otherwise
     the failure is recorded in the reports and later stages are skipped.
     """
-    reports: list[CheckReport] = []
-    D = code = None
-    S, joint_order = (), 0
-
-    def result() -> ConstructionResult:
-        failed = next((r for r in reports if not r.passed), None)
-        if strict and failed is not None:
-            raise CheckFailure(failed)
-        return ConstructionResult(inst, tuple(reports), D, tuple(S), joint_order, code)
-
-    reports.append(
+    reports = [
         CheckReport(
             "condition_a",
             inst.condition_a_declared,
             {"status": "assumed" if inst.family in FAMILIES else "declared"},
-        )
-    )
-    reports.append(check_curve_preservation(inst))
-    reports.append(check_condition_b(inst))
-    if not all(r.passed for r in reports):
-        return result()
-
+        ),
+        check_curve_preservation(inst),
+        check_condition_b(inst),
+    ]
+    D = code = None
+    S, joint_order = (), 0
     try:
-        D = build_divisor(inst)
+        if all(r.passed for r in reports):
+            D = build_divisor(inst)
+            fod = D.field_of_definition
+            reports.append(CheckReport(
+                "condition_c", True, {"degree": D.degree, "support_size": len(D.support), "e": D.e}
+            ))
+            # build_divisor returns only divisors that the ground Frobenius fixes
+            reports.append(CheckReport(
+                "rationality", True,
+                {"field_of_definition": {"p": fod.p, "k": fod.k}, "ground_rational": True},
+            ))
+            S, rep_d = check_condition_d(inst, D)
+            reports.append(rep_d)
+            joint_order = inst.joint_group().order
+            if rep_d.passed:
+                code = _assemble_code(inst, S, build_basis(inst, D, len(S)))
     except CheckFailure as exc:
         reports.append(exc.report)
-        return result()
-    reports.append(
-        CheckReport(
-            "condition_c", True, {"degree": D.degree, "support_size": len(D.support), "e": D.e}
-        )
-    )
-    # build_divisor returns only divisors that the ground Frobenius fixes
-    reports.append(
-        CheckReport(
-            "rationality",
-            True,
-            {
-                "field_of_definition": {"p": D.field_of_definition.p, "k": D.field_of_definition.k},
-                "ground_rational": True,
-            },
-        )
-    )
-
-    S, rep_d = check_condition_d(inst, D)
-    reports.append(rep_d)
-    joint_order = inst.joint_group().order
-    if not rep_d.passed:
-        return result()
-
-    try:
-        code = _assemble_code(inst, S, build_basis(inst, D, len(S)))
-    except CheckFailure as exc:
-        reports.append(exc.report)
-    return result()
+    failed = next((r for r in reports if not r.passed), None)
+    if strict and failed is not None:
+        raise CheckFailure(failed)
+    return ConstructionResult(inst, tuple(reports), D, tuple(S), joint_order, code)
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,9 @@ def _information_sets(code: EvalCode, classes: int):
         sets.append((rows, r))
         free -= r
         ranks = [r for _, r in sets]
-        found = _bz_plan(q, k, ranks, target, cap=scan)[0]
-        if _bz_plan(q, k, ranks, target, -(-free // k), scan)[0] >= min(found, scan):
+        cost, codewords, t = _bz_plan(q, k, ranks, target, cap=scan)
+        if _bz_plan(q, k, ranks, target, -(-free // k), scan)[0] >= min(cost, scan):
             break
-    cost, codewords, t = _bz_plan(q, k, [r for _, r in sets], target, cap=scan)
     return (sets[:t], codewords) if cost < scan else ((), 0)
 
 

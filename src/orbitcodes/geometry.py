@@ -357,23 +357,17 @@ def trace_fermat_curve(q: int, field: FieldSpec) -> PlaneCurve:
     """The homogenized curve (x^(q^2)+x)^(q+1) + (y^(q^2)+y)^(q+1) + 1 = 0.
 
     Degree q^3 + q^2; its affine chart Z=1 recovers the defining equation
-    in the subfield traces x^(q^2)+x and y^(q^2)+y.
+    in the subfield traces x^(q^2)+x and y^(q^2)+y.  In characteristic p,
+    with q a power of p, (a + b)^(q+1) = a^(q+1) + a^q b + a b^q + b^(q+1),
+    so each block (V^(q^2) + V Z^(q^2-1))^(q+1), V = X or Y, is four
+    monomials with coefficient 1.
     """
     one = field.one()
-    d = q**3 + q**2
     qq = q * q
-
-    def trace_block(var: int) -> Poly:
-        # (V^(q^2) + V Z^(q^2-1))^(q+1) for V = X or Y
-        base: Poly = {}
-        e_hi = [0, 0, 0]
-        e_hi[var] = qq
-        base[tuple(e_hi)] = one
-        e_lo = [0, 0, qq - 1]
-        e_lo[var] = 1
-        base[tuple(e_lo)] = one
-        return poly_pow(base, q + 1, 3, field)
-
-    f = poly_add(trace_block(0), trace_block(1))
-    f = poly_add(f, {(0, 0, d): one})
+    # (V, Z) exponents of a^(q+1), a^q b, a b^q and b^(q+1) for a = V^(q^2), b = V Z^(q^2-1)
+    block = ((qq * (q + 1), 0), (qq * q + 1, qq - 1), (qq + q, q * (qq - 1)),
+             (q + 1, (q + 1) * (qq - 1)))
+    f = {(0, 0, q**3 + qq): one}
+    for v, z in block:
+        f[(v, 0, z)] = f[(0, v, z)] = one
     return plane_curve(field, f)

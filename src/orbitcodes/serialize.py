@@ -123,10 +123,15 @@ def field_from_dict(d: dict) -> FieldSpec:
 
 
 def poly_from_list(items, field: FieldSpec) -> Poly:
-    return {
-        tuple(_typed(x, int) for x in e): field.from_enc(_typed(c, int))
-        for e, c in _typed(items, list)
-    }
+    """The polynomial of a list of [exponents, coefficient] pairs; a list
+    that repeats an exponent tuple is refused, not summed or overwritten."""
+    poly = {}
+    for e, c in _typed(items, list):
+        e = tuple(_typed(x, int) for x in e)
+        if e in poly:
+            raise ValueError(f"exponent tuple {list(e)} is listed twice")
+        poly[e] = field.from_enc(_typed(c, int))
+    return poly
 
 
 def curve_from_dict(d: dict, field: FieldSpec) -> PlaneCurve:

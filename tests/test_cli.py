@@ -325,6 +325,10 @@ BAD_CURVES = {
     "negative_exponent": (
         "curve exponents must be nonnegative", {"coords": 3, "terms": [[[-1, 3, 0], 1]]}
     ),
+    "repeated_exponent": (
+        "exponent tuple [4, 0, 0] is listed twice",
+        {"coords": 3, "terms": [[[4, 0, 0], 1], [[0, 4, 0], 1], [[4, 0, 0], 2]]},
+    ),
 }
 
 
@@ -346,8 +350,10 @@ def test_bad_curve_is_bad_input(tmp_path, capsys, case):
         ([[[[1, 0], 1]], [[[2, 0], 1]]], "basis forms must share one total degree"),
         ([[[[1, 0, 0], 1]]], "basis form arity mismatch"),
         ([[[[-1, 2], 1]]], "basis form exponents must be nonnegative"),
+        ([[[[1, 1], 1], [[2, 0], 1], [[1, 1], 2]]], "exponent tuple [1, 1] is listed twice"),
     ],
-    ids=["zero", "non_homogeneous", "mixed_degrees", "arity", "negative_exponent"],
+    ids=["zero", "non_homogeneous", "mixed_degrees", "arity", "negative_exponent",
+         "repeated_exponent"],
 )
 def test_bad_explicit_functions_are_bad_input(tmp_path, capsys, command, functions, reason):
     # refused while the instance is built, not in the basis step of a command

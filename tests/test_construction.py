@@ -2,7 +2,8 @@
 
 Divisor and orbit invariants are checked exhaustively over every group
 element of every built-in instance; expected parameter values were derived
-by hand from the orbit structure and frozen here.
+by hand from the orbit structure and frozen here.  `check_condition_d` is
+compared with the check it replaced, kept as `oracle_check_condition_d`.
 """
 
 import dataclasses
@@ -30,10 +31,13 @@ from orbitcodes import (
     root_of_unity,
     run_construction,
 )
-from orbitcodes import construction
+from orbitcodes import construction, serialize
+from orbitcodes.autgroup import FAMILIES
 from orbitcodes.construction import Divisor, check_curve_preservation
+from orbitcodes.errors import dumps
 from orbitcodes.gf import FieldElement, embedding, prime_power
 from orbitcodes.geometry import poly_eval
+import test_generated_instances as generated
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,145 @@ def test_condition_d_with_three_groups_keeps_the_designed_bound_positive(m, pass
         "scaled_degree": 4 * m,
         "passed": passed,
     }
+
+
+def oracle_check_condition_d(inst, D):
+    """The condition (d) check before its size clause became one rule: three
+    hand-built reports, and the pair search in nested loops."""
+    joint = inst.joint_group()
+    S = joint.orbit(inst.Qprime)
+    clauses = []
+    witness = None
+
+    ground_rational = inst.Qprime.frobenius_image(inst.ground.order) == inst.Qprime
+    clauses.append({"clause": "qprime_rational", "passed": ground_rational})
+
+    supp = set(D.points())
+    outside = inst.Qprime not in supp
+    clauses.append({"clause": "qprime_outside_support", "passed": outside})
+
+    n_groups = len(inst.groups)
+    g1 = inst.groups[0].order
+    if n_groups == 2:
+        if inst.m == 1:
+            size_ok = len(S) >= g1 + 1
+            size_detail = {
+                "clause": "orbit_size",
+                "variant": "two_groups_unit_scale",
+                "orbit_size": len(S),
+                "threshold": g1 + 1,
+                "passed": size_ok,
+            }
+        else:
+            size_ok = inst.m * g1 < len(S)
+            size_detail = {
+                "clause": "orbit_size",
+                "variant": "two_groups_scaled",
+                "orbit_size": len(S),
+                "scaled_degree": inst.m * g1,
+                "passed": size_ok,
+            }
+    else:
+        pair = None
+        for i in range(n_groups):
+            for j in range(i + 1, n_groups):
+                if inst.groups[i].intersect(inst.groups[j]).order != 1:
+                    continue
+                sub = close(
+                    inst.groups[i].generators + inst.groups[j].generators,
+                    label=f"pair{i}{j}",
+                )
+                if len(sub.orbit(inst.Qprime)) >= inst.groups[i].order + 1:
+                    pair = [i, j]
+                    break
+            if pair:
+                break
+        size_ok = pair is not None
+        size_detail = {
+            "clause": "orbit_size",
+            "variant": "many_groups_pair",
+            "orbit_size": len(S),
+            "designated_pair": pair,
+        }
+        if inst.m > 1:
+            size_ok = size_ok and inst.m * g1 < len(S)
+            size_detail["scaled_degree"] = inst.m * g1
+        size_detail["passed"] = size_ok
+    clauses.append(size_detail)
+
+    passed = all(c["passed"] for c in clauses)
+    if not passed:
+        witness = {"qprime": list(inst.Qprime.key)}
+    report = CheckReport(
+        "condition_d",
+        passed,
+        {"clauses": clauses, "orbit_size": len(S), "group_order": g1, "m": inst.m},
+        witness=witness,
+    )
+    return S, report
+
+
+def assert_condition_d_matches_the_oracle(inst, seeds):
+    """check_condition_d gives the oracle's (S, report), and the same JSON
+    bytes, for every seed; returns how many seeds pass."""
+    D = build_divisor(inst)
+    passes = 0
+    for pt in seeds:
+        case = inst.with_qprime(pt)
+        got, want = check_condition_d(case, D), oracle_check_condition_d(case, D)
+        assert got == want
+        assert dumps(got[1].as_dict()) == dumps(want[1].as_dict())
+        passes += got[1].passed
+    return passes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "family,q",
+    [("fermat", 3), ("fermat", 4), ("fermat", 5), ("projline", 7), ("projline", 9),
+     ("projline", 11), ("projline", 13), ("bf", 2)],
+)
+def test_condition_d_matches_the_oracle_on_builtins(family, q, m):
+    # every curve point as seed, whether or not it has the family's shape:
+    # the points of supp(D) fail, and at m = 1 the built-in's own seed passes
+    inst = dataclasses.replace(builtin_instance(family, q), m=m)
+    seeds = inst.curve.rational_points(inst.working)
+    assert any(FAMILIES[family].qprime_shape(pt) for pt in seeds)
+    passes = assert_condition_d_matches_the_oracle(inst, seeds)
+    assert passes < len(seeds) and (passes > 0 or m > 1)
+
+
+@pytest.mark.parametrize("m,passed", [(1, True), (2, False)])
+def test_condition_d_with_three_groups_at_unit_scale_asks_only_for_a_pair(m, passed):
+    # on the line over GF(7), G1 = <x -> x + 1> of order 7 moves Q' = 1
+    # through #S = 7 points, so no pair with G1 exceeds |G1|; G2 = <x -> -x>
+    # and G3 = <x -> 2x> generate the six scalings, and at m = 1 their pair
+    # passes alone though #S = |G1|.  Condition (b) refuses these unequal
+    # orders before `run_construction` asks for condition (d).
+    F7 = {"p": 7, "k": 1, "modulus": [0, 1]}
+    inst = serialize.instance_from_dict({
+        "schema": "orbitcodes.instance.v1", "ground_field": F7, "working_field": F7,
+        "curve": {"coords": 2, "terms": []},
+        "groups": [{"generators": [[1, 1, 0, 1]]}, {"generators": [[6, 0, 0, 1]]},
+                   {"generators": [[2, 0, 0, 1]]}],
+        "Q": [1, 0], "Qprime": [1, 1], "m": m,
+    })
+    D = Divisor(((inst.Q, 1),), inst.working)
+    S, rep = check_condition_d(inst, D)
+    assert (S, rep) == oracle_check_condition_d(inst, D)
+    assert [g.order for g in inst.groups] == [7, 2, 3] and len(S) == 7
+    assert rep.passed == passed
+    assert rep.details["clauses"][-1]["designated_pair"] == [1, 2]
+
+
+@pytest.mark.parametrize("doc", generated.DOCS, ids=generated.doc_id)
+def test_condition_d_matches_the_oracle_with_three_groups(doc):
+    # every curve point as seed, with G2 appended as a third group, m = 1 to d
+    three = serialize.instance_from_dict({**doc, "groups": doc["groups"] + [doc["groups"][1]]})
+    seeds = three.curve.rational_points(three.working)
+    for m in range(1, generated.degree(doc) + 1):
+        passes = assert_condition_d_matches_the_oracle(dataclasses.replace(three, m=m), seeds)
+        assert (passes > 0) == (m < generated.degree(doc))
 
 
 # ---------------------------------------------------------------------------

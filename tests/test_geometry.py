@@ -6,7 +6,9 @@ normalized-representative generator.  The value join that enumerates
 curves without a mixed XY term is compared with the brute scan it
 replaced, kept here as `oracle_rational_points`; the line section,
 solved on its line, is compared with the filter of that scan it
-replaced, kept as `oracle_line_section`.
+replaced, kept as `oracle_line_section`.  The bf curve, written from the
+Frobenius identity, is compared with the `poly_pow` expansion it
+replaced, kept as `oracle_trace_fermat_curve`.
 """
 
 import itertools
@@ -25,7 +27,15 @@ from orbitcodes import (
 )
 from orbitcodes import geometry
 from orbitcodes.autgroup import FAMILIES
-from orbitcodes.geometry import PlaneCurve, poly_degree, poly_eval, projective_reps
+from orbitcodes.geometry import (
+    PlaneCurve,
+    plane_curve,
+    poly_add,
+    poly_degree,
+    poly_eval,
+    poly_pow,
+    projective_reps,
+)
 from orbitcodes.gf import prime_power
 
 
@@ -383,6 +393,31 @@ def test_trace_curve_shape_and_line_section():
     for p in section:
         ratio = p.coords[1]  # normalized (1 : w : 0)
         assert ratio**3 == F16.one()
+
+
+def oracle_trace_fermat_curve(q, field):
+    """The bf curve with each block (V^(q^2) + V Z^(q^2-1))^(q+1) expanded
+    by repeated polynomial products."""
+    one = field.one()
+    qq = q * q
+
+    def trace_block(var):
+        e_hi, e_lo = [0, 0, 0], [0, 0, qq - 1]
+        e_hi[var] = qq
+        e_lo[var] = 1
+        return poly_pow({tuple(e_hi): one, tuple(e_lo): one}, q + 1, 3, field)
+
+    f = poly_add(poly_add(trace_block(0), trace_block(1)), {(0, 0, q**3 + qq): one})
+    return plane_curve(field, f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_trace_curve_matches_the_power_expansion(q):
+    p, s = prime_power(q)
+    field = make_field(p, 4 * s)
+    curve = trace_fermat_curve(q, field)
+    assert curve == oracle_trace_fermat_curve(q, field)
+    assert len(curve.terms) == 9 and curve.degree == q**3 + q**2
 
 
 def test_trace_curve_point_split():

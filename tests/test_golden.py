@@ -168,6 +168,38 @@ def test_gf13_diagonal_instance_matches_golden(tmp_path, capsys, command):
         assert json.loads(stdout)["distance_exact"] == 8
 
 
+# The GF(13) instance with G2 appended as a third group, at m = 1 and
+# m = 2: a passing report of the many-groups size clause, with designated
+# pair [0, 1] and orbit size 16, and at m = 2 scaled degree 8.  Recorded
+# on the commit before that clause and the two-group ones became one rule:
+# stdout sha256 per (command, m), each exit 0.
+GF13_THREE_GROUPS_DOC = {**GF13_DOC, "groups": GF13_DOC["groups"] + [GF13_DOC["groups"][1]]}
+GF13_THREE_GROUPS_GOLDEN = {
+    ("construct", 1): "7ea0c254fbfd7500bae5ea53d9f2d9c96c7dca79751d63f6dbd305f7daf19a59",
+    ("verify", 1): "922ed3649ccde10c39c49190936cd0974a1db9d21eaaeef507e19280df50328d",
+    ("construct", 2): "5ef8e795a34a3a09b8c22a73e2fd55909b749561ef12e2e86410c896566cf262",
+    ("verify", 2): "fbcf8d5e92442e52bb97aef726ed0f2f00835a98148d7ad6917c2a6568adb640",
+}
+
+
+@pytest.mark.parametrize("command,m", sorted(GF13_THREE_GROUPS_GOLDEN),
+                         ids=[f"{c}-m{m}" for c, m in sorted(GF13_THREE_GROUPS_GOLDEN)])
+def test_gf13_three_groups_match_golden(tmp_path, capsys, command, m):
+    path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    path.write_text(json.dumps({**GF13_THREE_GROUPS_DOC, "m": m}))
+    code = cli.main([command, "--family", "custom", "--input", str(path), "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.read_text() == stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GF13_THREE_GROUPS_GOLDEN[(command, m)]
+    if command == "verify":
+        check = next(c for c in json.loads(stdout)["checks"] if c["name"] == "condition_d")
+        assert check["details"]["clauses"][-1] == {
+            "clause": "orbit_size", "variant": "many_groups_pair", "orbit_size": 16,
+            "designated_pair": [0, 1], "passed": True, **({"scaled_degree": 8} if m == 2 else {}),
+        }
+
+
 # Failure reports.  Each job runs on the built-in fermat q=3 instance
 # written as an orbitcodes.instance.v1 document, changed so that a check
 # fails: the shear X -> X + Z appended to G2's generators breaks the curve
