@@ -218,7 +218,9 @@ class ProjMap(_Value):
 
     def preserves_curve(self, curve: PlaneCurve) -> bool:
         """True iff composing the curve equation with this map reproduces it
-        up to a nonzero scalar (every map preserves P^1)."""
+        up to a nonzero scalar (every map preserves P^1).  The package's last
+        FieldElement arithmetic, in `substitute_linear`: the benchmark's
+        self-tests pin `gf.mul.calls > 0` on it until ROADMAP item 1."""
         if curve.n_coords != self.n:
             raise ValueError("curve/map dimension mismatch")
         if not curve.terms:
@@ -401,8 +403,8 @@ def builtin_generators(family: str, q: int, spec: FieldSpec):
     projline: s -> zeta*s and s -> zeta*s + (1-zeta)*t for a primitive
               ((q-1)/2)-th root of unity; odd q >= 5 and spec = GF(q).
     bf      : the fermat scalings over GF(q^4), each followed by the
-              translations x -> x + mu (y -> y + mu in G2) for mu in an
-              additive basis of {mu : mu^(q^2) + mu = 0}.
+              translations x -> x + mu (y -> y + mu in G2), mu in the greedy
+              encoding-order basis of the additive group {mu^(q^2) + mu = 0}.
     No generator is tested against the curve here: every construction job
     certifies its generators against its curve equation in
     `construction.check_curve_preservation`.
@@ -430,7 +432,7 @@ def family_entry(family: str, q: int) -> Family:
 
 def _scalings_and_shifts(q: int, spec: FieldSpec, shifts=()) -> tuple[list, list]:
     """G1: X -> zeta*X for a primitive (q+1)-th root of unity zeta, then
-    X -> X + c*Z for each c in `shifts`; G2 the same in Y."""
+    X -> X + c*Z for each encoding c in `shifts`; G2 the same in Y."""
     zeta = root_of_unity(spec, q + 1)
     one, zero = spec.one(), spec.zero()
 
@@ -440,7 +442,7 @@ def _scalings_and_shifts(q: int, spec: FieldSpec, shifts=()) -> tuple[list, list
         out = [diagonal_map(spec, *scale)]
         for c in shifts:
             rows = [[one if r == j else zero for j in range(3)] for r in range(3)]
-            rows[i][2] = c
+            rows[i][2] = spec.from_enc(c)
             out.append(ProjMap(tuple(map(tuple, rows)), spec))
         return out
 
@@ -448,29 +450,20 @@ def _scalings_and_shifts(q: int, spec: FieldSpec, shifts=()) -> tuple[list, list
 
 
 def _bf_generators(q: int, spec: FieldSpec):
-    shifts = _additive_basis([a for a in spec.elements() if not (a ** (q * q) + a)], spec)
-    return _scalings_and_shifts(q, spec, shifts)
+    basis, span = [], {0}
+    for mu in range(spec.order):
+        if mu not in span and not spec.add(spec.pow(mu, q * q), mu):
+            basis.append(mu)
+            span |= {spec.add(s, spec.mul(c, mu)) for s in span for c in range(spec.p)}
+    return _scalings_and_shifts(q, spec, basis)
 
 
 def _projline_generators(q: int, spec: FieldSpec):
     zeta = root_of_unity(spec, (q - 1) // 2)
     one, zero = spec.one(), spec.zero()
     g1 = [ProjMap(((zeta, zero), (zero, one)), spec)]
-    g2 = [ProjMap(((zeta, one - zeta), (zero, one)), spec)]
+    g2 = [ProjMap(((zeta, spec.from_enc(spec.add(1, spec.neg(zeta.enc)))), (zero, one)), spec)]
     return g1, g2
-
-
-def _additive_basis(values, spec: FieldSpec):
-    """Greedy basis of the additive group spanned by `values`, scanning in
-    canonical encoding order."""
-    basis: list[FieldElement] = []
-    span = {spec.zero()}
-    for v in sorted(values, key=lambda a: a.enc):
-        if v in span or not v:
-            continue
-        basis.append(v)
-        span |= {s + spec.from_int(c) * v for s in span for c in range(spec.p)}
-    return basis
 
 
 class Family(_Value):

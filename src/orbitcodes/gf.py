@@ -20,9 +20,9 @@ inv, pow, scale, axpy, frobenius), so points, maps, curve equations and
 matrix rows compute on int tuples; map products and point images read the
 tables in `autgroup._compose`.  FieldElement wraps it at the API edge.
 
-Subfield relations are explicit Embedding values, checked by evaluating
-the small field's modulus at the chosen image of its generator; there is
-no global table of compatible moduli.
+Subfield relations are explicit Embedding values: a root of the small
+field's modulus in the big field's subfield of that order, and the table
+of its images; there is no global table of compatible moduli.
 """
 
 from __future__ import annotations
@@ -442,10 +442,12 @@ class Embedding(_Value):
     """A field homomorphism GF(p^k) -> GF(p^K) with k | K.
 
     Determined by the image of the small field's generator, which must be a
-    root of the small modulus in the big field; apply() extends it linearly
-    over the polynomial basis.
+    root of the small modulus in the big field.  `_image` extends it over
+    the polynomial basis to every source encoding, and `_section` inverts
+    it; like `ProjMap._logs` they sit outside the compared fields.
     """
 
+    __slots__ = ("src", "dst", "image_of_generator", "_image", "_section")
     _fields = ("src", "dst", "image_of_generator")
 
     def __init__(self, src: FieldSpec, dst: FieldSpec, image_of_generator: FieldElement):
@@ -453,18 +455,21 @@ class Embedding(_Value):
             raise PreconditionError("no_embedding", f"no embedding {src} -> {dst}")
         if image_of_generator.spec != dst:
             raise ValueError("image_of_generator must live in the destination field")
-        if _eval_poly_at(src.modulus, image_of_generator):
+        r = image_of_generator.enc
+        if _poly_at(dst, src.modulus, r):
             raise ValueError("image_of_generator is not a root of the source modulus")
+        image, power = [0], 1  # digit c at place i of an encoding adds c * r^i
+        for _ in range(src.k):
+            image = [dst.add(b, dst.mul(c, power)) for c in range(src.p) for b in image]
+            power = dst.mul(power, r)
         self._init(src, dst, image_of_generator)
+        _set(self, "_image", image)
+        _set(self, "_section", {b: a for a, b in enumerate(image)})
 
     def apply(self, a: FieldElement) -> FieldElement:
         if a.spec != self.src:
             raise ValueError(f"element of {a.spec} fed to embedding from {self.src}")
-        return _eval_poly_at(a.coeffs, self.image_of_generator)
-
-    @cached_property
-    def _section(self) -> dict[int, int]:
-        return {self.apply(a).enc: a.enc for a in self.src.elements()}
+        return FieldElement(self.dst, self._image[a.enc])
 
     def section_enc(self, e: int) -> int:
         """`section` on encodings; raises ValueError if e is not in the image."""
@@ -479,23 +484,25 @@ class Embedding(_Value):
         return FieldElement(self.src, self.section_enc(b.enc))
 
 
-def _eval_poly_at(coeffs: tuple[int, ...], x: FieldElement) -> FieldElement:
-    acc = x.spec.zero()
+def _poly_at(spec: FieldSpec, coeffs: tuple[int, ...], x: int) -> int:
+    """Horner's rule on encodings: the GF(p) polynomial `coeffs` at x."""
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + x.spec.from_int(c)
+        acc = spec.add(spec.mul(acc, x), c)
     return acc
 
 
 @functools.lru_cache(maxsize=None)
 def embedding(src: FieldSpec, dst: FieldSpec) -> Embedding:
     """The canonical embedding: generator maps to the root of src.modulus
-    in dst with smallest canonical encoding."""
+    in dst with smallest canonical encoding, sought in dst's subfield of
+    order p^k: 0 and the powers g^(j(p^K-1)/(p^k-1)) of its primitive g."""
     if src.p != dst.p or dst.k % src.k != 0:
         raise PreconditionError("no_embedding", f"no embedding {src} -> {dst}")
-    for b in dst.elements():
-        if not _eval_poly_at(src.modulus, b):
-            return Embedding(src, dst, b)
-    raise AssertionError("a subfield always exists when k | K (unreachable)")
+    exp, step = dst._tables[0], (dst.order - 1) // (src.order - 1)
+    subfield = [0] + [exp[j * step] for j in range(src.order - 1)]
+    root = min(r for r in subfield if not _poly_at(dst, src.modulus, r))
+    return Embedding(src, dst, dst.from_enc(root))
 
 
 def frobenius(a: FieldElement, sub_order: int) -> FieldElement:

@@ -1,6 +1,14 @@
 """Group closure, orbits, curve preservation, the generator families,
 projective frames, and the rule that every group is the closure of its
-generators."""
+generators.
+
+The bf and projline generators are compared with
+`oracle_builtin_generators`, the FieldElement code that formed them before
+they moved to encodings.  The `confined` fixture wraps the FieldElement
+operators so that they fail outside `ProjMap.preserves_curve`: built-in
+constructions, the GF(3)-in-GF(9) goldens and the embedding search must
+run under it, so the curve certificate is the last FieldElement
+arithmetic."""
 
 import itertools
 import random
@@ -9,22 +17,27 @@ import pytest
 
 from orbitcodes import (
     AutGroup,
+    FieldElement,
     PreconditionError,
     ProjMap,
     builtin_generators,
+    builtin_instance,
     close,
     diagonal_map,
+    embedding,
     fermat_curve,
     identity_map,
     make_field,
     point,
     root_of_unity,
+    run_construction,
     trace_fermat_curve,
 )
 from orbitcodes import autgroup
 from orbitcodes.autgroup import _det, check_joint_fits, find_frame
 from orbitcodes.geometry import projective_reps
 from orbitcodes.gf import prime_power
+from test_golden import SUBFIELD_GOLDEN, subfield_job
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +468,50 @@ def test_bf_generators_certified_against_curve(q):
     assert close(g2).order == q**3 + q**2
 
 
+def oracle_builtin_generators(family, q, spec):
+    """The bf and projline generator lists as `autgroup` formed them on
+    FieldElements, before they moved to encodings: the translation basis
+    is the greedy basis, in encoding order, of the roots of mu^(q^2) + mu,
+    spanned by FieldElement sums, and projline's shift is one - zeta."""
+    one, zero = spec.one(), spec.zero()
+    if family == "projline":
+        zeta = root_of_unity(spec, (q - 1) // 2)
+        return ([ProjMap(((zeta, zero), (zero, one)), spec)],
+                [ProjMap(((zeta, one - zeta), (zero, one)), spec)])
+    basis, span = [], {zero}
+    for v in sorted((a for a in spec.elements() if not (a ** (q * q) + a)), key=lambda a: a.enc):
+        if v not in span and v:
+            basis.append(v)
+            span |= {s + spec.from_int(c) * v for s in span for c in range(spec.p)}
+    zeta = root_of_unity(spec, q + 1)
+
+    def maps(i):
+        scale = [one, one, one]
+        scale[i] = zeta
+        out = [diagonal_map(spec, *scale)]
+        for c in basis:
+            rows = [[one if r == j else zero for j in range(3)] for r in range(3)]
+            rows[i][2] = c
+            out.append(ProjMap(tuple(map(tuple, rows)), spec))
+        return out
+
+    return maps(0), maps(1)
+
+
+ORACLE_FAMILIES = [("bf", q, 4) for q in (2, 3, 4, 5)] + [
+    ("projline", q, 1) for q in range(5, 26, 2) if q not in (15, 21)
+]
+
+
+@pytest.mark.parametrize("family,q,degree", ORACLE_FAMILIES, ids=lambda v: str(v))
+def test_builtin_generators_are_the_field_element_oracle(family, q, degree):
+    p, s = prime_power(q)
+    spec = make_field(p, degree * s)
+    got = builtin_generators(family, q, spec)
+    want = oracle_builtin_generators(family, q, spec)
+    assert [[g.key for g in grp] for grp in got] == [[g.key for g in grp] for grp in want]
+
+
 def test_bf_joint_group():
     F16 = make_field(2, 4)
     g1, g2 = builtin_generators("bf", 2, F16)
@@ -570,3 +627,70 @@ def test_every_group_is_the_closure_of_its_generators(built):
             assert oracle_generated_exactly(grp), grp.label
             checked += 1
     assert checked == 6 * len(built)
+
+
+# ---------------------------------------------------------------------------
+# the curve certificate is the last FieldElement arithmetic
+
+ELEMENT_OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "inv")
+
+
+@pytest.fixture
+def confined(monkeypatch):
+    """FieldElement operators that raise AssertionError unless
+    `ProjMap.preserves_curve` is running.  Yields the names of the
+    operators called inside it.  The embedding cache is emptied, so each
+    embedding is found again under the wrap."""
+    inside, calls = [0], []
+    certificate = ProjMap.preserves_curve
+
+    def preserves_curve(self, curve):
+        inside[0] += 1
+        try:
+            return certificate(self, curve)
+        finally:
+            inside[0] -= 1
+
+    def confine(name, op):
+        def wrapped(*args):
+            if not inside[0]:
+                raise AssertionError(f"FieldElement.{name} outside ProjMap.preserves_curve")
+            calls.append(name)
+            return op(*args)
+        return wrapped
+
+    monkeypatch.setattr(ProjMap, "preserves_curve", preserves_curve)
+    for name in ELEMENT_OPERATORS:
+        monkeypatch.setattr(FieldElement, name, confine(name, getattr(FieldElement, name)))
+    embedding.cache_clear()
+    yield calls
+    embedding.cache_clear()
+
+
+def test_the_wrap_refuses_every_operator_outside_the_certificate(confined):
+    a = make_field(3, 2).gen()
+    for op in (lambda: a + a, lambda: a - a, lambda: -a, lambda: a * a, lambda: a**2, a.inv):
+        with pytest.raises(AssertionError, match="outside ProjMap.preserves_curve"):
+            op()
+
+
+@pytest.mark.parametrize("family,q", [("fermat", 3), ("fermat", 4), ("projline", 9), ("bf", 2),
+                                      ("bf", 3)])
+def test_a_builtin_construction_runs_operators_only_in_the_certificate(confined, family, q):
+    assert run_construction(builtin_instance(family, q)).passed
+    # a plane curve is certified on elements; every map preserves P^1 unread
+    assert bool(confined) == (family != "projline")
+
+
+@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN),
+                         ids=map("-".join, sorted(SUBFIELD_GOLDEN)))
+def test_a_subfield_ground_runs_no_operator(confined, tmp_path, capsys, command, case):
+    assert subfield_job(tmp_path, capsys, command, case) == SUBFIELD_GOLDEN[(command, case)]
+    assert not confined
+
+
+def test_the_embedding_search_runs_no_operator(confined):
+    src, dst = make_field(2, 2), make_field(2, 16)
+    emb = embedding(src, dst)
+    assert [emb.section(emb.apply(a)) for a in src.elements()] == list(src.elements())
+    assert not confined

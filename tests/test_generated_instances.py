@@ -23,16 +23,35 @@ report of the element scan `oracle_verify_faithful`; `distance` prints the same 
 certificate is patched out, so the enumeration decides; G2 appended as a
 third group changes neither the code matrix nor the distance; and m
 raised to d fails condition_d with exit 1.
+
+Each instance is also lifted to a working field GF(p^(k j)) with its own
+field GF(p^k) as the ground (`lifted`): j = 2 for every instance, and
+j = 4 for GF(9) and GF(16), the last over GF(2^16).  The lift builds the
+same code: n, rank, designed bound, every check report, the joint order
+and the certified distance, and the matrix once each lifted column is
+matched, through `section_enc`, to the point it lies over.
+
+Sixty more draws are cyclic pairs on P^1 (`cyclic_pair_document`):
+G1 = <s -> zeta s> and G2 = <s -> zeta s + b> for a random zeta of random
+order r | q - 1 and b != 0, Q = (1:0), a random affine Q' and m in {1, 2}.
+Every draw's `construct` exits 0 or 1 without a traceback.  On the draws
+that pass, `certified_distance` is `min_distance_exact` (where its guard
+admits the code) and `oracle_min_distance_exact` (where q^rank is small),
+the joint order is the sympy order, and `verify_faithful` gives the report
+of the element scan on G1, G2 and the joint group.
 """
 
 import json
 import random
+from math import gcd
 
 import pytest
 
 from orbitcodes import (
+    PreconditionError,
     cli,
     construction,
+    embedding,
     make_field,
     min_distance_exact,
     permutation_of,
@@ -185,3 +204,149 @@ def test_m_raised_to_the_degree_fails_condition_d(tmp_path, capsys, doc):
     assert report["checks"][-1]["name"] == "condition_d"
     assert report["checks"][-1]["passed"] is False
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a proper subfield as the ground field
+
+
+def lifted(doc, j):
+    """`doc` over the working field GF(p^(k j)), with its own field GF(p^k)
+    kept as the ground: the curve coefficients, the generator entries, Q
+    and Q' are pushed through `embedding`."""
+    small = serialize.field_from_dict(doc["working_field"])
+    emb = embedding(small, make_field(small.p, small.k * j))
+
+    def lift(encs):
+        return [emb.apply(small.from_enc(c)).enc for c in encs]
+
+    return {
+        **doc,
+        "working_field": serialize.field_to_dict(emb.dst),
+        "curve": {"coords": 3, "terms": [[e, *lift([c])] for e, c in doc["curve"]["terms"]]},
+        "groups": [{**g, "generators": [lift(m) for m in g["generators"]]} for g in doc["groups"]],
+        "Q": lift(doc["Q"]),
+        "Qprime": lift(doc["Qprime"]),
+    }
+
+
+def lift_id(lift):
+    doc, j = lift
+    return f"{doc_id(doc)}-x{j}"
+
+
+# every instance lifted to the field of twice its degree; GF(9) also to
+# GF(3^8), where the canonical column order changes, and GF(16) to GF(2^16)
+LIFTS = [(doc, 2) for doc in DOCS] + [
+    (doc, 4) for doc in DOCS if doc["working_field"]["p"] ** doc["working_field"]["k"] in (9, 16)
+]
+
+
+def test_the_lifts_reach_gf_3_8_and_gf_2_16():
+    assert {(doc["working_field"]["p"], doc["working_field"]["k"] * j) for doc, j in LIFTS} >= {
+        (3, 8), (2, 16)
+    }
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=map(lift_id, LIFTS))
+def test_a_lifted_instance_builds_the_same_code(lift):
+    doc, j = lift
+    res, big = built(doc), built(lifted(doc, j))
+    code, big_code = res.code, big.code
+    assert (big_code.n, big_code.rank, big_code.distance_bound) == (
+        code.n, code.rank, code.distance_bound
+    )
+    assert [(r.name, r.passed, r.details) for r in big.reports] == [
+        (r.name, r.passed, r.details) for r in res.reports
+    ]
+    assert big.joint_order == res.joint_order
+    assert construction.certified_distance(big) == construction.certified_distance(res)
+    # column i of the lifted code is the point whose coordinates lie over
+    # those of column columns[i] of the code itself
+    emb = embedding(code.field, big.instance.working)
+    position = {p.key: i for i, p in enumerate(code.points)}
+    columns = [position[tuple(map(emb.section_enc, p.key))] for p in big_code.points]
+    assert sorted(columns) == list(range(code.n))
+    assert [tuple(row[c] for c in columns) for row in code.encodings] == list(big_code.encodings)
+
+
+# ---------------------------------------------------------------------------
+# random cyclic pairs on P^1
+
+PAIR_COUNT = 60
+
+
+def cyclic_pair_document(rng):
+    """G1 = <s -> zeta s> and G2 = <s -> zeta s + b> on P^1 over a drawn
+    field, for a random zeta of random order r | q - 1 and b != 0, with
+    Q = (1:0), a random affine Q' and m in {1, 2}."""
+    p, k = rng.choice(FIELDS)
+    F = make_field(p, k)
+    q = F.order
+    r = rng.choice([r for r in range(1, q) if (q - 1) % r == 0])
+    g = root_of_unity(F, q - 1).enc
+    zeta = F.pow(g, (q - 1) // r * rng.choice([j for j in range(r) if gcd(j, r) == 1]))
+    return {
+        "schema": "orbitcodes.instance.v1",
+        "ground_field": serialize.field_to_dict(F),
+        "working_field": serialize.field_to_dict(F),
+        "curve": {"coords": 2, "terms": []},
+        "groups": [{"label": "G1", "generators": [[zeta, 0, 0, 1]]},
+                   {"label": "G2", "generators": [[zeta, rng.randrange(1, q), 0, 1]]}],
+        "Q": [1, 0],
+        "Qprime": [rng.randrange(q), 1],
+        "m": rng.randrange(1, 3),
+        "condition_a_holds": True,
+    }
+
+
+def pair_id(doc):
+    field, (g1, g2) = doc["working_field"], doc["groups"]
+    return (f"GF({field['p']}^{field['k']})-zeta{g1['generators'][0][0]}"
+            f"-b{g2['generators'][0][1]}-x{doc['Qprime'][0]}-m{doc['m']}")
+
+
+_pairs = random.Random(SEED)
+PAIR_DOCS = [cyclic_pair_document(_pairs) for _ in range(PAIR_COUNT)]
+PASSING_PAIRS = [
+    doc for doc in PAIR_DOCS
+    if run_construction(serialize.instance_from_dict(doc), strict=False).passed
+]
+
+
+def test_the_cyclic_pairs_pass_and_fail_in_several_fields():
+    assert PAIR_COUNT // 3 < len(PASSING_PAIRS) < PAIR_COUNT
+    assert len({json.dumps(doc["working_field"]) for doc in PASSING_PAIRS}) == len(FIELDS)
+
+
+@pytest.mark.parametrize("doc", PAIR_DOCS, ids=map(pair_id, PAIR_DOCS))
+def test_a_cyclic_pair_exits_0_or_1_without_a_traceback(tmp_path, capsys, doc):
+    status, report, err = run_cli(tmp_path, capsys, "construct", doc)
+    assert status == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", PASSING_PAIRS, ids=map(pair_id, PASSING_PAIRS))
+def test_a_passing_cyclic_pair_meets_its_oracles(doc):
+    res = built(doc)
+    code, inst = res.code, res.instance
+    proved = construction.certified_distance(res)
+    try:
+        exact = min_distance_exact(code)
+    except PreconditionError as exc:  # past the guard, the certificate stands alone
+        assert exc.kind == "enumeration_guard_exceeded"
+        exact = proved
+    assert proved == exact
+    if code.field.order**code.rank <= ORACLE_MESSAGES:
+        assert proved == oracle_min_distance_exact(code)
+    for group in inst.groups + (inst.joint_group(),):
+        assert assert_matches_oracle(group, res.points, code).passed
+
+
+@pytest.mark.parametrize("doc", PASSING_PAIRS, ids=map(pair_id, PASSING_PAIRS))
+def test_a_passing_cyclic_pairs_joint_order_is_the_sympy_order(doc):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    res = built(doc)
+    gens = res.instance.joint_group().generators
+    perms = [combinatorics.Permutation(list(permutation_of(g, res.points).perm)) for g in gens]
+    assert combinatorics.PermutationGroup(perms).order() == res.joint_order

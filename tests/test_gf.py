@@ -3,12 +3,15 @@ arithmetic, roots of unity, embeddings, Frobenius.
 
 The oracles here are independent of the library: naive polynomial division
 for irreducibility, naive polynomial products reduced by the modulus for
-the exp/log/Zech table arithmetic, and raw scans for roots of unity and
-fixed points.
+the exp/log/Zech table arithmetic, raw scans for roots of unity and
+fixed points, and `oracle_embedding`, the full scan of the big field with
+FieldElement Horner evaluation that `gf.embedding` ran before it searched
+only the subfield.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -601,6 +604,63 @@ def test_embedding_image_choice_is_smallest_root():
         if not acc:
             roots.append(b)
     assert emb.image_of_generator == min(roots, key=lambda r: r.enc)
+
+
+def oracle_eval_poly_at(coeffs, x):
+    """Horner's rule on FieldElements: the GF(p) polynomial with ascending
+    coefficients `coeffs` at x, as `gf` evaluated it before embeddings
+    moved to encodings."""
+    acc = x.spec.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + x.spec.from_int(c)
+    return acc
+
+
+def oracle_embedding(src, dst):
+    """The canonical embedding as `gf.embedding` found and applied it
+    before the subfield search: the first root of src's modulus in a scan
+    of every element of dst, and the image of each src element by Horner's
+    rule at that root, as (root, [image encoding of each src encoding])."""
+    root = next(b for b in dst.elements() if not oracle_eval_poly_at(src.modulus, b))
+    return root, [oracle_eval_poly_at(a.coeffs, root).enc for a in src.elements()]
+
+
+# (p, k, K) with k | K, k < K and p^K <= 1024: every proper subfield,
+# the prime subfields among them, whose modulus x has the root 0
+SUBFIELDS = [(p, k, K) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+             for K in range(2, 11) if p**K <= 1024 for k in range(1, K) if K % k == 0]
+
+
+@pytest.mark.parametrize("p,k,K", SUBFIELDS, ids=lambda v: str(v))
+def test_embedding_matches_the_full_scan(p, k, K):
+    src, dst = make_field(p, k), make_field(p, K)
+    root, image = oracle_embedding(src, dst)
+    emb = embedding(src, dst)
+    assert emb.image_of_generator == root
+    assert [emb.apply(a).enc for a in src.elements()] == image
+    preimage = {b: a for a, b in enumerate(image)}
+    for b in range(dst.order):
+        if b in preimage:
+            assert emb.section_enc(b) == preimage[b]
+        else:
+            with pytest.raises(ValueError):
+                emb.section_enc(b)
+    assert emb == gf.Embedding(src, dst, root)
+
+
+def test_embedding_into_gf_2_16_is_the_full_scan_and_fast():
+    """GF(4) in GF(2^16), where the full scan took about 0.8 s: with the
+    destination's tables built, the subfield search tests four elements."""
+    src, dst = make_field(2, 2), make_field(2, 16)
+    dst._tables  # built outside the timing, as every embedding into dst finds them
+    embedding.cache_clear()
+    start = time.perf_counter()
+    emb = embedding(src, dst)
+    elapsed = time.perf_counter() - start
+    assert (emb.image_of_generator, [emb.apply(a).enc for a in src.elements()]) == (
+        oracle_embedding(src, dst)
+    )
+    assert elapsed < 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -304,9 +304,9 @@ def test_projline_subfield_groups_are_the_builtin_ones():
     ]
 
 
-@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN),
-                         ids=map("-".join, sorted(SUBFIELD_GOLDEN)))
-def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
+def subfield_job(tmp_path, capsys, command, case):
+    """(stdout sha256, exit code) of one CLI job on the GF(3)-in-GF(9) line
+    document of `case`; the output file must hold the stdout bytes."""
     doc = {
         "schema": "orbitcodes.instance.v1",
         "ground_field": F3_FIELD,
@@ -322,7 +322,13 @@ def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
     code = cli.main([command, "--family", "custom", "--input", str(path), "--output", str(out)])
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
-    assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == SUBFIELD_GOLDEN[(command, case)]
+    return hashlib.sha256(stdout.encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("command,case", sorted(SUBFIELD_GOLDEN),
+                         ids=map("-".join, sorted(SUBFIELD_GOLDEN)))
+def test_subfield_ground_matches_golden(tmp_path, capsys, command, case):
+    assert subfield_job(tmp_path, capsys, command, case) == SUBFIELD_GOLDEN[(command, case)]
 
 
 # Codes that cannot fit their evaluation set: (stdout sha256, exit code).

@@ -14,7 +14,10 @@ from its own row reduction, and a basis takes the degree of its first
 nonzero form.  The `EvalCode` oracle takes rows of encodings, as the class
 now stores them, in place of rows of field elements, and checks each entry
 against the field order where the class checks each row's least and
-greatest entry; its error texts are those of the element check.
+greatest entry; its error texts are those of the element check.  The
+`Embedding` oracle checks its root with `test_gf.oracle_eval_poly_at`, the
+FieldElement Horner evaluation that `gf` ran before embeddings moved to
+encodings; the class keeps its image table outside its compared fields.
 
 `ProjPoint` and `ProjMap` were never dataclasses: they compared and
 hashed by hand until they became `gf._Value`s.  Their mirrors are the
@@ -42,6 +45,7 @@ from orbitcodes import autgroup, code_analysis, construction, geometry, gf
 from orbitcodes.construction import Instance
 from orbitcodes.errors import PreconditionError
 from orbitcodes.geometry import Poly, poly_degree
+from test_gf import oracle_eval_poly_at
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class Embedding:
             raise PreconditionError("no_embedding", f"no embedding {self.src} -> {self.dst}")
         if self.image_of_generator.spec != self.dst:
             raise ValueError("image_of_generator must live in the destination field")
-        if gf._eval_poly_at(self.src.modulus, self.image_of_generator):
+        if oracle_eval_poly_at(self.src.modulus, self.image_of_generator):
             raise ValueError("image_of_generator is not a root of the source modulus")
 
 
@@ -424,6 +428,7 @@ def test_every_slot_outside_the_fields_is_a_cache():
         "autgroup.ProjMap": {"n", "_logs"},
         "autgroup.AutGroup": {"element_set"},
         "geometry.PlaneCurve": {"_points", "_sections"},
+        "gf.Embedding": {"_image", "_section"},
     }
 
 
