@@ -205,12 +205,12 @@ def _dispatch(ns) -> int:
     if ns.command == "distance":
         from .serialize import result_to_dict
 
+        # both raise CheckFailure on a distance below the designed bound
         d = certified_distance(result)
         if d is None:
             from .code_analysis import DEFAULT_MESSAGE_GUARD, min_distance_exact
 
             guard = DEFAULT_MESSAGE_GUARD if ns.max_messages is None else ns.max_messages
-            # min_distance_exact raises CheckFailure on any weight below the bound
             d = min_distance_exact(result.code, guard)
         _say(f"exact minimum distance {d}, designed bound {result.code.distance_bound} (met)")
         doc = result_to_dict(result)

@@ -40,9 +40,11 @@ def min_distance_exact(code: EvalCode, max_messages: int = DEFAULT_MESSAGE_GUARD
     two exact methods: a scan of one message per scalar class, or the
     Brouwer-Zimmermann search.  `max_messages` caps the codewords the
     chosen method forms; past it, PreconditionError
-    `enumeration_guard_exceeded`.  A weight below the designed bound raises
-    CheckFailure with a `distance_bound` report.  See
-    `enumeration.min_distance_exact`, which is imported on the first call.
+    `enumeration_guard_exceeded`.  The distance found goes through
+    `construction.check_distance_bound`: below the designed bound it raises
+    CheckFailure with a `distance_bound` report that names it, whichever
+    method ran.  See `enumeration.min_distance_exact`, which is imported on
+    the first call.
     """
     from .enumeration import min_distance_exact as enumerated
 

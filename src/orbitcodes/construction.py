@@ -31,7 +31,8 @@ exports `EvalCode` and `rank_and_rref` from here, and `code_analysis` and
 no enumeration, when the bound is the root count on P^1 or Bezout's
 theorem on a certified-smooth diagonal curve, and a witness codeword
 meets it; `distance` loads `code_analysis` and `enumeration` only when it
-does not apply.
+does not apply.  Whichever gives the exact distance, `check_distance_bound`
+alone decides whether it meets the designed bound.
 """
 
 from __future__ import annotations
@@ -623,9 +624,10 @@ def certified_distance(result: ConstructionResult) -> int | None:
         Bezout, a form of degree t that the equation does not divide meets
         it in at most t*d points, so every nonzero codeword weighs at least
         n - t*d (`_plane_distance`).
-    None when a hypothesis fails, when no witness is found, or when the
-    proved distance is below max(designed bound, 1); the enumeration of
-    `enumeration` then decides the distance and makes any failure report.
+    None when a hypothesis fails or no witness of positive weight is
+    found; the enumeration of `enumeration` then decides the distance.  A
+    proved distance goes through `check_distance_bound`, so one below the
+    designed bound is reported from the proof, as the enumeration would.
     """
     code = result.code
     t = build_basis(result.instance, result.divisor, code.n).degree
@@ -633,7 +635,19 @@ def certified_distance(result: ConstructionResult) -> int | None:
         d = code.n - t if code.rank == t + 1 else None
     else:
         d = _plane_distance(result.instance, code, t)
-    return d if d is not None and d >= max(code.distance_bound, 1) else None
+    return None if d is None or d < 1 else check_distance_bound(code, d)
+
+
+def check_distance_bound(code: EvalCode, d: int) -> int:
+    """The exact minimum distance d of `code` when it meets the designed
+    bound; else CheckFailure with the `distance_bound` report, which names
+    d.  The one place the bound is decided, for a distance proved from the
+    geometry and for one enumerated by either method alike."""
+    if d < code.distance_bound:
+        raise CheckFailure(
+            CheckReport("distance_bound", False, {"weight": d, "bound": code.distance_bound})
+        )
+    return d
 
 
 def _plane_distance(inst: Instance, code: EvalCode, t: int) -> int | None:

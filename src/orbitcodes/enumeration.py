@@ -14,10 +14,7 @@ per scalar class, (q^k - 1)/(q - 1) in all.  It enumerates all but the
 last two coefficients and counts the rest in one pass: for each position,
 the cells (s2, s) of the q^2 codewords below a node where that position is
 zero form a line, all of the grid, or nothing, so one Counter over the n
-positions gives the weights of all q^2 codewords at once.  A node whose
-lightest codeword breaks the designed bound walks its cells in message
-order, which keeps the first violating message, and so every report, the
-one the full enumeration gives.
+positions gives the weights of all q^2 codewords at once.
 
 The Brouwer-Zimmermann search (Zimmermann 1996; Grassl 2006) forms only
 the codewords of low information weight on greedy disjoint information
@@ -26,9 +23,12 @@ reaches the lightest weight found.  It counts the q - 1 multiples of the
 last row of each message in one pass, the scan's trick one level deep.
 It wins on high-rate codes and loses on small ranks over large fields, so
 `min_distance_exact` estimates both costs from q, the rank, the designed
-bound and the information-set ranks, and runs the cheaper method.  When
-BZ meets a weight below the designed bound, the scan runs again if the
-guard allows it, so that the report is the scan's.
+bound and the information-set ranks, and runs the cheaper method.
+
+Neither method reads the designed bound: each only computes the minimum
+distance d, and `min_distance_exact` passes d to
+`construction.check_distance_bound`, so a `distance_bound` report names d
+whichever method ran and whatever the guard.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from itertools import chain, repeat
 from math import comb, inf
 from operator import getitem
 
-from .errors import CheckFailure, CheckReport, PreconditionError
+from .errors import PreconditionError
 from .gf import FieldSpec, _Memo
-from .construction import EvalCode, rank_and_rref
+from .construction import EvalCode, check_distance_bound, rank_and_rref
 
 
 def min_distance_exact(code: EvalCode, max_messages: int) -> int:
@@ -66,28 +66,29 @@ def min_distance_exact(code: EvalCode, max_messages: int) -> int:
     since a distance above the designed bound takes it further.  When BZ
     passes the scan's count, the scan runs instead if it fits the guard.
 
-    Every codeword weight met is checked against the designed bound; a
-    violation means the code was built from a broken construction and
-    raises CheckFailure rather than returning a too-small distance quietly.
-    The report names the first violating weight in the scan's message
-    order: when BZ meets a violation, the scan runs again if it fits the
-    guard.  Outside the guard the report gives the lightest weight of the
-    first BZ round that broke the bound.
+    The distance found, by either method, goes through
+    `construction.check_distance_bound`: a distance below the designed
+    bound means the code was built from a broken construction, and raises
+    CheckFailure with a `distance_bound` report naming it, rather than
+    being returned quietly.
     """
     q, k = code.field.order, code.rank
     if k == 0:
         raise ValueError("cannot measure the distance of the zero code")
     classes = (q**k - 1) // (q - 1)
     sets, estimate = _information_sets(code, classes) if k > 3 else ((), 0)
+    d = None
     if sets:
         _check_guard(estimate, max_messages)
         try:
-            return _bz_distance(code, sets, min(classes, max_messages))
-        except (CheckFailure, PreconditionError):
+            d = _bz_distance(code, sets, min(classes, max_messages))
+        except PreconditionError:
             if classes > max_messages:
                 raise
-    _check_guard(classes, max_messages)
-    return _scan_distance(code)
+    if d is None:
+        _check_guard(classes, max_messages)
+        d = _scan_distance(code)
+    return check_distance_bound(code, d)
 
 
 def _check_guard(codewords: int, guard: int):
@@ -191,7 +192,7 @@ def _bz_distance(code: EvalCode, sets, budget: int) -> int:
     codeword.  Raises the guard error once the codewords formed pass
     `budget`, counted before each round.
     """
-    spec, q, k, bound = code.field, code.field.order, code.rank, code.distance_bound
+    spec, q, k = code.field, code.field.order, code.rank
     ranks = [r for _, r in sets]
     # tables[v][a] is the s != 0 with a + s*v = 0, q when a = v = 0, else 0
     tables = _Memo(
@@ -211,12 +212,7 @@ def _bz_distance(code: EvalCode, sets, budget: int) -> int:
         _check_guard(formed, budget)
         for j, u in todo:
             done[j] = u
-            light = _lightest(spec, sets[j][0], cells[j], u)
-            if light < bound:
-                raise CheckFailure(
-                    CheckReport("distance_bound", False, {"weight": light, "bound": bound})
-                )
-            best = min(best, light)
+            best = min(best, _lightest(spec, sets[j][0], cells[j], u))
         if w == k or sum(max(0, w + 1 - k + r) for r in ranks) >= best:
             return best
 
@@ -255,37 +251,29 @@ def _lightest(spec: FieldSpec, rows, cells, w: int) -> int:
 
 
 def _scan_distance(code: EvalCode) -> int:
-    """The exact minimum weight from one message per scalar class, in the
-    lexicographic order of the full enumeration.
+    """The exact minimum weight from one message per scalar class, the
+    member whose leading coefficient is 1.
 
-    The scan takes from each class the member whose leading coefficient is
-    1, which is the class's first member in that order.  The recursion
-    stops one level early, at a parent node that has fixed all but the last
-    two coefficients (s2, s), and one Counter pass over the n positions
-    counts the zeros of all q^2 codewords acc + s2*r + s*l below it, where
-    r and l are the last two reduced rows.  Each position is zero on a
-    known set of cells s2*q + s: the q cells of the line
+    The recursion stops one level early, at a parent node that has fixed
+    all but the last two coefficients (s2, s), and one Counter pass over
+    the n positions counts the zeros of all q^2 codewords acc + s2*r + s*l
+    below it, where r and l are the last two reduced rows.  Each position
+    is zero on a known set of cells s2*q + s: the q cells of the line
     s2*r[j] + s*l[j] = -acc[j] when (r[j], l[j]) != (0, 0), every cell
     when r[j] = l[j] = acc[j] = 0, and none when only acc[j] is nonzero.
     The parent's minimum is then the nonzero count minus the largest cell
     count.
 
-    Only a parent whose minimum breaks the designed bound walks its cells
-    in message order, (0, 1) and then (1, s) for the parent with no nonzero
-    coefficient yet, every cell from (0, 0) for any other, so the first
-    violating message, and the report, is the one the full enumeration
-    would meet first.
+    The scan reads no bound: it visits every class and returns their
+    minimum, which `min_distance_exact` alone checks against the designed
+    bound.
     """
     spec = code.field
     q = spec.order
     k, rows, _ = code.reduced
     n = code.n
-    bound = code.distance_bound
     if k == 1:
-        w = n - rows[0].count(0)
-        if w < bound:
-            raise CheckFailure(CheckReport("distance_bound", False, {"weight": w, "bound": bound}))
-        return w
+        return n - rows[0].count(0)
 
     # add[a][b] is a + b; a row is built when an acc value a first needs it
     add = _Memo(lambda a: [spec.add(a, b) for b in range(q)])
@@ -305,16 +293,7 @@ def _scan_distance(code: EvalCode) -> int:
             nonzero = n - zeros.pop(EVERY, 0)
             if not started:
                 del zeros[0]  # acc is zero: cell (0, 0) is the zero message
-            w = nonzero - max(zeros.values(), default=0)
-            if w < bound:
-                for c in range(q * q) if started else (1, *range(q, 2 * q)):
-                    w = nonzero - zeros[c]
-                    if w < bound:
-                        raise CheckFailure(
-                            CheckReport("distance_bound", False, {"weight": w, "bound": bound})
-                        )
-            if w < best:
-                best = w
+            best = min(best, nonzero - max(zeros.values(), default=0))
             return
         sums = [add[a] for a in acc]  # sums[j][x] is acc[j] + x
         for s in range(q) if started else (0, 1):

@@ -215,8 +215,8 @@ def test_criterion_8_property_suites(built):
             assert {gamma.apply(p): m for p, m in D.items()} == D
             assert {gamma.apply(p) for p in S} == S
 
-    # the weight >= bound assertion is live inside every distance scan:
-    # an inflated bound must abort the scan
+    # the distance >= bound check is live on every enumerated distance:
+    # an inflated bound must fail it
     F5 = make_field(5, 1)
     pts = (point(F5, 0, 1), point(F5, 1, 1), point(F5, 1, 2))
     inflated = EvalCode(F5, pts, ((1, 1, 1), (0, 1, 2)), distance_bound=3)

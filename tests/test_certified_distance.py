@@ -5,9 +5,9 @@ projline built-in that the default guard admits, and on every seed of the
 benchmark's custom fermat q=4 instance, the certificate gives the distance
 it finds.  The certificate must refuse, and leave the distance to the
 enumeration, when its hypotheses fail: the singular bf curve, a diagonal
-curve whose degree the characteristic divides, a reducible curve, explicit
-functions that do not hold the witness, and a proved distance below the
-designed bound.
+curve whose degree the characteristic divides, a reducible curve, and
+explicit functions that do not hold the witness.  A proved distance below
+the designed bound is reported from the proof, with no enumeration.
 """
 
 import hashlib
@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from orbitcodes import (
+    CheckFailure,
+    CheckReport,
     ConstructionResult,
     EvalCode,
     Instance,
@@ -160,21 +162,26 @@ def test_a_witness_of_weight_zero_proves_nothing():
 
 
 # stdout sha256 of `distance` on the instance of the next test, recorded on
-# the commit before the certificate: the scan's distance_bound report
+# the commit before the certificate from the scan's distance_bound report;
+# the proof's report has the same bytes
 BELOW_THE_BOUND_REPORT = "0bbbad8bfaa8e781a42e0b650ee652663a8b1c720404c36d7a3473bf284c73c7"
 
 
-def test_a_proved_distance_below_the_bound_leaves_the_report_to_the_enumeration(
-    tmp_path, capsys
+def test_a_proved_distance_below_the_bound_is_reported_from_the_proof(
+    tmp_path, capsys, monkeypatch
 ):
     # projline q=7 with the binary forms of degree 4: a [7, 5] code whose
     # distance, 7 - 4 = 3, is proved but breaks the designed bound 7 - 3
     doc = instance_doc("projline", 7, [[[[i, 4 - i], 1]] for i in range(5)])
     res = run_construction(serialize.instance_from_dict(doc))
     assert (res.code.n, res.code.rank, res.code.distance_bound) == (7, 5, 4)
-    assert certified_distance(res) is None
+    with pytest.raises(CheckFailure) as exc:
+        certified_distance(res)
+    assert exc.value.report == CheckReport("distance_bound", False, {"weight": 3, "bound": 4})
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
+    for name in ("orbitcodes.code_analysis", "orbitcodes.enumeration"):
+        monkeypatch.setitem(sys.modules, name, None)  # import fails
     status = cli.main(["distance", "--family", "custom", "--input", str(path)])
     stdout = capsys.readouterr().out
     assert status == EXIT_CHECK_FAILED

@@ -982,6 +982,15 @@ def test_plain_args_hold_exactly_the_attributes_argparse_gives():
     }
 
 
+def test_family_choices_are_the_builtin_families_then_custom():
+    # cli writes the list out, so that the usage checks load no math
+    from orbitcodes.autgroup import FAMILIES
+
+    with_family = [name for name, (_, options) in cli.COMMANDS.items()
+                   if dict(options).get("--family", {}).get("choices") == [*FAMILIES, "custom"]]
+    assert with_family == ["construct", "verify", "distance", "automorphisms"]
+
+
 def load_benchmark_harness():
     spec = importlib.util.spec_from_file_location("harness", BENCH_DIR / "harness.py")
     module = importlib.util.module_from_spec(spec)

@@ -6,7 +6,8 @@ determinant oracle, and the elimination on encodings against the
 FieldElement elimination it replaced; distances are cross-checked against
 closed forms (maximum-distance-separable values on the line, the grid
 structure on the plane instances) and, with the bound reports, against the
-full enumeration of every nonzero message, kept here as an oracle.  The
+full enumeration of every nonzero message, kept here as an oracle: a
+failed bound names the minimum distance, whichever method ran.  The
 faithful-action certificate is compared with the element-by-element
 check, kept here as `oracle_verify_faithful`, on the built-in groups and
 on hand-built groups, made by `close` and by `intersect`, with a failing
@@ -41,6 +42,7 @@ from orbitcodes import (
 from orbitcodes import code_analysis, enumeration
 from orbitcodes.autgroup import find_frame
 from orbitcodes.code_analysis import DEFAULT_MESSAGE_GUARD, in_row_space
+from orbitcodes.construction import check_distance_bound
 from orbitcodes.geometry import projective_reps
 
 
@@ -244,10 +246,10 @@ def test_distance_weight_witness_fermat(built):
 def test_distance_scan_enforces_bound():
     F5 = make_field(5, 1)
     pts = (point(F5, 0, 1), point(F5, 1, 1), point(F5, 1, 2))
-    bad = EvalCode(F5, pts, ((1, 1, 1), (0, 1, 2)), distance_bound=3)  # true distance is 1
+    bad = EvalCode(F5, pts, ((1, 1, 1), (0, 1, 2)), distance_bound=3)  # true distance is 2
     with pytest.raises(CheckFailure) as exc:
         min_distance_exact(bad)
-    assert exc.value.report.name == "distance_bound"
+    assert exc.value.report == CheckReport("distance_bound", False, {"weight": 2, "bound": 3})
 
 
 def test_distance_guard(built):
@@ -285,8 +287,8 @@ def test_distance_guard_counts_bz_during_the_run(built):
 
 
 def oracle_min_distance_exact(code, max_messages=DEFAULT_MESSAGE_GUARD):
-    """The full enumeration: every one of the q^rank - 1 nonzero messages,
-    in lexicographic order, with its weight checked against the bound."""
+    """The full enumeration: the lightest of every one of the q^rank - 1
+    nonzero messages, checked against the bound once all are weighed."""
     q = code.field.order
     k, rref, _ = oracle_rank_and_rref(code.matrix)
     if k != code.rank:
@@ -316,19 +318,15 @@ def oracle_min_distance_exact(code, max_messages=DEFAULT_MESSAGE_GUARD):
             leaf = scaled[level]
             for s in range(0 if started else 1, q):
                 row = leaf[s]
-                w = sum(1 for x, y in zip(neg_acc, row) if x != y)
-                if w < bound:
-                    raise CheckFailure(
-                        CheckReport("distance_bound", False, {"weight": w, "bound": bound})
-                    )
-                if w < best:
-                    best = w
+                best = min(best, sum(1 for x, y in zip(neg_acc, row) if x != y))
             return
         for s in range(q):
             row = scaled[level][s]
             scan(level + 1, [add[aj][rj] for aj, rj in zip(acc, row)], started or s != 0)
 
     scan(0, [0] * n, False)
+    if best < bound:
+        raise CheckFailure(CheckReport("distance_bound", False, {"weight": best, "bound": bound}))
     return best
 
 
@@ -340,9 +338,12 @@ def distance_or_report(scan, code):
 
 
 def assert_distance_matches_oracle(code):
-    got = distance_or_report(min_distance_exact, code)
-    assert got == distance_or_report(oracle_min_distance_exact, code)
-    return got
+    """The enumeration at the default guard, and BZ forced onto every
+    information set, both give the full enumeration's distance or report."""
+    want = distance_or_report(oracle_min_distance_exact, code)
+    assert distance_or_report(min_distance_exact, code) == want
+    assert distance_or_report(forced_bz, code) == want
+    return want
 
 
 def random_code(rng, field, max_messages=2**16):
@@ -382,22 +383,24 @@ def with_bound(code, distance_bound):
     return EvalCode(code.field, code.points, code.encodings, distance_bound)
 
 
-def test_first_violating_message_is_reported():
+def test_a_failed_bound_names_the_minimum_distance():
     # over GF(3) the messages (0, 1) and (1, 0) meet the bound 7; the first
-    # one to break it is (1, 1), of weight 4, and then (1, 2), of weight 6
+    # one in message order to break it is (1, 1), of weight 6, but the
+    # report names the minimum distance, the weight 4 of (1, 2)
     F3 = make_field(3, 1)
     r0 = (1, 0, 1, 1, 1, 1, 1, 1)
-    r1 = (0, 1, 2, 2, 2, 2, 1, 1)
+    r1 = (0, 1, 1, 1, 1, 1, 2, 2)
     code = code_of(F3, (r0, r1), distance_bound=7)
     rep = assert_distance_matches_oracle(code)
     assert rep.details == {"weight": 4, "bound": 7}
+    assert enumeration._scan_distance(code) == 4
 
 
-def test_first_violation_at_the_start_of_a_started_parent():
+def test_rank_three_with_a_zero_column():
     # rank 3 over GF(3): every message (0, a, b) meets the bound 5, and the
-    # first one to break it is (1, 0, 0), of weight 3, the cell (0, 0) of
-    # the parent (1, *, *); the next is (1, 1, 0), of weight 4.  The last
-    # column is zero in every row, so it is zero in every codeword.
+    # lightest codeword is (1, 0, 0), of weight 3, the cell (0, 0) of the
+    # parent (1, *, *).  The last column is zero in every row, so it is
+    # zero in every codeword.
     F3 = make_field(3, 1)
     r0 = (1, 0, 0, 0, 2, 1, 0, 0, 0)
     r1 = (0, 1, 0, 1, 1, 2, 0, 1, 0)
@@ -412,16 +415,16 @@ def test_first_violation_at_the_start_of_a_started_parent():
 
 
 def test_rank_two_root_is_the_parent():
-    # over GF(5) the first message, (0, 1), has weight 2 and breaks the
-    # bound 3; the messages (1, s) all have weight at least 3
+    # over GF(5) the message (0, 1) has weight 2 and breaks the bound 3;
+    # the messages (1, s) all have weight at least 3
     F5 = make_field(5, 1)
     r0 = (1, 0, 1, 2, 3, 0)
     r1 = (0, 1, 0, 0, 4, 0)
     code = code_of(F5, (r0, r1), distance_bound=3)
     assert assert_distance_matches_oracle(code).details == {"weight": 2, "bound": 3}
     assert assert_distance_matches_oracle(with_bound(code, 2)) == 2
-    # here (0, 1), (1, 0) and (1, 1) meet the bound 4 and (1, 2) is the
-    # first to break it, with weight 3
+    # here (0, 1), (1, 0) and (1, 1) meet the bound 4 and (1, 2), of
+    # weight 3, is the lightest
     r1 = (0, 1, 2, 4, 1, 1)
     code = code_of(F5, (r0, r1), distance_bound=4)
     assert assert_distance_matches_oracle(code).details == {"weight": 3, "bound": 4}
@@ -463,7 +466,7 @@ def test_scan_matches_full_enumeration_on_builtins(built):
         assert d >= code.distance_bound
         for bound in (d + 1, code.n + 1):
             rep = assert_distance_matches_oracle(with_bound(code, bound))
-            assert rep.name == "distance_bound" and not rep.passed
+            assert rep == CheckReport("distance_bound", False, {"weight": d, "bound": bound})
 
 
 def rank_two_code(field, n):
@@ -497,17 +500,18 @@ def bz_on_every_set(code, budget=DEFAULT_MESSAGE_GUARD):
     return enumeration._bz_distance(code, list(enumeration._greedy_sets(code)), budget)
 
 
+def forced_bz(code):
+    """BZ on every set, with the bound decided as `min_distance_exact`
+    decides it."""
+    return check_distance_bound(code, bz_on_every_set(code))
+
+
 def assert_bz_matches_oracle(code):
-    """BZ gives the exact distance, or a weight of the code below the bound
-    (its own report, not necessarily the scan's first violation)."""
+    """BZ gives the exact distance whatever the bound, and so the full
+    enumeration's distance or report."""
     want = distance_or_report(oracle_min_distance_exact, code)
-    got = distance_or_report(bz_on_every_set, code)
-    if isinstance(want, int):
-        assert got == want
-    else:
-        d = oracle_min_distance_exact(with_bound(code, 0))
-        assert got.name == "distance_bound" and not got.passed
-        assert d <= got.details["weight"] < got.details["bound"] == code.distance_bound
+    assert bz_on_every_set(code) == oracle_min_distance_exact(with_bound(code, 0))
+    assert distance_or_report(forced_bz, code) == want
     return want
 
 
@@ -596,8 +600,10 @@ def high_rate_code(rng, field):
 
 @pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_choice_matches_scan_and_full_enumeration(p, k, monkeypatch):
-    """The chosen method gives the scan's distance or report, which is the
-    full enumeration's, with bounds at and above d; both methods are taken."""
+    """Both methods compute d whatever the bound, and the chosen one alone
+    gives the full enumeration's distance or report, with bounds at and
+    above d; both methods are taken.  A failing code that BZ takes reports
+    the same under a guard below the scan's count, which forces BZ."""
     rng = random.Random(5000 * p + k)
     field = make_field(p, k)
     seen = set()
@@ -606,13 +612,17 @@ def test_choice_matches_scan_and_full_enumeration(p, k, monkeypatch):
         d = oracle_min_distance_exact(code)
         for bound in (0, d, d + 1, d + 3):
             bounded = with_bound(code, bound)
-            want = d if bound <= d else distance_or_report(oracle_min_distance_exact, bounded)
-            assert distance_or_report(enumeration._scan_distance, bounded) == want
+            want = distance_or_report(oracle_min_distance_exact, bounded)
+            assert enumeration._scan_distance(bounded) == bz_on_every_set(bounded) == d
             got, taken = methods_taken(bounded, monkeypatch)
             assert got == want
             seen.add(taken[0])
-            assert taken in (["scan"], ["bz"], ["bz", "scan"])
-            assert (taken == ["bz", "scan"]) == (taken[0] == "bz" and bound > d)
+            assert taken in (["scan"], ["bz"])
+            if taken == ["bz"] and bound > d:
+                classes = (field.order**code.rank - 1) // (field.order - 1)
+                assert methods_taken(bounded, monkeypatch, max_messages=classes - 1) == (
+                    want, ["bz"]
+                )
     assert seen == {"scan", "bz"}
 
 
@@ -652,9 +662,10 @@ def test_bz_on_partial_sets_and_zero_columns(rows, rank, ranks, d):
         assert_distance_matches_oracle(with_bound(code, bound))
 
 
-def test_sub_bound_weight_met_by_bz_gets_the_scan_report(monkeypatch):
-    # over GF(5) the first row has weight 1 and the last weight 2; BZ meets
-    # the first one, the scan's first violating message is (0, 0, 0, 0, 1)
+def test_sub_bound_weight_met_by_bz_is_reported_by_bz_alone(monkeypatch):
+    # over GF(5) the first row has weight 1 and the last weight 2: d = 1,
+    # which BZ finds and the report names, whatever the guard; the first
+    # violating message in the scan's order, (0, 0, 0, 0, 1), weighs 2
     F5 = make_field(5, 1)
     rows = [
         (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -664,15 +675,12 @@ def test_sub_bound_weight_met_by_bz_gets_the_scan_report(monkeypatch):
         (0, 0, 0, 0, 1, 1, 0, 0, 0, 0),
     ]
     code = code_of(F5, rows, distance_bound=3)
-    rep, taken = methods_taken(code, monkeypatch)
-    assert taken == ["bz", "scan"]
-    assert rep == distance_or_report(oracle_min_distance_exact, code)
-    assert rep.details == {"weight": 2, "bound": 3}
-    # outside the guard the scan does not run, and BZ's weight is reported
+    want = CheckReport("distance_bound", False, {"weight": 1, "bound": 3})
+    assert distance_or_report(oracle_min_distance_exact, code) == want
+    # at the default guard and under one below the scan's count
     classes = (5**5 - 1) // 4
-    rep, taken = methods_taken(code, monkeypatch, max_messages=classes - 1)
-    assert taken == ["bz"]
-    assert rep.details == {"weight": 1, "bound": 3}
+    for guard in (DEFAULT_MESSAGE_GUARD, classes - 1):
+        assert methods_taken(code, monkeypatch, max_messages=guard) == (want, ["bz"])
 
 
 def test_bz_past_the_scan_count_hands_over_to_the_scan(monkeypatch):
